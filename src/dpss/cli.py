@@ -1,12 +1,14 @@
 """Command-line surface for the release-then-infer pipeline.
 
-Exit codes: 0 success, 2 usage/validation error, 3 data or I/O error.
+Exit codes: 0 success, 2 usage/validation error, 3 data or I/O error or
+a numerical failure of an estimator (reported as ``error: <code>``).
 Only ``release`` reads raw data together with a privacy budget; every
 other subcommand operates on released artifacts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ import click
 import numpy as np
 
 from . import estimate, harness, synthgen
-from .expfam import dataset_from_csv, dataset_to_csv, load_model_config
+from .expfam import SolverDivergedError, dataset_from_csv, dataset_to_csv, load_model_config
 from .privacy import PrivacyBudget, ReleasedStatistic, calibrate_agm, release, verify_agm_condition
 from .rng import substream
 
@@ -25,10 +27,29 @@ def _data_error(message: str):
     sys.exit(3)
 
 
+# numerical failures of the estimators, reported as "error: <code>" with exit 3
+SOLVER_ERRORS = (
+    SolverDivergedError,
+    estimate.NoiseAwareDivergedError,
+    estimate.FisherSingularError,
+    estimate.BootstrapUnstableError,
+)
+# significance level, open interval (0, 1)
+ALPHA = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
+
+
+@contextlib.contextmanager
+def _solver_errors():
+    try:
+        yield
+    except SOLVER_ERRORS as exc:
+        _data_error(str(exc))
+
+
 def _load_model(path):
     try:
         return load_model_config(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         _data_error(f"cannot load model config: {exc}")
 
 
@@ -69,7 +90,7 @@ def calibrate(sensitivity, epsilon, delta):
 @click.option("--delta", default="auto", help="Numeric delta, or 'auto' for 1/n^2.")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--sigma-override", type=float, default=None, hidden=True)
+@click.option("--sigma-override", type=click.FloatRange(min=0.0), default=None, hidden=True)
 def release_cmd(data_path, model_path, epsilon, delta, seed, out_path, sigma_override):
     """Clip, aggregate, and release the noisy sufficient statistic."""
     model = _load_model(model_path)
@@ -112,22 +133,23 @@ def release_cmd(data_path, model_path, epsilon, delta, seed, out_path, sigma_ove
 @click.option("--release", "release_path", type=click.Path(), required=True)
 @click.option("--model", "model_path", type=click.Path(), required=True)
 @click.option("--method", type=click.Choice(["plugin", "noise_aware"]), default="plugin")
-@click.option("--alpha", type=float, default=0.05)
+@click.option("--alpha", type=ALPHA, default=0.05)
 def estimate_cmd(release_path, model_path, method, alpha):
     """Estimate from a released statistic; report JSON on stdout."""
     model = _load_model(model_path)
     rel = _load_release(release_path)
     if rel.d != model.d:
         _data_error("dimension mismatch between release and model")
-    report = estimate.estimate_report(model, rel, method, alpha)
+    with _solver_errors():
+        report = estimate.estimate_report(model, rel, method, alpha)
     click.echo(report.to_json())
 
 
 @main.command()
 @click.option("--release", "release_path", type=click.Path(), required=True)
 @click.option("--model", "model_path", type=click.Path(), required=True)
-@click.option("--b-boot", type=int, default=500)
-@click.option("--alpha", type=float, default=0.05)
+@click.option("--b-boot", type=click.IntRange(min=2), default=500)
+@click.option("--alpha", type=ALPHA, default=0.05)
 @click.option("--seed", type=int, default=0)
 def bootstrap(release_path, model_path, b_boot, alpha, seed):
     """Parametric bootstrap intervals from a released statistic."""
@@ -136,7 +158,8 @@ def bootstrap(release_path, model_path, b_boot, alpha, seed):
     if rel.d != model.d:
         _data_error("dimension mismatch between release and model")
     cfg = estimate.BootstrapConfig(b_boot, alpha)
-    report = estimate.parametric_bootstrap(model, rel, cfg, substream(seed, "bootstrap"))
+    with _solver_errors():
+        report = estimate.parametric_bootstrap(model, rel, cfg, substream(seed, "bootstrap"))
     click.echo(report.to_json())
 
 
@@ -152,7 +175,10 @@ def synth(release_path, model_path, n_syn, seed, out_path):
         raise click.UsageError("--n-syn must be at least 1")
     model = _load_model(model_path)
     rel = _load_release(release_path)
-    theta = estimate.plugin_mle(model, rel)
+    if rel.d != model.d:
+        _data_error("dimension mismatch between release and model")
+    with _solver_errors():
+        theta = estimate.plugin_mle(model, rel)
     data = synthgen.generate_synthetic(
         model, theta, synthgen.SynthConfig(n_syn), substream(seed, "synth")
     )
@@ -171,7 +197,7 @@ def synth(release_path, model_path, n_syn, seed, out_path):
 @click.option("--model", "model_path", type=click.Path(), required=True)
 @click.option("--mode", type=click.Choice(["naive", "noise_aware"]), default="naive")
 @click.option("--release", "release_path", type=click.Path(), default=None)
-@click.option("--alpha", type=float, default=0.05)
+@click.option("--alpha", type=ALPHA, default=0.05)
 def analyze(data_path, model_path, mode, release_path, alpha):
     """Analyze a (synthetic) dataset naively or with noise-aware correction."""
     if mode == "noise_aware" and release_path is None:
@@ -181,11 +207,12 @@ def analyze(data_path, model_path, mode, release_path, alpha):
         data = dataset_from_csv(data_path, model)
     except (OSError, ValueError) as exc:
         _data_error(f"cannot read data: {exc}")
-    if mode == "naive":
-        report = synthgen.naive_analysis(model, data, alpha)
-    else:
-        rel = _load_release(release_path)
-        report = synthgen.noise_aware_synth_analysis(model, data, rel, alpha)
+    rel = _load_release(release_path) if mode == "noise_aware" else None
+    with _solver_errors():
+        if rel is None:
+            report = synthgen.naive_analysis(model, data, alpha)
+        else:
+            report = synthgen.noise_aware_synth_analysis(model, data, rel, alpha)
     click.echo(report.to_json())
 
 

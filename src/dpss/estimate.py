@@ -19,6 +19,9 @@ from .expfam import PARAM_BOX, Dataset, ExpFamModel, SolverDivergedError
 from .privacy import ReleasedStatistic
 
 VARIANCE_DIAG_CAP = 1e6  # divided by n when applied
+# draws x design rows per batched bootstrap solve, so that each (draws, n)
+# temporary of the Newton iteration stays within 0.5 MB
+BOOTSTRAP_CHUNK_ELEMS = 2**16
 
 
 class FisherSingularError(np.linalg.LinAlgError):
@@ -194,6 +197,39 @@ def wald_test(
     return out
 
 
+def _solve_draws(
+    model: ExpFamModel, s_star: np.ndarray, theta_hat: np.ndarray, rel: ReleasedStatistic
+) -> tuple[np.ndarray, int, int]:
+    """Inverse mean map of every row of s_star: (draws, fallbacks, failures).
+
+    Rows are solved by ``model.newton_batch`` in chunks of
+    BOOTSTRAP_CHUNK_ELEMS // n draws.  A row that does not converge goes to
+    the L-BFGS-B fallback from its last batched iterate; if that diverges,
+    the statistic projected onto the ball of radius rel.B is solved once more,
+    and a row that still fails counts as a failure and is replaced by
+    theta_hat.
+    """
+    draws = np.empty_like(s_star)
+    chunk = max(1, BOOTSTRAP_CHUNK_ELEMS // rel.n)
+    fallbacks = failures = 0
+    for lo in range(0, len(s_star), chunk):
+        draws[lo:lo + chunk], converged = model.newton_batch(s_star[lo:lo + chunk])
+        for b in lo + np.flatnonzero(~converged):
+            fallbacks += 1
+            try:
+                draws[b] = model._inverse_mean_map_fallback(s_star[b], draws[b])
+            except SolverDivergedError:
+                # retry once with the statistic projected back onto the feasible ball
+                norm = np.linalg.norm(s_star[b])
+                s_proj = s_star[b] * (rel.B / norm) if norm > rel.B else s_star[b]
+                try:
+                    draws[b] = model.inverse_mean_map(s_proj)
+                except SolverDivergedError:
+                    failures += 1
+                    draws[b] = theta_hat
+    return draws, fallbacks, failures
+
+
 def parametric_bootstrap(
     model: ExpFamModel,
     rel: ReleasedStatistic,
@@ -205,27 +241,20 @@ def parametric_bootstrap(
     Draws S*_b ~ N(mu(theta_hat), I(theta_hat)/n + sigma^2 I) and re-estimates
     with the plug-in map; first-order equivalence makes the plug-in and
     noise-aware re-estimates interchangeable here, and the plug-in is far
-    cheaper over hundreds of draws.
+    cheaper over hundreds of draws.  All B draws are taken in one call
+    (the same values, in the same order, as B calls for d normals each)
+    and solved together by the batched damped Newton, chunk by chunk.
+    Only draws it leaves unconverged run the L-BFGS-B fallback, started
+    from their last batched iterate; ``diagnostics["fallbacks"]`` counts
+    them and ``diagnostics["failures"]`` counts the draws replaced by
+    theta_hat.
     """
     theta_hat = plugin_mle(model, rel)
     mu = model.grad_log_partition(theta_hat)
     cov = model.fisher_info(theta_hat) / rel.n + rel.sigma**2 * np.eye(model.d)
     chol = np.linalg.cholesky(cov + 1e-15 * np.eye(model.d))
-    draws = np.empty((cfg.b_boot, model.d))
-    failures = 0
-    for b in range(cfg.b_boot):
-        s_star = mu + chol @ rng.standard_normal(model.d)
-        try:
-            draws[b] = model.inverse_mean_map(s_star)
-        except SolverDivergedError:
-            # retry once with the statistic projected back onto the feasible ball
-            norm = np.linalg.norm(s_star)
-            s_proj = s_star * (rel.B / norm) if norm > rel.B else s_star
-            try:
-                draws[b] = model.inverse_mean_map(s_proj)
-            except SolverDivergedError:
-                failures += 1
-                draws[b] = theta_hat
+    s_star = mu + rng.standard_normal((cfg.b_boot, model.d)) @ chol.T
+    draws, fallbacks, failures = _solve_draws(model, s_star, theta_hat, rel)
     if failures >= 0.1 * cfg.b_boot:
         raise BootstrapUnstableError("bootstrap_unstable")
     lo = np.quantile(draws, cfg.alpha / 2.0, axis=0)
@@ -238,7 +267,7 @@ def parametric_bootstrap(
         cis=[(float(a), float(b)) for a, b in zip(lo, hi)],
         alpha=cfg.alpha,
         method="bootstrap",
-        diagnostics={"b_boot": cfg.b_boot, "failures": failures},
+        diagnostics={"b_boot": cfg.b_boot, "failures": failures, "fallbacks": fallbacks},
     )
 
 
@@ -284,5 +313,10 @@ def estimate_report(
         cis=wald_ci(theta_hat, variance, alpha),
         alpha=alpha,
         method=tag,
-        diagnostics={"lambda": _regularizer(rel.sigma), "sigma": rel.sigma},
+        diagnostics={
+            "lambda": _regularizer(rel.sigma),
+            "sigma": rel.sigma,
+            # the estimate sits on a face of the |theta_j| <= PARAM_BOX box
+            "at_box": bool(np.any(np.abs(theta_hat) >= PARAM_BOX)),
+        },
     )

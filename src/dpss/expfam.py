@@ -15,6 +15,7 @@ design after the release.
 from __future__ import annotations
 
 import abc
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +25,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 PARAM_BOX = 10.0  # box constraint |theta_j| <= 10 for all solvers
+MAX_LOG_RATE = 700.0  # largest log-link eta whose exp is computed
 
 
 class EmptyDatasetError(ValueError):
@@ -130,47 +132,28 @@ class ExpFamModel(abc.ABC):
 
     # -- inverse mean map ----------------------------------------------
 
+    @abc.abstractmethod
+    def newton_batch(self, S: np.ndarray, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+        """Solve grad_log_partition(theta_b) = S[b] for every row of S, shape (b, d).
+
+        Returns the solutions (or, for rows that did not converge, the last
+        iterate) with shape (b, d), and a boolean mask of the converged rows.
+        """
+
     def inverse_mean_map(self, s: np.ndarray, max_iter: int = 100) -> np.ndarray:
         """Solve grad_log_partition(theta) = s over the box [-10, 10]^d.
 
-        Damped Newton with the Fisher information as Jacobian; falls back
-        to box-constrained quasi-Newton on the least-squares objective,
-        which resolves statistics outside the attainable mean range to
+        Runs ``newton_batch`` on the single row s; if that does not
+        converge, falls back from its last iterate to box-constrained
+        quasi-Newton on the least-squares objective, which resolves
+        statistics outside the attainable mean range to
         boundary-constrained minimizers instead of erroring.
         """
         s = np.asarray(s, dtype=float)
-        theta = np.zeros(self.d)
-        tol = 1e-8 * max(1.0, float(np.linalg.norm(s)))
-        resid = self.grad_log_partition(theta) - s
-        for _ in range(max_iter):
-            rnorm = np.linalg.norm(resid)
-            if rnorm <= tol:
-                return theta
-            J = self.fisher_info(theta)
-            try:
-                step = np.linalg.solve(J + 1e-12 * np.eye(self.d), -resid)
-            except np.linalg.LinAlgError:
-                break
-            # backtrack on the residual norm, up to 30 halvings
-            t = 1.0
-            improved = False
-            for _ in range(30):
-                cand = np.clip(theta + t * step, -PARAM_BOX, PARAM_BOX)
-                try:
-                    cand_resid = self.grad_log_partition(cand) - s
-                except MeanOverflowError:
-                    t *= 0.5
-                    continue
-                if np.linalg.norm(cand_resid) < rnorm:
-                    theta, resid = cand, cand_resid
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
-                break
-        if np.linalg.norm(resid) <= tol:
-            return theta
-        return self._inverse_mean_map_fallback(s, theta)
+        theta, converged = self.newton_batch(s[None], max_iter)
+        if converged[0]:
+            return theta[0]
+        return self._inverse_mean_map_fallback(s, theta[0])
 
     def _inverse_mean_map_fallback(self, s: np.ndarray, theta0: np.ndarray) -> np.ndarray:
         def objective(theta):
@@ -196,6 +179,21 @@ class ExpFamModel(abc.ABC):
         if np.linalg.norm(proj) > 1e-5 * max(1.0, np.linalg.norm(s)):
             raise SolverDivergedError("solver_diverged", theta)
         return theta
+
+
+def _solve_blocks(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A[k] x = rhs[k] for each k; a singular block leaves only its own row unsolved."""
+    try:
+        return np.linalg.solve(A, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(rhs)
+        solved = np.ones(len(rhs), dtype=bool)
+        for k in range(len(rhs)):
+            try:
+                x[k] = np.linalg.solve(A[k], rhs[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return x, solved
 
 
 def _projected_gradient(theta, grad):
@@ -239,6 +237,9 @@ class GaussianMeanModel(ExpFamModel):
         s = np.asarray(s, dtype=float)
         return np.clip(s / self.sigma0_sq, -PARAM_BOX, PARAM_BOX)
 
+    def newton_batch(self, S: np.ndarray, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+        return self.inverse_mean_map(S), np.ones(len(S), dtype=bool)
+
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
         mu = self.sigma0_sq * float(np.asarray(theta, dtype=float)[0])
         return Dataset(rng.normal(mu, np.sqrt(self.sigma0_sq), size=n))
@@ -262,6 +263,85 @@ class _RegressionModel(ExpFamModel):
 
     def suff_stats(self, data: Dataset) -> np.ndarray:
         return data.x * data.y[:, None]
+
+    @functools.cached_property
+    def _design_outer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Upper-triangle indices (i, j) and the products x_i x_j of each design row.
+
+        The products have shape (n, d(d+1)/2); W @ products / n holds the
+        upper triangles of the Fisher blocks X' diag(w) X / n.
+        """
+        i, j = np.triu_indices(self.d)
+        outer = np.empty((len(self.design), len(i)))
+        for k in range(len(i)):  # column by column, so no (n, d(d+1)/2) temporaries
+            np.multiply(self.design[:, i[k]], self.design[:, j[k]], out=outer[:, k])
+        return i, j, outer
+
+    def _fisher_blocks(self, W: np.ndarray) -> np.ndarray:
+        """I = X' diag(w) X / n for each row w of W, from one GEMM: shape (b, d, d)."""
+        i, j, outer = self._design_outer
+        fisher = np.empty((len(W), self.d, self.d))
+        fisher[:, i, j] = fisher[:, j, i] = W @ outer / len(self.design)
+        return fisher
+
+    @abc.abstractmethod
+    def mean_and_weights(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean map, Fisher weights and a finite mask for each row of Theta, shape (b, d).
+
+        Returns mu = P @ X / n with shape (b, d); the per-record weights W
+        with shape (b, n), so that I(Theta[k]) = X' diag(W[k]) X / n; and a
+        (b,) mask that is False for rows whose mean would overflow.
+        """
+
+    def newton_batch(self, S: np.ndarray, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+        """Damped Newton for every row of S at once, each row started at theta = 0.
+
+        A row converges when ||mu(theta) - s|| <= 1e-8 max(1, ||s||).  It
+        stops unconverged when its Fisher block is singular, or when 30
+        halvings of its own step length find no candidate in the box with a
+        finite mean and a smaller residual.  The weights of each accepted
+        candidate give the next Fisher blocks, one GEMM for all rows.
+        """
+        S = np.atleast_2d(np.asarray(S, dtype=float))
+        b, d = S.shape
+        theta = np.zeros((b, d))
+        tol = 1e-8 * np.maximum(1.0, np.linalg.norm(S, axis=1))
+        mu0, w0, _ = self.mean_and_weights(theta[:1])
+        resid = mu0 - S
+        weights = np.repeat(w0, b, axis=0)
+        rnorm = np.linalg.norm(resid, axis=1)
+        active = rnorm > tol
+        ridge = 1e-12 * np.eye(d)
+        for _ in range(max_iter):
+            rows = np.flatnonzero(active)
+            if rows.size == 0:
+                break
+            fisher = self._fisher_blocks(weights[rows]) + ridge
+            step, solved = _solve_blocks(fisher, -resid[rows])
+            active[rows[~solved]] = False
+            rows, step = rows[solved], step[solved]
+            # backtrack on the residual norm, up to 30 halvings per row
+            t = np.ones(len(rows))
+            searching = np.ones(len(rows), dtype=bool)
+            for _ in range(30):
+                j = np.flatnonzero(searching)
+                if j.size == 0:
+                    break
+                r = rows[j]
+                cand = np.clip(theta[r] + t[j, None] * step[j], -PARAM_BOX, PARAM_BOX)
+                mu, w, finite = self.mean_and_weights(cand)
+                cand_resid = mu - S[r]
+                with np.errstate(over="ignore"):  # an overflowing norm is inf: rejected
+                    cand_norm = np.linalg.norm(cand_resid, axis=1)
+                ok = finite & (cand_norm < rnorm[r])
+                acc = r[ok]
+                theta[acc], resid[acc], rnorm[acc] = cand[ok], cand_resid[ok], cand_norm[ok]
+                weights[acc] = w[ok]
+                searching[j[ok]] = False
+                t[j[~ok]] *= 0.5
+            active[rows[searching]] = False
+            active &= rnorm > tol
+        return theta, rnorm <= tol
 
     def _design_for_sampling(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # reuse the design when sizes match; otherwise resample rows uniformly
@@ -292,6 +372,16 @@ class LogisticModel(_RegressionModel):
         w = p * (1.0 - p)
         return (self.design.T * w) @ self.design / len(self.design)
 
+    def mean_and_weights(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # expit's formula 1 / (1 + exp(-eta)), in place on numpy's vectorised
+        # exp, which is several times faster; an overflowing exp gives p = 0
+        P = np.negative(Theta @ self.design.T)
+        with np.errstate(over="ignore"):
+            np.exp(P, out=P)
+        P += 1.0
+        np.reciprocal(P, out=P)
+        return P @ self.design / len(self.design), P * (1.0 - P), np.ones(len(P), dtype=bool)
+
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
         X = self._design_for_sampling(n, rng)
         p = expit(X @ np.asarray(theta, dtype=float))
@@ -320,7 +410,7 @@ class PoissonModel(_RegressionModel):
 
     def _rates(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         eta = X @ np.asarray(theta, dtype=float)
-        if np.max(eta) > 700.0:
+        if np.max(eta) > MAX_LOG_RATE:
             raise MeanOverflowError("mean_overflow")
         return np.exp(eta)
 
@@ -332,6 +422,13 @@ class PoissonModel(_RegressionModel):
         lam = self._rates(theta, self.design)
         return (self.design.T * lam) @ self.design / len(self.design)
 
+    def mean_and_weights(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        eta = Theta @ self.design.T
+        finite = eta.max(axis=1) <= MAX_LOG_RATE
+        # rows past the cap are masked out; capping keeps their exp finite
+        lam = np.exp(np.minimum(eta, MAX_LOG_RATE))
+        return lam @ self.design / len(self.design), lam, finite
+
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
         X = self._design_for_sampling(n, rng)
         lam = self._rates(theta, X)
@@ -339,6 +436,9 @@ class PoissonModel(_RegressionModel):
 
     def with_design(self, design: np.ndarray) -> "PoissonModel":
         return PoissonModel(design, B_X=self.clip_bounds.B_X, B_Y=self.clip_bounds.B_Y)
+
+
+MODEL_IDS = tuple(cls.model_id for cls in (GaussianMeanModel, LogisticModel, PoissonModel))
 
 
 # ---------------------------------------------------------------------- #

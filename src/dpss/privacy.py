@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .expfam import ExpFamModel
+from .expfam import MODEL_IDS, ExpFamModel
 
 
 class SensitivityViolatedError(ValueError):
@@ -59,8 +59,18 @@ class ReleasedStatistic:
 
     def __post_init__(self):
         self.s_tilde = np.asarray(self.s_tilde, dtype=float)
+        if self.s_tilde.ndim != 1 or len(self.s_tilde) != self.d:
+            raise ValueError("s_tilde must be a vector of d entries")
         if not np.all(np.isfinite(self.s_tilde)):
             raise ValueError("s_tilde must be finite")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and non-negative")
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        if not (math.isfinite(self.B) and self.B > 0):
+            raise ValueError("B must be finite and positive")
+        if self.model_id not in MODEL_IDS:
+            raise ValueError(f"unknown model_id {self.model_id!r}")
 
     def to_json(self) -> str:
         payload = {
@@ -79,17 +89,29 @@ class ReleasedStatistic:
 
     @classmethod
     def from_json(cls, text: str) -> "ReleasedStatistic":
+        """Parse a release artifact; any malformed or missing field raises ValueError."""
         obj = json.loads(text)
-        return cls(
-            s_tilde=np.array(obj["s_tilde"], dtype=float),
-            sigma=obj["sigma"],
-            n=obj["n"],
-            d=obj["d"],
-            B=obj["B"],
-            budget=PrivacyBudget(obj["epsilon"], obj["delta"]),
-            model_id=obj["model_id"],
-            seed_tag=obj.get("seed_tag"),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("release must be a JSON object")
+        missing = sorted(_RELEASE_FIELDS - obj.keys())
+        if missing:
+            raise ValueError(f"release is missing {', '.join(missing)}")
+        for key, kind in _RELEASE_FIELDS.items():
+            if isinstance(obj[key], bool) or not isinstance(obj[key], kind):
+                raise ValueError(f"release field {key!r} has the wrong type")
+        try:
+            return cls(
+                s_tilde=np.array(obj["s_tilde"], dtype=float),
+                sigma=obj["sigma"],
+                n=obj["n"],
+                d=obj["d"],
+                B=obj["B"],
+                budget=PrivacyBudget(obj["epsilon"], obj["delta"]),
+                model_id=obj["model_id"],
+                seed_tag=obj.get("seed_tag"),
+            )
+        except (TypeError, OverflowError) as exc:  # non-numeric entries, ints beyond float range
+            raise ValueError(f"malformed release: {exc}") from exc
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")
@@ -97,6 +119,19 @@ class ReleasedStatistic:
     @classmethod
     def load(cls, path: str | Path) -> "ReleasedStatistic":
         return cls.from_json(Path(path).read_text())
+
+
+# required fields of a release artifact and their JSON types
+_RELEASE_FIELDS = {
+    "model_id": str,
+    "d": int,
+    "n": int,
+    "B": (int, float),
+    "epsilon": (int, float),
+    "delta": (int, float),
+    "sigma": (int, float),
+    "s_tilde": list,
+}
 
 
 def l2_sensitivity(B: float, n: int) -> float:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dpss import estimate, synthgen
 from dpss.cli import main
+from dpss.estimate import BootstrapUnstableError, FisherSingularError, NoiseAwareDivergedError
+from dpss.expfam import SolverDivergedError
 from dpss.privacy import PrivacyBudget, ReleasedStatistic, calibrate_agm
 
 runner = CliRunner()
@@ -83,6 +86,21 @@ def test_release_missing_data_exits_3(workdir):
     assert res.exit_code == 3
 
 
+def test_release_negative_sigma_override_exits_2(workdir):
+    res = invoke("release", "--data", workdir / "data.csv", "--model", workdir / "model.json",
+                 "--epsilon", 1.0, "--out", workdir / "rel.json", "--sigma-override", -1.0)
+    assert res.exit_code == 2
+
+
+def test_malformed_model_config_exits_3(workdir):
+    write_release(workdir)
+    (workdir / "bad_model.json").write_text('{"model_id": "gaussian_mean", "d": 1, "clip": 5}')
+    res = invoke("estimate", "--release", workdir / "rel.json",
+                 "--model", workdir / "bad_model.json")
+    assert res.exit_code == 3
+    assert "cannot load model config" in res.output
+
+
 def test_release_schema_mismatch_exits_3(workdir):
     (workdir / "bad.csv").write_text("1.0,2.0,3.0\n")
     res = invoke("release", "--data", workdir / "bad.csv", "--model", workdir / "model.json",
@@ -137,6 +155,82 @@ def test_bootstrap_command(workdir):
     report = json.loads(res.output)
     assert report["method"] == "bootstrap"
     assert len(report["cis"]) == 1
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0.0])
+def test_estimate_alpha_outside_unit_interval_exits_2(workdir, alpha):
+    write_release(workdir)
+    res = invoke("estimate", "--release", workdir / "rel.json",
+                 "--model", workdir / "model.json", "--alpha", alpha)
+    assert res.exit_code == 2
+    assert "--alpha" in res.output
+
+
+@pytest.mark.parametrize("b_boot", [1, 0])
+def test_bootstrap_b_boot_below_two_exits_2(workdir, b_boot):
+    write_release(workdir)
+    res = invoke("bootstrap", "--release", workdir / "rel.json",
+                 "--model", workdir / "model.json", "--b-boot", b_boot)
+    assert res.exit_code == 2
+    assert "--b-boot" in res.output
+
+
+def raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def every_draw_failed(model, s_star, theta_hat, rel):
+    return s_star.copy(), len(s_star), len(s_star)
+
+
+@pytest.mark.parametrize("command, module, attr, replacement, code", [
+    (["estimate", "--method", "plugin"], estimate, "plugin_mle",
+     raising(SolverDivergedError("solver_diverged", [0.0])), "solver_diverged"),
+    (["estimate", "--method", "noise_aware"], estimate, "noise_aware_mle",
+     raising(NoiseAwareDivergedError("na_diverged", [0.0])), "na_diverged"),
+    (["estimate"], estimate, "dp_variance",
+     raising(FisherSingularError("fisher_singular")), "fisher_singular"),
+    (["bootstrap", "--b-boot", "20"], estimate, "_solve_draws",
+     every_draw_failed, "bootstrap_unstable"),
+    (["synth", "--n-syn", "10"], estimate, "plugin_mle",
+     raising(SolverDivergedError("solver_diverged", [0.0])), "solver_diverged"),
+    (["analyze", "--mode", "noise_aware"], synthgen, "noise_aware_synth_analysis",
+     raising(FisherSingularError("fisher_singular")), "fisher_singular"),
+])
+def test_solver_failures_exit_3(workdir, monkeypatch, command, module, attr, replacement, code):
+    write_release(workdir)
+    (workdir / "syn.csv").write_text("0.1\n0.2\n")
+    paths = {"estimate": ["--release", "rel.json"], "bootstrap": ["--release", "rel.json"],
+             "synth": ["--release", "rel.json", "--out", "out.csv"],
+             "analyze": ["--data", "syn.csv", "--release", "rel.json"]}[command[0]]
+    args = [workdir / a if a.endswith((".json", ".csv")) else a for a in paths]
+    monkeypatch.setattr(module, attr, replacement)
+    res = invoke(*command, *args, "--model", workdir / "model.json")
+    assert res.exit_code == 3
+    assert f"error: {code}" in res.output
+
+
+def test_analyze_singular_fisher_exits_3(workdir):
+    # the second feature is zero on every record, so the classical Fisher
+    # information of the naive analysis cannot be inverted
+    (workdir / "design.csv").write_text("1.0,0.0\n-0.5,0.0\n")
+    (workdir / "logit.json").write_text(json.dumps(
+        {"model_id": "logistic", "d": 2, "clip": {"B_X": 3.0}, "design_csv": "design.csv"}))
+    (workdir / "syn.csv").write_text("1.0,0.0,1\n-0.5,0.0,0\n0.7,0.0,0\n-1.2,0.0,1\n")
+    res = invoke("analyze", "--data", workdir / "syn.csv", "--model", workdir / "logit.json")
+    assert res.exit_code == 3
+    assert "error: fisher_singular" in res.output
+
+
+def test_synth_dimension_mismatch_exits_3(workdir):
+    ReleasedStatistic(np.array([0.1, 0.2]), 0.1, 1000, 2, 5.0, PrivacyBudget(1.0, 1e-6),
+                      "gaussian_mean").save(workdir / "rel.json")
+    res = invoke("synth", "--release", workdir / "rel.json", "--model", workdir / "model.json",
+                 "--n-syn", 10, "--out", workdir / "syn.csv")
+    assert res.exit_code == 3
 
 
 # -------------------------------------------------------------------- synth

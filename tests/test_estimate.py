@@ -4,6 +4,7 @@ import pytest
 from dpss import estimate
 from dpss.estimate import (
     BootstrapConfig,
+    BootstrapUnstableError,
     EstimateReport,
     InvalidVarianceError,
     dp_variance,
@@ -14,7 +15,15 @@ from dpss.estimate import (
     wald_ci,
     wald_test,
 )
-from dpss.expfam import Dataset, GaussianMeanModel, LogisticModel, PoissonModel
+from dpss.expfam import (
+    PARAM_BOX,
+    Dataset,
+    GaussianMeanModel,
+    LogisticModel,
+    PoissonModel,
+    SolverDivergedError,
+)
+from dpss.harness import default_theta0, make_model_and_data
 from dpss.privacy import PrivacyBudget, ReleasedStatistic, release
 from dpss.rng import substream
 
@@ -219,6 +228,186 @@ def test_bootstrap_wald_consilience_with_noise():
     assert np.mean(widths_b) == pytest.approx(np.mean(widths_w), rel=0.10)
 
 
+def per_draw_bootstrap(model, rel, cfg, rng):
+    """The per-draw loop the batched bootstrap solve replaced, kept as the reference.
+
+    Returns the draws and the failure count.
+    """
+    theta_hat = plugin_mle(model, rel)
+    mu = model.grad_log_partition(theta_hat)
+    cov = model.fisher_info(theta_hat) / rel.n + rel.sigma**2 * np.eye(model.d)
+    chol = np.linalg.cholesky(cov + 1e-15 * np.eye(model.d))
+    draws = np.empty((cfg.b_boot, model.d))
+    failures = 0
+    for b in range(cfg.b_boot):
+        s_star = mu + chol @ rng.standard_normal(model.d)
+        try:
+            draws[b] = model.inverse_mean_map(s_star)
+        except SolverDivergedError:
+            norm = np.linalg.norm(s_star)
+            s_proj = s_star * (rel.B / norm) if norm > rel.B else s_star
+            try:
+                draws[b] = model.inverse_mean_map(s_proj)
+            except SolverDivergedError:
+                failures += 1
+                draws[b] = theta_hat
+    return draws, failures
+
+
+def capture_solved_draws(monkeypatch):
+    """Record each bootstrap's batched solve: its statistics and (draws, fallbacks, failures)."""
+    seen = []
+    solve = estimate._solve_draws
+
+    def spy(model, s_star, *args):
+        seen.append((s_star, solve(model, s_star, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(estimate, "_solve_draws", spy)
+    return seen
+
+
+def simulated_release(model_id, n, eps, seed):
+    rng = substream(seed, "batched-bootstrap", model_id)
+    model, raw = make_model_and_data(model_id, default_theta0(model_id), n, rng)
+    rel = release(model.mean_suff_stat(model.clip(raw)), model, n,
+                  PrivacyBudget(eps, 1.0 / n**2), rng)
+    return model, rel
+
+
+@pytest.mark.parametrize("model_id, n, eps", [
+    ("logistic", 1000, 1.0),
+    ("poisson", 500, 1.0),
+    ("poisson", 500, 0.1),
+])
+def test_batched_bootstrap_matches_per_draw_loop(monkeypatch, model_id, n, eps):
+    model, rel = simulated_release(model_id, n, eps, seed=5)
+    seen = capture_solved_draws(monkeypatch)
+    cfg = BootstrapConfig(200, 0.05)
+    report = parametric_bootstrap(model, rel, cfg, substream(5, "draws"))
+    ref_draws, ref_failures = per_draw_bootstrap(model, rel, cfg, substream(5, "draws"))
+    (_, (draws, fallbacks, failures)), = seen
+    np.testing.assert_allclose(draws, ref_draws, rtol=0.0, atol=1e-10)
+    assert failures == ref_failures == report.diagnostics["failures"]
+    assert report.diagnostics["fallbacks"] == fallbacks
+    if eps < 1.0:
+        assert fallbacks > 0  # some draws took the L-BFGS-B fallback
+
+
+def test_batched_bootstrap_logistic_low_eps_fallbacks_agree_to_solver_tolerance(monkeypatch):
+    # Newton rows agree to rounding.  A logistic draw far outside the mean
+    # range leaves Newton unconverged near the box, where the least-squares
+    # objective is nearly flat; L-BFGS-B then stops within its own tolerance
+    # of a minimizer, so a last iterate that differs in the last bits (a
+    # GEMM over the chunk instead of one row) moves its answer by ~1e-7.
+    model, rel = simulated_release("logistic", 1000, 0.1, seed=5)
+    seen = capture_solved_draws(monkeypatch)
+    fell_back = []
+    fallback = model._inverse_mean_map_fallback
+    monkeypatch.setattr(model, "_inverse_mean_map_fallback",
+                        lambda s, theta0: fell_back.append(s.copy()) or fallback(s, theta0))
+    cfg = BootstrapConfig(200, 0.05)
+    report = parametric_bootstrap(model, rel, cfg, substream(5, "draws"))
+    monkeypatch.undo()
+    ref_draws, ref_failures = per_draw_bootstrap(model, rel, cfg, substream(5, "draws"))
+    (s_star, (draws, fallbacks, failures)), = seen
+    newton_rows = ~np.any(np.all(s_star[:, None] == np.array(fell_back)[None], axis=2), axis=1)
+    assert fallbacks == (~newton_rows).sum() > 0
+    np.testing.assert_allclose(draws[newton_rows], ref_draws[newton_rows], rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(draws, ref_draws, rtol=0.0, atol=1e-5)
+    assert failures == ref_failures == report.diagnostics["failures"]
+
+
+def test_batched_bootstrap_rows_that_overflow_match_the_loop(monkeypatch):
+    # features near 60 make the full Newton step from 0 overflow the log link
+    X = substream(6, "overflow").uniform(20.0, 60.0, (200, 2))
+    model = PoissonModel(X, B_X=100.0, B_Y=1e6)
+    thetas = substream(7, "overflow").uniform(-0.05, 0.15, (30, 2))
+    s_star = np.array([model.grad_log_partition(t) for t in thetas])
+    rel = make_release(s_star[0], 0.0, n=200, model_id="poisson", B=1e8)
+    overflowed = []
+    kernel = model.mean_and_weights
+
+    def spy(Theta):
+        mu, weights, finite = kernel(Theta)
+        overflowed.append(not finite.all())
+        return mu, weights, finite
+
+    monkeypatch.setattr(model, "mean_and_weights", spy)
+    draws, _, failures = estimate._solve_draws(model, s_star, thetas[0], rel)
+    monkeypatch.undo()
+    assert any(overflowed)
+    assert failures == 0
+    ref = np.array([model.inverse_mean_map(s) for s in s_star])
+    np.testing.assert_allclose(draws, ref, rtol=0.0, atol=1e-10)
+
+
+def flaky_newton(model, fails):
+    """Make the batched Newton report rows unconverged where ``fails(S)`` holds."""
+    newton = model.newton_batch
+
+    def patched(S, max_iter=100):
+        theta, converged = newton(S, max_iter)
+        return theta, converged & ~fails(np.atleast_2d(S))
+
+    model.newton_batch = patched
+
+
+def test_bootstrap_failed_draws_are_retried_projected_counted_and_replaced(monkeypatch):
+    model = LogisticModel(substream(8, "fail").standard_normal((400, 2)))
+    # a small B puts every draw outside the ball, so each retry is projected
+    rel = make_release([0.2, -0.1], 0.01, n=400, model_id="logistic", B=0.05)
+    s_star = np.tile([0.2, -0.1], (40, 1)) + 0.01 * substream(9, "fail").standard_normal((40, 2))
+    bad = [3, 17, 31]
+    s_star[bad] = [[0.15, 0.2], [0.1, 0.25], [0.05, 0.1]]  # the only rows with s_2 > 0
+    # projection keeps the direction, so these rows fail again when retried
+    flaky_newton(model, lambda S: S[:, 1] > 0)
+
+    def diverge(s, theta0):
+        raise SolverDivergedError("solver_diverged", theta0)
+
+    monkeypatch.setattr(model, "_inverse_mean_map_fallback", diverge)
+    retried = []
+    inverse = model.inverse_mean_map
+    monkeypatch.setattr(model, "inverse_mean_map", lambda s: retried.append(s) or inverse(s))
+    theta_hat = np.array([0.3, -0.3])
+    draws, fallbacks, failures = estimate._solve_draws(model, s_star, theta_hat, rel)
+    assert (fallbacks, failures) == (3, 3)
+    np.testing.assert_array_equal(draws[bad], np.tile(theta_hat, (3, 1)))
+    assert not np.any(np.all(np.delete(draws, bad, axis=0) == theta_hat, axis=1))
+    expected = s_star[bad] * (rel.B / np.linalg.norm(s_star[bad], axis=1))[:, None]
+    np.testing.assert_allclose(np.array(retried), expected, rtol=1e-15)
+
+
+def test_bootstrap_unstable_at_ten_percent_failures(monkeypatch):
+    model = GaussianMeanModel(1.0)
+    rel = make_release([0.3], 0.1)
+    for failures, unstable in [(1, False), (2, True)]:
+        monkeypatch.setattr(estimate, "_solve_draws",
+                            lambda m, s, th, r, k=failures: (s.copy(), k, k))
+        if unstable:
+            with pytest.raises(BootstrapUnstableError, match="bootstrap_unstable"):
+                parametric_bootstrap(model, rel, BootstrapConfig(20, 0.05), substream(1, "u"))
+        else:
+            report = parametric_bootstrap(model, rel, BootstrapConfig(20, 0.05), substream(1, "u"))
+            assert report.diagnostics["failures"] == 1
+
+
+def test_bootstrap_unstable_when_every_draw_diverges(monkeypatch):
+    model = LogisticModel(substream(10, "unstable").standard_normal((300, 2)))
+    rel = make_release([0.3, -0.2], 0.05, n=300, model_id="logistic", B=3.0)
+    theta_hat = plugin_mle(model, rel)
+    flaky_newton(model, lambda S: np.ones(len(S), dtype=bool))
+
+    def diverge(s, theta0):
+        raise SolverDivergedError("solver_diverged", theta0)
+
+    monkeypatch.setattr(model, "_inverse_mean_map_fallback", diverge)
+    monkeypatch.setattr(estimate, "plugin_mle", lambda m, r: theta_hat)
+    with pytest.raises(BootstrapUnstableError):
+        parametric_bootstrap(model, rel, BootstrapConfig(50, 0.05), substream(2, "u"))
+
+
 # ------------------------------------------------------------- nonprivate
 
 def test_nonprivate_two_points():
@@ -267,6 +456,17 @@ def test_estimate_report_diagnostics_and_json(tmp_path):
     assert back.cis == report.cis
     report.save(tmp_path / "r.json")
     assert (tmp_path / "r.json").exists()
+
+
+def test_estimate_report_flags_box_hits():
+    model = PoissonModel(np.full((50, 1), 0.5))
+    pinned = estimate.estimate_report(model, make_release([-3.0], 0.1, model_id="poisson"),
+                                      "plugin", 0.05)
+    assert pinned.theta_hat[0] == -PARAM_BOX
+    assert pinned.diagnostics["at_box"] is True
+    inside = estimate.estimate_report(model, make_release([0.6], 0.1, model_id="poisson"),
+                                      "plugin", 0.05)
+    assert inside.diagnostics["at_box"] is False
 
 
 def test_regularizer_engages_only_for_meaningful_noise():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dpss.expfam import (
+    PARAM_BOX,
     Dataset,
     EmptyDatasetError,
     GaussianMeanModel,
@@ -10,6 +11,7 @@ from dpss.expfam import (
     PoissonModel,
     dataset_from_csv,
     dataset_to_csv,
+    _solve_blocks,
     load_model_config,
 )
 
@@ -206,6 +208,104 @@ def test_inverse_mean_map_out_of_range_hits_boundary():
     model = LogisticModel(np.ones((3, 1)))
     th = model.inverse_mean_map(np.array([1.5]))
     assert th[0] == pytest.approx(10.0)
+
+
+def scalar_newton(model, s, max_iter=100):
+    """The one-statistic damped Newton that newton_batch replaced, kept as the reference."""
+    theta = np.zeros(model.d)
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(s)))
+    resid = model.grad_log_partition(theta) - s
+    for _ in range(max_iter):
+        rnorm = np.linalg.norm(resid)
+        if rnorm <= tol:
+            break
+        try:
+            step = np.linalg.solve(model.fisher_info(theta) + 1e-12 * np.eye(model.d), -resid)
+        except np.linalg.LinAlgError:
+            break
+        t = 1.0
+        for _ in range(30):
+            cand = np.clip(theta + t * step, -PARAM_BOX, PARAM_BOX)
+            try:
+                cand_resid = model.grad_log_partition(cand) - s
+            except MeanOverflowError:
+                t *= 0.5
+                continue
+            if np.linalg.norm(cand_resid) < rnorm:
+                theta, resid = cand, cand_resid
+                break
+            t *= 0.5
+        else:
+            break
+    return theta, bool(np.linalg.norm(resid) <= tol)
+
+
+def overflowing_poisson():
+    """Poisson model whose full Newton steps from 0 overflow the log link."""
+    X = np.random.default_rng(1).uniform(20.0, 60.0, (200, 2))
+    return PoissonModel(X, B_X=100.0, B_Y=1e6)
+
+
+@pytest.mark.parametrize("maker, low, high", [
+    (lambda: random_logistic(d=3), -2.0, 2.0),
+    (lambda: random_poisson(d=2), -2.0, 2.0),
+    (overflowing_poisson, -0.05, 0.15),
+])
+def test_newton_batch_matches_scalar_newton(maker, low, high):
+    model = maker()
+    rng = np.random.default_rng(8)
+    S = np.array([model.grad_log_partition(rng.uniform(low, high, model.d)) for _ in range(12)])
+    # statistics the mean map cannot reach leave their rows unconverged
+    S = np.vstack([S, -np.abs(S[:3]) - 1.0])
+    theta, converged = model.newton_batch(S)
+    for k, s in enumerate(S):
+        with np.errstate(over="ignore"):
+            ref_theta, ref_converged = scalar_newton(model, s)
+        assert converged[k] == ref_converged
+        np.testing.assert_allclose(theta[k], ref_theta, rtol=1e-10, atol=1e-10)
+    assert converged[:12].all() and not converged[12:].any()
+
+
+def test_newton_batch_reports_overflow_per_row():
+    model = overflowing_poisson()
+    calls = []
+    kernel = model.mean_and_weights
+
+    def spy(Theta):
+        out = kernel(Theta)
+        calls.append(out[2])
+        return out
+
+    model.mean_and_weights = spy
+    S = model.grad_log_partition(np.array([0.1, 0.1]))[None]
+    _, converged = model.newton_batch(S)
+    assert converged[0]
+    assert any(not finite.all() for finite in calls)
+
+
+def test_solve_blocks_marks_only_singular_rows():
+    A = np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 4.0]]])
+    x, solved = _solve_blocks(A, np.ones((2, 2)))
+    assert solved.tolist() == [False, True]
+    np.testing.assert_allclose(x[1], [0.5, 0.25])
+
+
+def test_newton_batch_singular_fisher_leaves_row_unconverged():
+    # two identical large features: the Fisher block is rank one, and at this
+    # scale the 1e-12 ridge is lost to rounding, so the solve is singular
+    z = np.random.default_rng(2).standard_normal(40)
+    model = LogisticModel(300.0 * np.column_stack([z, z]), B_X=1e4)
+    mu0 = model.grad_log_partition(np.zeros(2))
+    theta, converged = model.newton_batch(np.vstack([mu0, mu0 + [1.0, -1.0]]))
+    assert converged.tolist() == [True, False]
+    np.testing.assert_array_equal(theta, 0.0)
+
+
+def test_gaussian_newton_batch_is_closed_form():
+    model = GaussianMeanModel(2.0)
+    theta, converged = model.newton_batch(np.array([[1.0], [-40.0]]))
+    np.testing.assert_array_equal(theta[:, 0], [0.5, -PARAM_BOX])
+    assert converged.all()
 
 
 # --------------------------------------------------------------- sampling

@@ -1,9 +1,14 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import norm
 
-from dpss.expfam import Dataset, GaussianMeanModel
+from dpss.expfam import MODEL_IDS, Dataset, GaussianMeanModel
 from dpss.privacy import (
     PrivacyBudget,
     ReleasedStatistic,
@@ -164,3 +169,76 @@ def test_released_statistic_json_round_trip(tmp_path):
     assert back.budget.delta == rel.budget.delta
     rel.save(tmp_path / "rel.json")
     assert ReleasedStatistic.load(tmp_path / "rel.json").s_tilde[0] == rel.s_tilde[0]
+
+
+# ---------------------------------------------------- release artifacts
+
+VALID_ARTIFACT = {
+    "model_id": "logistic", "d": 3, "n": 1000, "B": 3.0, "epsilon": 1.0, "delta": 1e-6,
+    "sigma": 0.01, "s_tilde": [0.1, -0.2, 0.05],
+}
+
+
+def artifact(**changes):
+    obj = dict(VALID_ARTIFACT, **changes)
+    return json.dumps({k: v for k, v in obj.items() if v is not ...})
+
+
+def test_valid_artifact_loads():
+    rel = ReleasedStatistic.from_json(artifact())
+    assert (rel.d, rel.n, rel.model_id) == (3, 1000, "logistic")
+
+
+@pytest.mark.parametrize("changes", [
+    {"d": 5},  # five dimensions, three entries
+    {"s_tilde": [[0.1, -0.2, 0.05]]},
+    {"sigma": -0.1},
+    {"sigma": float("nan")},
+    {"sigma": float("inf")},
+    {"n": 0},
+    {"n": 1000.5},
+    {"B": 0.0},
+    {"B": -3.0},
+    {"model_id": "linear"},
+    {"s_tilde": ["a", 0.0, 0.0]},
+    {"s_tilde": [0.1, None, 0.0]},
+    {"sigma": "0.01"},
+    {"epsilon": 10**400},
+    {"model_id": ...},
+])
+def test_malformed_artifact_rejected(changes):
+    with pytest.raises(ValueError):
+        ReleasedStatistic.from_json(artifact(**changes))
+
+
+def test_non_object_artifact_rejected():
+    with pytest.raises(ValueError):
+        ReleasedStatistic.from_json("[1, 2, 3]")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    replaced=st.dictionaries(st.sampled_from(sorted(VALID_ARTIFACT)), JSON_VALUES, max_size=3),
+    dropped=st.sets(st.sampled_from(sorted(VALID_ARTIFACT)), max_size=2),
+)
+def test_from_json_accepts_only_consistent_artifacts(replaced, dropped):
+    obj = {k: v for k, v in dict(VALID_ARTIFACT, **replaced).items() if k not in dropped}
+    try:
+        rel = ReleasedStatistic.from_json(json.dumps(obj))
+    except ValueError:
+        return
+    # whatever loads satisfies every invariant inference relies on
+    assert rel.s_tilde.shape == (rel.d,) and np.all(np.isfinite(rel.s_tilde))
+    assert math.isfinite(rel.sigma) and rel.sigma >= 0
+    assert isinstance(rel.n, int) and rel.n >= 1
+    assert math.isfinite(rel.B) and rel.B > 0
+    assert rel.model_id in MODEL_IDS
+    assert ReleasedStatistic.from_json(rel.to_json()).to_json() == rel.to_json()
