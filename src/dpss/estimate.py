@@ -19,8 +19,8 @@ from .expfam import PARAM_BOX, Dataset, ExpFamModel, SolverDivergedError
 from .privacy import ReleasedStatistic
 
 VARIANCE_DIAG_CAP = 1e6  # divided by n when applied
-# draws x design rows per batched bootstrap solve, so that each (draws, n)
-# temporary of the Newton iteration stays within 0.5 MB
+# draws x design rows per batched bootstrap solve, so that each
+# (draws, design rows) temporary of the Newton iteration stays within 0.5 MB
 BOOTSTRAP_CHUNK_ELEMS = 2**16
 
 
@@ -203,14 +203,14 @@ def _solve_draws(
     """Inverse mean map of every row of s_star: (draws, fallbacks, failures).
 
     Rows are solved by ``model.newton_batch`` in chunks of
-    BOOTSTRAP_CHUNK_ELEMS // n draws.  A row that does not converge goes to
-    the L-BFGS-B fallback from its last batched iterate; if that diverges,
-    the statistic projected onto the ball of radius rel.B is solved once more,
-    and a row that still fails counts as a failure and is replaced by
-    theta_hat.
+    BOOTSTRAP_CHUNK_ELEMS // model.batch_width draws.  A row that does not
+    converge goes to the L-BFGS-B fallback from its last batched iterate; if
+    that diverges, the statistic projected onto the ball of radius rel.B is
+    solved once more, and a row that still fails counts as a failure and is
+    replaced by theta_hat.
     """
     draws = np.empty_like(s_star)
-    chunk = max(1, BOOTSTRAP_CHUNK_ELEMS // rel.n)
+    chunk = max(1, BOOTSTRAP_CHUNK_ELEMS // model.batch_width)
     fallbacks = failures = 0
     for lo in range(0, len(s_star), chunk):
         draws[lo:lo + chunk], converged = model.newton_batch(s_star[lo:lo + chunk])
@@ -317,6 +317,6 @@ def estimate_report(
             "lambda": _regularizer(rel.sigma),
             "sigma": rel.sigma,
             # the estimate sits on a face of the |theta_j| <= PARAM_BOX box
-            "at_box": bool(np.any(np.abs(theta_hat) >= PARAM_BOX)),
+            "at_box": bool(np.abs(theta_hat).max() >= PARAM_BOX),
         },
     )

@@ -26,6 +26,7 @@ from scipy.special import expit
 
 PARAM_BOX = 10.0  # box constraint |theta_j| <= 10 for all solvers
 MAX_LOG_RATE = 700.0  # largest log-link eta whose exp is computed
+NEWTON_MAX_ITER = 100  # Newton iterations of the inverse mean map
 
 
 class EmptyDatasetError(ValueError):
@@ -130,17 +131,22 @@ class ExpFamModel(abc.ABC):
         """Model bound to a different public design (no-op for gaussian)."""
         return self
 
+    @property
+    def batch_width(self) -> int:
+        """Columns of the per-row temporaries of ``newton_batch`` (design rows)."""
+        return 1
+
     # -- inverse mean map ----------------------------------------------
 
     @abc.abstractmethod
-    def newton_batch(self, S: np.ndarray, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    def newton_batch(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve grad_log_partition(theta_b) = S[b] for every row of S, shape (b, d).
 
         Returns the solutions (or, for rows that did not converge, the last
         iterate) with shape (b, d), and a boolean mask of the converged rows.
         """
 
-    def inverse_mean_map(self, s: np.ndarray, max_iter: int = 100) -> np.ndarray:
+    def inverse_mean_map(self, s: np.ndarray) -> np.ndarray:
         """Solve grad_log_partition(theta) = s over the box [-10, 10]^d.
 
         Runs ``newton_batch`` on the single row s; if that does not
@@ -150,7 +156,7 @@ class ExpFamModel(abc.ABC):
         boundary-constrained minimizers instead of erroring.
         """
         s = np.asarray(s, dtype=float)
-        theta, converged = self.newton_batch(s[None], max_iter)
+        theta, converged = self.newton_batch(s[None])
         if converged[0]:
             return theta[0]
         return self._inverse_mean_map_fallback(s, theta[0])
@@ -232,12 +238,12 @@ class GaussianMeanModel(ExpFamModel):
     def fisher_info(self, theta: np.ndarray) -> np.ndarray:
         return np.array([[self.sigma0_sq]])
 
-    def inverse_mean_map(self, s: np.ndarray, max_iter: int = 100) -> np.ndarray:
+    def inverse_mean_map(self, s: np.ndarray) -> np.ndarray:
         # the mean map is linear, so the box-constrained solution is closed form
         s = np.asarray(s, dtype=float)
         return np.clip(s / self.sigma0_sq, -PARAM_BOX, PARAM_BOX)
 
-    def newton_batch(self, S: np.ndarray, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    def newton_batch(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.inverse_mean_map(S), np.ones(len(S), dtype=bool)
 
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
@@ -263,6 +269,10 @@ class _RegressionModel(ExpFamModel):
 
     def suff_stats(self, data: Dataset) -> np.ndarray:
         return data.x * data.y[:, None]
+
+    @property
+    def batch_width(self) -> int:
+        return len(self.design)
 
     @functools.cached_property
     def _design_outer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,7 +303,19 @@ class _RegressionModel(ExpFamModel):
         (b,) mask that is False for rows whose mean would overflow.
         """
 
-    def newton_batch(self, S: np.ndarray, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    def _mean_and_weights_at(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mu, w, finite = self.mean_and_weights(np.asarray(theta, dtype=float)[None])
+        if not finite[0]:
+            raise MeanOverflowError("mean_overflow")
+        return mu[0], w
+
+    def grad_log_partition(self, theta: np.ndarray) -> np.ndarray:
+        return self._mean_and_weights_at(theta)[0]
+
+    def fisher_info(self, theta: np.ndarray) -> np.ndarray:
+        return self._fisher_blocks(self._mean_and_weights_at(theta)[1])[0]
+
+    def newton_batch(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Damped Newton for every row of S at once, each row started at theta = 0.
 
         A row converges when ||mu(theta) - s|| <= 1e-8 max(1, ||s||).  It
@@ -312,7 +334,7 @@ class _RegressionModel(ExpFamModel):
         rnorm = np.linalg.norm(resid, axis=1)
         active = rnorm > tol
         ridge = 1e-12 * np.eye(d)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             rows = np.flatnonzero(active)
             if rows.size == 0:
                 break
@@ -363,15 +385,6 @@ class LogisticModel(_RegressionModel):
     def clip(self, data: Dataset) -> Dataset:
         return Dataset(self._clip_features(data.x), data.y, meta=dict(data.meta))
 
-    def grad_log_partition(self, theta: np.ndarray) -> np.ndarray:
-        p = expit(self.design @ np.asarray(theta, dtype=float))
-        return (p[:, None] * self.design).mean(axis=0)
-
-    def fisher_info(self, theta: np.ndarray) -> np.ndarray:
-        p = expit(self.design @ np.asarray(theta, dtype=float))
-        w = p * (1.0 - p)
-        return (self.design.T * w) @ self.design / len(self.design)
-
     def mean_and_weights(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # expit's formula 1 / (1 + exp(-eta)), in place on numpy's vectorised
         # exp, which is several times faster; an overflowing exp gives p = 0
@@ -413,14 +426,6 @@ class PoissonModel(_RegressionModel):
         if np.max(eta) > MAX_LOG_RATE:
             raise MeanOverflowError("mean_overflow")
         return np.exp(eta)
-
-    def grad_log_partition(self, theta: np.ndarray) -> np.ndarray:
-        lam = self._rates(theta, self.design)
-        return (lam[:, None] * self.design).mean(axis=0)
-
-    def fisher_info(self, theta: np.ndarray) -> np.ndarray:
-        lam = self._rates(theta, self.design)
-        return (self.design.T * lam) @ self.design / len(self.design)
 
     def mean_and_weights(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         eta = Theta @ self.design.T

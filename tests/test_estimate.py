@@ -342,12 +342,29 @@ def test_batched_bootstrap_rows_that_overflow_match_the_loop(monkeypatch):
     np.testing.assert_allclose(draws, ref, rtol=0.0, atol=1e-10)
 
 
+def test_bootstrap_chunks_are_sized_by_the_design_not_the_release():
+    # the release says n = 100, but the public design has 2**14 rows, and it
+    # is the design that sets the width of the Newton temporaries
+    model = LogisticModel(substream(11, "chunks").standard_normal((2**14, 2)))
+    rel = make_release([0.1, -0.1], 0.0, n=100, model_id="logistic", B=3.0)
+    thetas = substream(12, "chunks").uniform(-0.5, 0.5, (10, 2))
+    s_star = np.array([model.grad_log_partition(t) for t in thetas])
+    widths = []
+    newton = model.newton_batch
+    model.newton_batch = lambda S: widths.append(len(S)) or newton(S)
+    draws, fallbacks, failures = estimate._solve_draws(model, s_star, thetas[0], rel)
+    assert model.batch_width == 2**14
+    assert widths == [4, 4, 2]  # BOOTSTRAP_CHUNK_ELEMS // 2**14 draws per chunk
+    assert (fallbacks, failures) == (0, 0)
+    np.testing.assert_allclose(draws, thetas, atol=1e-8)
+
+
 def flaky_newton(model, fails):
     """Make the batched Newton report rows unconverged where ``fails(S)`` holds."""
     newton = model.newton_batch
 
-    def patched(S, max_iter=100):
-        theta, converged = newton(S, max_iter)
+    def patched(S):
+        theta, converged = newton(S)
         return theta, converged & ~fails(np.atleast_2d(S))
 
     model.newton_batch = patched

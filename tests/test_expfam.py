@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from dpss.expfam import (
+    NEWTON_MAX_ITER,
     PARAM_BOX,
     Dataset,
     EmptyDatasetError,
@@ -122,6 +124,22 @@ def test_fisher_info_examples():
     np.testing.assert_allclose(PoissonModel(ones).fisher_info(np.zeros(1)), [[1.0]])
 
 
+@pytest.mark.parametrize("maker, weights", [
+    (random_logistic, lambda eta: (expit(eta), expit(eta) * (1.0 - expit(eta)))),
+    (random_poisson, lambda eta: (np.exp(eta), np.exp(eta))),
+])
+def test_mean_map_and_fisher_match_the_direct_formulas(maker, weights):
+    # mu = X' p / n and I = X' diag(w) X / n, written out per theta
+    model = maker()
+    X = model.design
+    for theta in np.random.default_rng(13).uniform(-2.0, 2.0, (5, model.d)):
+        p, w = weights(X @ theta)
+        np.testing.assert_allclose(model.grad_log_partition(theta), (p[:, None] * X).mean(axis=0),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(model.fisher_info(theta), (X.T * w) @ X / len(X),
+                                   rtol=1e-12, atol=1e-15)
+
+
 def test_poisson_overflow_error():
     model = PoissonModel(np.ones((2, 1)))
     with pytest.raises(MeanOverflowError, match="mean_overflow"):
@@ -210,12 +228,12 @@ def test_inverse_mean_map_out_of_range_hits_boundary():
     assert th[0] == pytest.approx(10.0)
 
 
-def scalar_newton(model, s, max_iter=100):
+def scalar_newton(model, s):
     """The one-statistic damped Newton that newton_batch replaced, kept as the reference."""
     theta = np.zeros(model.d)
     tol = 1e-8 * max(1.0, float(np.linalg.norm(s)))
     resid = model.grad_log_partition(theta) - s
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         rnorm = np.linalg.norm(resid)
         if rnorm <= tol:
             break
