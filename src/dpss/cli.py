@@ -53,11 +53,18 @@ def _load_model(path):
         _data_error(f"cannot load model config: {exc}")
 
 
-def _load_release(path):
+def _load_release(path, model):
+    """The release at ``path``, which must have been made for ``model``."""
     try:
-        return ReleasedStatistic.load(path)
+        rel = ReleasedStatistic.load(path)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         _data_error(f"cannot load release: {exc}")
+    if rel.model_id != model.model_id or rel.d != model.d:
+        _data_error(
+            f"release ({rel.model_id}, d={rel.d}) does not match "
+            f"model ({model.model_id}, d={model.d})"
+        )
+    return rel
 
 
 @click.group()
@@ -137,9 +144,7 @@ def release_cmd(data_path, model_path, epsilon, delta, seed, out_path, sigma_ove
 def estimate_cmd(release_path, model_path, method, alpha):
     """Estimate from a released statistic; report JSON on stdout."""
     model = _load_model(model_path)
-    rel = _load_release(release_path)
-    if rel.d != model.d:
-        _data_error("dimension mismatch between release and model")
+    rel = _load_release(release_path, model)
     with _solver_errors():
         report = estimate.estimate_report(model, rel, method, alpha)
     click.echo(report.to_json())
@@ -154,9 +159,7 @@ def estimate_cmd(release_path, model_path, method, alpha):
 def bootstrap(release_path, model_path, b_boot, alpha, seed):
     """Parametric bootstrap intervals from a released statistic."""
     model = _load_model(model_path)
-    rel = _load_release(release_path)
-    if rel.d != model.d:
-        _data_error("dimension mismatch between release and model")
+    rel = _load_release(release_path, model)
     cfg = estimate.BootstrapConfig(b_boot, alpha)
     with _solver_errors():
         report = estimate.parametric_bootstrap(model, rel, cfg, substream(seed, "bootstrap"))
@@ -174,9 +177,7 @@ def synth(release_path, model_path, n_syn, seed, out_path):
     if n_syn < 1:
         raise click.UsageError("--n-syn must be at least 1")
     model = _load_model(model_path)
-    rel = _load_release(release_path)
-    if rel.d != model.d:
-        _data_error("dimension mismatch between release and model")
+    rel = _load_release(release_path, model)
     with _solver_errors():
         theta = estimate.plugin_mle(model, rel)
     data = synthgen.generate_synthetic(
@@ -207,7 +208,7 @@ def analyze(data_path, model_path, mode, release_path, alpha):
         data = dataset_from_csv(data_path, model)
     except (OSError, ValueError) as exc:
         _data_error(f"cannot read data: {exc}")
-    rel = _load_release(release_path) if mode == "noise_aware" else None
+    rel = _load_release(release_path, model) if mode == "noise_aware" else None
     with _solver_errors():
         if rel is None:
             report = synthgen.naive_analysis(model, data, alpha)

@@ -137,11 +137,17 @@ def noise_aware_mle(model: ExpFamModel, rel: ReleasedStatistic) -> np.ndarray:
     return np.clip(res.x, -PARAM_BOX, PARAM_BOX)
 
 
-def dp_variance(model: ExpFamModel, theta_hat: np.ndarray, rel: ReleasedStatistic) -> np.ndarray:
+def dp_variance(
+    model: ExpFamModel,
+    theta_hat: np.ndarray,
+    rel: ReleasedStatistic,
+    n_syn: int | None = None,
+) -> np.ndarray:
     """Variance of the DP estimator: inverse-Fisher/n plus the privacy inflation.
 
     Uses I_hat = I(theta_hat) + lam I, returns I_hat^{-1}/n + sigma^2 I_hat^{-2},
-    with diagonal entries capped at 1e6/n.
+    with diagonal entries capped at 1e6/n.  An estimate made from n_syn
+    synthetic records adds their Monte Carlo error I_hat^{-1}/n_syn.
     """
     lam = _regularizer(rel.sigma)
     ihat = model.fisher_info(theta_hat) + lam * np.eye(model.d)
@@ -152,6 +158,8 @@ def dp_variance(model: ExpFamModel, theta_hat: np.ndarray, rel: ReleasedStatisti
     if not np.all(np.isfinite(iinv)):
         raise FisherSingularError("fisher_singular")
     var = iinv / rel.n + rel.sigma**2 * (iinv @ iinv)
+    if n_syn is not None:
+        var = var + iinv / n_syn
     var = 0.5 * (var + var.T)
     cap = VARIANCE_DIAG_CAP / rel.n
     np.fill_diagonal(var, np.minimum(np.diag(var), cap))

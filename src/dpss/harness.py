@@ -2,16 +2,23 @@
 
 Reproduces the simulation studies at configurable scale: variance
 validation, coverage sweeps, the clipping study, the scaling law, the
-power study, and the synthetic-data evaluation.  Replication r of cell c
-always uses the substream (master_seed, experiment_id, c, r), so tables
-are bit-identical regardless of thread count; DPSS_THREADS > 1 fans the
-cells out over processes.
+power study, and the synthetic-data evaluation.
+
+Every study is a grid of cells run by one replication pipeline,
+``_replications``: replication r of cell c draws the substream
+(master_seed, experiment_id, c, r), makes the model and raw data, clips,
+and makes the one noisy release.  Everything after the release is
+post-processing: the estimators the studies compare come from one
+registry, ``METHODS``, and each study only reduces their reports to its
+rows.  Tables are bit-identical regardless of thread count;
+DPSS_THREADS > 1 fans the cells out over processes.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +29,7 @@ import numpy as np
 
 from . import estimate, synthgen
 from .expfam import Dataset, ExpFamModel, GaussianMeanModel, LogisticModel, PoissonModel
-from .privacy import PrivacyBudget, calibrate_agm, l2_sensitivity, release
+from .privacy import PrivacyBudget, release
 from .rng import substream
 
 # True parameters and data scales for the simulation studies, chosen to
@@ -30,6 +37,7 @@ from .rng import substream
 GAUSS_THETA0 = np.array([1.0])
 GAUSS_SIGMA0_SQ = 1.0
 GAUSS_B = 5.0
+GAUSS_MODEL = GaussianMeanModel(GAUSS_SIGMA0_SQ, B=GAUSS_B)
 LOGISTIC_THETA0 = np.array([0.5, -0.5, 0.3, -0.3, 0.2])
 # equal-magnitude coefficients for the clipping study: with a tiny
 # coefficient, clipping bias never clears the CI half-width and the
@@ -42,6 +50,9 @@ POISSON_B_Y = 20.0
 POISSON_X_RANGE = (0.2, 1.5)  # positive exposure-like covariate
 
 DEFAULT_METHODS = ("nonprivate", "plugin_wald", "noise_aware_wald", "bootstrap", "naive_synth")
+POWER_METHODS = ("plugin_wald", "nonprivate", "naive_synth")
+# clipping-study row label -> method
+CLIPPING_METHODS = {"plugin": "plugin_wald", "noise_aware": "noise_aware_wald"}
 
 
 @dataclass
@@ -62,6 +73,11 @@ class ExperimentConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
+        if self.experiment_id not in RUNNERS:
+            raise ValueError(f"unknown experiment_id {self.experiment_id!r}")
+        methods = list(self.methods or ())
+        if any(m not in METHODS for m in methods) or len(set(methods)) < len(methods):
+            raise ValueError(f"methods must be distinct names from {list(METHODS)}: {methods}")
         if self.delta_rule != "one_over_n_sq":
             raise ValueError("only the delta = 1/n^2 rule is supported")
         if self.replications < 2:
@@ -137,7 +153,8 @@ def make_model_and_data(
     generated from the raw (unclipped) covariates; the DP pipeline clips.
     """
     if model_id == "gaussian_mean":
-        model = GaussianMeanModel(GAUSS_SIGMA0_SQ, B=B if B is not None else GAUSS_B)
+        # the model holds no data, so the default one serves every replication
+        model = GaussianMeanModel(GAUSS_SIGMA0_SQ, B=B) if B is not None else GAUSS_MODEL
         return model, model.sample(theta0, n, rng)
     if model_id == "logistic":
         X = rng.standard_normal((n, len(theta0)))
@@ -154,216 +171,205 @@ def make_model_and_data(
     raise ValueError(f"unknown model_id {model_id!r}")
 
 
-def _coverage_lengths(cis, theta0):
-    cover = np.array([lo <= t <= hi for (lo, hi), t in zip(cis, theta0)], dtype=float)
-    length = np.array([hi - lo for lo, hi in cis])
-    return cover, length
+# ------------------------------------------------------------------ #
+# The replication pipeline and the method registry
+# ------------------------------------------------------------------ #
+
+def _replications(cfg, idx, model_id, theta, n, eps, B=None):
+    """Yield (model, raw, rel, rng) for each replication of cell ``idx``.
+
+    ``eps=None`` is the no-noise sentinel (epsilon = infinity): the release
+    then adds zero noise and records no budget.  Lazy, so a cell holds one
+    replication's data at a time.
+    """
+    budget = PrivacyBudget(eps, delta_for(n)) if eps is not None else None
+    sigma_override = 0.0 if eps is None else None
+    for r in range(cfg.replications):
+        rng = substream(cfg.master_seed, cfg.experiment_id, idx, r)
+        model, raw = make_model_and_data(model_id, theta, n, rng, B=B)
+        s_bar = model.mean_suff_stat(model.clip(raw))
+        yield model, raw, release(s_bar, model, n, budget, rng, sigma_override=sigma_override), rng
 
 
-def _map_cells(fn, specs):
+def _naive_synth(model, raw, rel, rng, cfg, earlier):
+    # synthetic data from the plug-in estimate, reusing plugin_wald's if it ran
+    plugin = earlier.get("plugin_wald")
+    plug = plugin.theta_hat if plugin is not None else estimate.plugin_mle(model, rel)
+    syn = synthgen.generate_synthetic(model, plug, synthgen.SynthConfig(rel.n), rng)
+    return synthgen.naive_analysis(model, syn, cfg.alpha)
+
+
+# method name -> fn(model, raw, rel, rng, cfg, earlier) -> EstimateReport, where
+# ``earlier`` holds the reports already made on the same replication
+METHODS = {
+    "nonprivate": lambda model, raw, rel, rng, cfg, earlier: estimate.nonprivate_mle(
+        model, raw, cfg.alpha
+    ),
+    "plugin_wald": lambda model, raw, rel, rng, cfg, earlier: estimate.estimate_report(
+        model, rel, "plugin", cfg.alpha
+    ),
+    "noise_aware_wald": lambda model, raw, rel, rng, cfg, earlier: estimate.estimate_report(
+        model, rel, "noise_aware", cfg.alpha
+    ),
+    "bootstrap": lambda model, raw, rel, rng, cfg, earlier: estimate.parametric_bootstrap(
+        model, rel, estimate.BootstrapConfig(cfg.b_boot, cfg.alpha), rng
+    ),
+    "naive_synth": _naive_synth,
+}
+
+
+def _run_methods(methods, model, raw, rel, rng, cfg) -> dict:
+    """Each method's report on one replication, run in the given order."""
+    reports: dict = {}
+    for method in methods:
+        reports[method] = METHODS[method](model, raw, rel, rng, cfg, reports)
+    return reports
+
+
+def _theta0(cfg, default) -> np.ndarray:
+    return np.asarray(cfg.theta0 if cfg.theta0 is not None else default, dtype=float)
+
+
+def _row(cfg, model_id, cols, se=None) -> dict:
+    row = {"experiment": cfg.experiment_id, "model": model_id, **cols}
+    row["replications"] = cfg.replications
+    if se is not None:
+        row["mc_se"] = se
+    return row
+
+
+def _accuracy(theta0, replications, cfg) -> dict:
+    """Coverage, CI length, MSE and |bias| of each method over one cell.
+
+    ``replications`` yields one {method: EstimateReport} per replication.
+    """
+    acc: dict = {}
+    for reports in replications:
+        for method, report in reports.items():
+            a = acc.setdefault(method, [0.0, 0.0, 0.0, np.zeros(len(theta0))])
+            lo, hi = np.array(report.cis).T
+            err = np.asarray(report.theta_hat) - theta0
+            a[0] += ((lo <= theta0) & (theta0 <= hi)).mean()
+            a[1] += (hi - lo).mean()
+            a[2] += float(err @ err)
+            a[3] += err
+    R = cfg.replications
+    return {
+        method: {
+            "coverage": cover / R,
+            "avg_ci_length": length / R,
+            "mse": sqerr / R,
+            "bias_abs": float(np.linalg.norm(err / R)),
+        }
+        for method, (cover, length, sqerr, err) in acc.items()
+    }
+
+
+def _gaussian_estimates(cfg, idx, n, eps):
+    """(theta0, plug-in estimate per replication, sigma) of one Gaussian cell."""
+    theta0 = _theta0(cfg, GAUSS_THETA0)
+    estimates = np.empty(cfg.replications)
+    for r, (model, _, rel, _) in enumerate(
+        _replications(cfg, idx, "gaussian_mean", theta0, n, eps)
+    ):
+        estimates[r] = estimate.plugin_mle(model, rel)[0]
+    return theta0, estimates, rel.sigma
+
+
+def _run_cells(cfg, cell_fn, *grids) -> MetricsTable:
+    """Rows of cell_fn(cfg, idx, *cell) for the cells of the product of the grids."""
+    cells = list(itertools.product(*grids))
+    args = ([cfg] * len(cells), range(len(cells)), *zip(*cells))
     threads = int(os.environ.get("DPSS_THREADS", "1"))
-    if threads > 1 and len(specs) > 1:
+    if threads > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, specs))
-    return [fn(spec) for spec in specs]
+            results = list(pool.map(cell_fn, *args))
+    else:
+        results = list(map(cell_fn, *args))
+    return MetricsTable(cfg.experiment_id, [row for rows in results for row in rows])
 
 
 # ------------------------------------------------------------------ #
 # Experiment 1: variance inflation validation
 # ------------------------------------------------------------------ #
 
-def _variance_cell(spec):
-    cfg, idx, n, eps = spec
-    theta0 = np.asarray(cfg.theta0 if cfg.theta0 is not None else GAUSS_THETA0, dtype=float)
-    if eps is None:  # sentinel: no privacy noise
-        sigma = 0.0
-    else:
-        sigma = calibrate_agm(l2_sensitivity(GAUSS_B, n), PrivacyBudget(eps, delta_for(n)))
-    model = GaussianMeanModel(GAUSS_SIGMA0_SQ, B=GAUSS_B)
-    estimates = np.empty(cfg.replications)
-    for r in range(cfg.replications):
-        rng = substream(cfg.master_seed, cfg.experiment_id, idx, r)
-        data = model.clip(model.sample(theta0, n, rng))
-        s_tilde = model.mean_suff_stat(data) + sigma * rng.standard_normal(1)
-        estimates[r] = model.inverse_mean_map(s_tilde)[0]
+def _variance_cell(cfg, idx, n, eps):
+    _, estimates, sigma = _gaussian_estimates(cfg, idx, n, eps)
     emp = float(np.var(estimates, ddof=1))
     i0 = GAUSS_SIGMA0_SQ
     theory = 1.0 / (i0 * n) + sigma**2 / i0**2
-    return {
-        "experiment": cfg.experiment_id,
-        "model": "gaussian_mean",
+    cols = {
         "n": n,
         "epsilon": eps if eps is not None else float("inf"),
         "sigma": sigma,
         "emp_variance": emp,
         "theory_variance": theory,
         "rel_error": abs(emp - theory) / theory,
-        "replications": cfg.replications,
-        # variance of a sample variance of (approx) gaussians: var ~ 2 v^2/(R-1)
-        "mc_se": float(theory * np.sqrt(2.0 / (cfg.replications - 1))),
     }
+    # variance of a sample variance of (approx) gaussians: var ~ 2 v^2/(R-1)
+    return [_row(cfg, "gaussian_mean", cols, float(theory * np.sqrt(2.0 / (cfg.replications - 1))))]
 
 
 def run_variance_validation(cfg: ExperimentConfig) -> MetricsTable:
-    specs = []
-    idx = 0
-    for n in cfg.n_grid:
-        for eps in list(cfg.epsilon_grid) + [None]:
-            specs.append((cfg, idx, n, eps))
-            idx += 1
-    return MetricsTable(cfg.experiment_id, _map_cells(_variance_cell, specs))
+    return _run_cells(cfg, _variance_cell, cfg.n_grid, [*cfg.epsilon_grid, None])
 
 
 # ------------------------------------------------------------------ #
 # Experiment 2: coverage across the privacy spectrum
 # ------------------------------------------------------------------ #
 
-def _coverage_cell(spec):
-    cfg, idx, n, eps = spec
-    theta0 = np.asarray(
-        cfg.theta0 if cfg.theta0 is not None else default_theta0(cfg.model_id), dtype=float
-    )
-    methods = tuple(cfg.methods) if cfg.methods else DEFAULT_METHODS
-    d = len(theta0)
-    budget = PrivacyBudget(eps, delta_for(n))
-    acc = {m: {"cover": 0.0, "length": 0.0, "sqerr": 0.0, "err": np.zeros(d)} for m in methods}
-    for r in range(cfg.replications):
-        rng = substream(cfg.master_seed, cfg.experiment_id, idx, r)
-        model, raw = make_model_and_data(cfg.model_id, theta0, n, rng)
-        clipped = model.clip(raw)
-        rel = release(model.mean_suff_stat(clipped), model, n, budget, rng)
-        plug = None
-        for method in methods:
-            if method == "nonprivate":
-                report = estimate.nonprivate_mle(model, raw, cfg.alpha)
-            elif method == "plugin_wald":
-                report = estimate.estimate_report(model, rel, "plugin", cfg.alpha)
-                plug = report.theta_hat
-            elif method == "noise_aware_wald":
-                report = estimate.estimate_report(model, rel, "noise_aware", cfg.alpha)
-            elif method == "bootstrap":
-                report = estimate.parametric_bootstrap(
-                    model, rel, estimate.BootstrapConfig(cfg.b_boot, cfg.alpha), rng
-                )
-            elif method == "naive_synth":
-                theta_src = plug if plug is not None else estimate.plugin_mle(model, rel)
-                syn = synthgen.generate_synthetic(model, theta_src, synthgen.SynthConfig(n), rng)
-                report = synthgen.naive_analysis(model, syn, cfg.alpha)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            cover, length = _coverage_lengths(report.cis, theta0)
-            err = np.asarray(report.theta_hat) - theta0
-            acc[method]["cover"] += cover.mean()
-            acc[method]["length"] += length.mean()
-            acc[method]["sqerr"] += float(err @ err)
-            acc[method]["err"] += err
-    rows = []
-    for method in methods:
-        a = acc[method]
-        coverage = a["cover"] / cfg.replications
-        rows.append(
-            {
-                "experiment": cfg.experiment_id,
-                "model": cfg.model_id,
-                "method": method,
-                "n": n,
-                "epsilon": eps,
-                "coverage": coverage,
-                "avg_ci_length": a["length"] / cfg.replications,
-                "mse": a["sqerr"] / cfg.replications,
-                "bias_abs": float(np.linalg.norm(a["err"] / cfg.replications)),
-                "replications": cfg.replications,
-                "mc_se": mc_se(coverage, cfg.replications),
-            }
-        )
-    return rows
+def _coverage_cell(cfg, idx, n, eps):
+    theta0 = _theta0(cfg, default_theta0(cfg.model_id))
+    methods = cfg.methods or DEFAULT_METHODS
+    acc = _accuracy(theta0, (
+        _run_methods(methods, *rep, cfg)
+        for rep in _replications(cfg, idx, cfg.model_id, theta0, n, eps)
+    ), cfg)
+    return [
+        _row(cfg, cfg.model_id, {"method": m, "n": n, "epsilon": eps, **acc[m]},
+             mc_se(acc[m]["coverage"], cfg.replications))
+        for m in methods
+    ]
 
 
 def run_coverage_sweep(cfg: ExperimentConfig) -> MetricsTable:
-    specs = [
-        (cfg, idx, n, eps)
-        for idx, (n, eps) in enumerate(
-            (n, eps) for n in cfg.n_grid for eps in cfg.epsilon_grid
-        )
-    ]
-    rows = [row for cell in _map_cells(_coverage_cell, specs) for row in cell]
-    return MetricsTable(cfg.experiment_id, rows)
+    return _run_cells(cfg, _coverage_cell, cfg.n_grid, cfg.epsilon_grid)
 
 
 # ------------------------------------------------------------------ #
 # Experiment 3: plug-in vs noise-aware under clipping
 # ------------------------------------------------------------------ #
 
-def _clipping_cell(spec):
-    cfg, idx, B = spec
-    theta0 = np.asarray(
-        cfg.theta0 if cfg.theta0 is not None else CLIPPING_THETA0, dtype=float
-    )
-    n = cfg.n_grid[0]
-    eps = cfg.epsilon_grid[0]
-    budget = PrivacyBudget(eps, delta_for(n))
-    acc = {m: {"cover": 0.0, "err": np.zeros(len(theta0)), "sqerr": 0.0} for m in ("plugin", "noise_aware")}
-    for r in range(cfg.replications):
-        rng = substream(cfg.master_seed, cfg.experiment_id, idx, r)
-        model, raw = make_model_and_data("logistic", theta0, n, rng, B=B)
-        clipped = model.clip(raw)
-        rel = release(model.mean_suff_stat(clipped), model, n, budget, rng)
-        for method in ("plugin", "noise_aware"):
-            report = estimate.estimate_report(model, rel, method, cfg.alpha)
-            cover, _ = _coverage_lengths(report.cis, theta0)
-            err = np.asarray(report.theta_hat) - theta0
-            acc[method]["cover"] += cover.mean()
-            acc[method]["err"] += err
-            acc[method]["sqerr"] += float(err @ err)
+def _clipping_cell(cfg, idx, B):
+    theta0 = _theta0(cfg, CLIPPING_THETA0)
+    n, eps = cfg.n_grid[0], cfg.epsilon_grid[0]
+    acc = _accuracy(theta0, (
+        _run_methods(CLIPPING_METHODS.values(), *rep, cfg)
+        for rep in _replications(cfg, idx, "logistic", theta0, n, eps, B)
+    ), cfg)
     rows = []
-    for method, a in acc.items():
-        coverage = a["cover"] / cfg.replications
-        rows.append(
-            {
-                "experiment": cfg.experiment_id,
-                "model": "logistic",
-                "method": method,
-                "n": n,
-                "epsilon": eps,
-                "B": B,
-                "bias_abs": float(np.linalg.norm(a["err"] / cfg.replications)),
-                "mse": a["sqerr"] / cfg.replications,
-                "coverage": coverage,
-                "replications": cfg.replications,
-                "mc_se": mc_se(coverage, cfg.replications),
-            }
-        )
+    for label, method in CLIPPING_METHODS.items():
+        a = acc[method]
+        cols = {"method": label, "n": n, "epsilon": eps, "B": B,
+                "bias_abs": a["bias_abs"], "mse": a["mse"], "coverage": a["coverage"]}
+        rows.append(_row(cfg, "logistic", cols, mc_se(a["coverage"], cfg.replications)))
     return rows
 
 
 def run_clipping_study(cfg: ExperimentConfig) -> MetricsTable:
-    grid = cfg.B_grid if cfg.B_grid else [0.5, 1.0, 2.0, 3.0, 5.0, 10.0]
-    specs = [(cfg, idx, B) for idx, B in enumerate(grid)]
-    rows = [row for cell in _map_cells(_clipping_cell, specs) for row in cell]
-    return MetricsTable(cfg.experiment_id, rows)
+    return _run_cells(cfg, _clipping_cell, cfg.B_grid or [0.5, 1.0, 2.0, 3.0, 5.0, 10.0])
 
 
 # ------------------------------------------------------------------ #
 # Experiment 4: scaling law validation
 # ------------------------------------------------------------------ #
 
-def _scaling_cell(spec):
-    cfg, idx, n, eps = spec
-    theta0 = np.asarray(cfg.theta0 if cfg.theta0 is not None else GAUSS_THETA0, dtype=float)
-    sigma = calibrate_agm(l2_sensitivity(GAUSS_B, n), PrivacyBudget(eps, delta_for(n)))
-    model = GaussianMeanModel(GAUSS_SIGMA0_SQ, B=GAUSS_B)
-    sqerr = 0.0
-    for r in range(cfg.replications):
-        rng = substream(cfg.master_seed, cfg.experiment_id, idx, r)
-        data = model.clip(model.sample(theta0, n, rng))
-        s_tilde = model.mean_suff_stat(data) + sigma * rng.standard_normal(1)
-        err = model.inverse_mean_map(s_tilde)[0] - theta0[0]
-        sqerr += err * err
+def _scaling_cell(cfg, idx, n, eps):
+    theta0, estimates, sigma = _gaussian_estimates(cfg, idx, n, eps)
+    sqerr = np.add.accumulate((estimates - theta0[0]) ** 2)[-1]  # summed in replication order
     sampling_var = 1.0 / n
     privacy_var = sigma**2
-    return {
-        "experiment": cfg.experiment_id,
-        "model": "gaussian_mean",
+    cols = {
         "n": n,
         "epsilon": eps,
         "mse": sqerr / cfg.replications,
@@ -371,18 +377,12 @@ def _scaling_cell(spec):
         "sampling_var": sampling_var,
         "privacy_var": privacy_var,
         "privacy_dominated": privacy_var > sampling_var,
-        "replications": cfg.replications,
     }
+    return [_row(cfg, "gaussian_mean", cols)]
 
 
 def run_scaling_study(cfg: ExperimentConfig) -> MetricsTable:
-    specs = [
-        (cfg, idx, n, eps)
-        for idx, (n, eps) in enumerate(
-            (n, eps) for n in cfg.n_grid for eps in cfg.epsilon_grid
-        )
-    ]
-    return MetricsTable(cfg.experiment_id, _map_cells(_scaling_cell, specs))
+    return _run_cells(cfg, _scaling_cell, cfg.n_grid, cfg.epsilon_grid)
 
 
 def crossover_points(table: MetricsTable) -> dict:
@@ -423,124 +423,61 @@ def privacy_slope(table: MetricsTable, eps: float) -> float:
 # Experiment 5: type-I error and power
 # ------------------------------------------------------------------ #
 
-def _power_cell(spec):
-    cfg, idx, eps, effect = spec
-    theta0 = np.asarray(cfg.theta0 if cfg.theta0 is not None else GAUSS_THETA0, dtype=float)
-    theta_true = theta0 + effect
+def _power_cell(cfg, idx, eps, effect):
+    theta0 = _theta0(cfg, GAUSS_THETA0)
     n = cfg.n_grid[0]
-    budget = PrivacyBudget(eps, delta_for(n))
-    methods = tuple(cfg.methods) if cfg.methods else ("plugin_wald", "nonprivate", "naive_synth")
-    rejects = {m: 0.0 for m in methods}
-    for r in range(cfg.replications):
-        rng = substream(cfg.master_seed, cfg.experiment_id, idx, r)
-        model, raw = make_model_and_data(cfg.model_id, theta_true, n, rng)
-        clipped = model.clip(raw)
-        rel = release(model.mean_suff_stat(clipped), model, n, budget, rng)
-        for method in methods:
-            if method == "plugin_wald":
-                th = estimate.plugin_mle(model, rel)
-                var = estimate.dp_variance(model, th, rel)
-            elif method == "noise_aware_wald":
-                th = estimate.noise_aware_mle(model, rel)
-                var = estimate.dp_variance(model, th, rel)
-            elif method == "nonprivate":
-                report = estimate.nonprivate_mle(model, raw, cfg.alpha)
-                th, var = report.theta_hat, report.variance
-            elif method == "naive_synth":
-                plug = estimate.plugin_mle(model, rel)
-                syn = synthgen.generate_synthetic(model, plug, synthgen.SynthConfig(n), rng)
-                report = synthgen.naive_analysis(model, syn, cfg.alpha)
-                th, var = report.theta_hat, report.variance
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            tests = estimate.wald_test(th, var, theta0, cfg.alpha)
+    methods = cfg.methods or POWER_METHODS
+    rejects = dict.fromkeys(methods, 0.0)
+    for rep in _replications(cfg, idx, cfg.model_id, theta0 + effect, n, eps):
+        for method, report in _run_methods(methods, *rep, cfg).items():
+            tests = estimate.wald_test(report.theta_hat, report.variance, theta0, cfg.alpha)
             rejects[method] += np.mean([t["reject"] for t in tests])
     rows = []
     for method in methods:
         rate = rejects[method] / cfg.replications
-        rows.append(
-            {
-                "experiment": cfg.experiment_id,
-                "model": cfg.model_id,
-                "method": method,
-                "n": n,
-                "epsilon": eps,
-                "delta_effect": effect,
-                "rejection_rate": rate,
-                "is_type1": effect == 0.0,
-                "replications": cfg.replications,
-                "mc_se": mc_se(rate, cfg.replications),
-            }
-        )
+        cols = {"method": method, "n": n, "epsilon": eps, "delta_effect": effect,
+                "rejection_rate": rate, "is_type1": effect == 0.0}
+        rows.append(_row(cfg, cfg.model_id, cols, mc_se(rate, cfg.replications)))
     return rows
 
 
 def run_power_study(cfg: ExperimentConfig) -> MetricsTable:
-    effects = [0.0] + list(cfg.effect_grid if cfg.effect_grid else [0.1, 0.2, 0.5, 1.0])
-    specs = [
-        (cfg, idx, eps, effect)
-        for idx, (eps, effect) in enumerate(
-            (eps, effect) for eps in cfg.epsilon_grid for effect in effects
-        )
-    ]
-    rows = [row for cell in _map_cells(_power_cell, specs) for row in cell]
-    return MetricsTable(cfg.experiment_id, rows)
+    effects = [0.0, *(cfg.effect_grid or [0.1, 0.2, 0.5, 1.0])]
+    return _run_cells(cfg, _power_cell, cfg.epsilon_grid, effects)
 
 
 # ------------------------------------------------------------------ #
 # Experiment 7: synthetic-data inferential evaluation
 # ------------------------------------------------------------------ #
 
-def _synth_cell(spec):
-    cfg, idx, ratio = spec
-    theta0 = np.asarray(cfg.theta0 if cfg.theta0 is not None else GAUSS_THETA0, dtype=float)
-    n = cfg.n_grid[0]
-    eps = cfg.epsilon_grid[0]
-    budget = PrivacyBudget(eps, delta_for(n))
+def _synth_reports(model, raw, rel, rng, cfg, n_syn):
+    direct = METHODS["plugin_wald"](model, raw, rel, rng, cfg, {})
+    syn = synthgen.generate_synthetic(model, direct.theta_hat, synthgen.SynthConfig(n_syn), rng)
+    return {
+        "direct": direct,
+        "noise_aware_synth": synthgen.noise_aware_synth_analysis(model, syn, rel, cfg.alpha),
+        "naive_synth": synthgen.naive_analysis(model, syn, cfg.alpha),
+    }
+
+
+def _synth_cell(cfg, idx, ratio):
+    theta0 = _theta0(cfg, GAUSS_THETA0)
+    n, eps = cfg.n_grid[0], cfg.epsilon_grid[0]
     n_syn = int(round(ratio * n))
-    acc = {m: 0.0 for m in ("direct", "noise_aware_synth", "naive_synth")}
-    for r in range(cfg.replications):
-        rng = substream(cfg.master_seed, cfg.experiment_id, idx, r)
-        model, raw = make_model_and_data(cfg.model_id, theta0, n, rng)
-        clipped = model.clip(raw)
-        rel = release(model.mean_suff_stat(clipped), model, n, budget, rng)
-        direct = estimate.estimate_report(model, rel, "plugin", cfg.alpha)
-        syn = synthgen.generate_synthetic(
-            model, direct.theta_hat, synthgen.SynthConfig(n_syn), rng
-        )
-        reports = {
-            "direct": direct,
-            "noise_aware_synth": synthgen.noise_aware_synth_analysis(model, syn, rel, cfg.alpha),
-            "naive_synth": synthgen.naive_analysis(model, syn, cfg.alpha),
-        }
-        for mode, report in reports.items():
-            cover, _ = _coverage_lengths(report.cis, theta0)
-            acc[mode] += cover.mean()
+    acc = _accuracy(theta0, (
+        _synth_reports(*rep, cfg, n_syn)
+        for rep in _replications(cfg, idx, cfg.model_id, theta0, n, eps)
+    ), cfg)
     rows = []
-    for mode, total in acc.items():
-        coverage = total / cfg.replications
-        rows.append(
-            {
-                "experiment": cfg.experiment_id,
-                "model": cfg.model_id,
-                "method": mode,
-                "n": n,
-                "epsilon": eps,
-                "ratio": ratio,
-                "n_syn": n_syn,
-                "coverage": coverage,
-                "replications": cfg.replications,
-                "mc_se": mc_se(coverage, cfg.replications),
-            }
-        )
+    for mode, a in acc.items():
+        cols = {"method": mode, "n": n, "epsilon": eps, "ratio": ratio, "n_syn": n_syn,
+                "coverage": a["coverage"]}
+        rows.append(_row(cfg, cfg.model_id, cols, mc_se(a["coverage"], cfg.replications)))
     return rows
 
 
 def run_synth_eval(cfg: ExperimentConfig) -> MetricsTable:
-    ratios = list(cfg.ratios) if cfg.ratios else [1, 5, 10, 50]
-    specs = [(cfg, idx, ratio) for idx, ratio in enumerate(ratios)]
-    rows = [row for cell in _map_cells(_synth_cell, specs) for row in cell]
-    return MetricsTable(cfg.experiment_id, rows)
+    return _run_cells(cfg, _synth_cell, cfg.ratios or [1, 5, 10, 50])
 
 
 # ------------------------------------------------------------------ #

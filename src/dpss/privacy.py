@@ -53,7 +53,7 @@ class ReleasedStatistic:
     n: int
     d: int
     B: float
-    budget: PrivacyBudget
+    budget: PrivacyBudget | None  # None only for a noise-free (sigma = 0) sentinel
     model_id: str
     seed_tag: str | None = None
 
@@ -61,10 +61,14 @@ class ReleasedStatistic:
         self.s_tilde = np.asarray(self.s_tilde, dtype=float)
         if self.s_tilde.ndim != 1 or len(self.s_tilde) != self.d:
             raise ValueError("s_tilde must be a vector of d entries")
-        if not np.all(np.isfinite(self.s_tilde)):
+        # per entry in Python: cheaper than np.isfinite(...).all() on a few entries,
+        # and a release is made once per Monte Carlo replication
+        if not all(map(math.isfinite, self.s_tilde.tolist())):
             raise ValueError("s_tilde must be finite")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and non-negative")
+        if self.budget is None and self.sigma != 0:
+            raise ValueError("a release with noise needs a privacy budget")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not (math.isfinite(self.B) and self.B > 0):
@@ -181,7 +185,7 @@ def release(
     s_bar: np.ndarray,
     model: ExpFamModel,
     n: int,
-    budget: PrivacyBudget,
+    budget: PrivacyBudget | None,
     rng: np.random.Generator,
     sigma_override: float | None = None,
     seed_tag: str | None = None,
@@ -189,11 +193,13 @@ def release(
     """One-shot Gaussian release of the mean sufficient statistic.
 
     ``sigma_override`` is a testing hook (e.g. 0.0 as an epsilon = infinity
-    sentinel); normal callers let the AGM calibration pick sigma.
+    sentinel, whose budget is None); normal callers let the AGM
+    calibration pick sigma from the budget.
     """
     s_bar = np.asarray(s_bar, dtype=float)
     B = model.clip_bounds.B
-    if np.linalg.norm(s_bar) > B * (1.0 + 1e-12):
+    # the L2 norm, by np.linalg.norm's own formula without its call overhead
+    if math.sqrt(np.vdot(s_bar, s_bar)) > B * (1.0 + 1e-12):
         raise SensitivityViolatedError("sensitivity_violated")
     if sigma_override is not None:
         sigma = float(sigma_override)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import EstimateReport, _regularizer, wald_ci
+from .estimate import EstimateReport, dp_variance, wald_ci
 from .expfam import Dataset, ExpFamModel
 from .privacy import ReleasedStatistic
 
@@ -22,13 +22,10 @@ from .privacy import ReleasedStatistic
 @dataclass
 class SynthConfig:
     n_syn: int
-    source_estimator: str = "plugin"
 
     def __post_init__(self):
         if self.n_syn < 1:
             raise ValueError("n_syn must be at least 1")
-        if self.source_estimator not in ("plugin", "noise_aware"):
-            raise ValueError("source_estimator must be plugin or noise_aware")
 
 
 def generate_synthetic(
@@ -44,7 +41,6 @@ def generate_synthetic(
             "source_theta": [float(t) for t in np.atleast_1d(theta)],
             "n_syn": cfg.n_syn,
             "model_id": model.model_id,
-            "source_estimator": cfg.source_estimator,
         }
     )
     return data
@@ -81,12 +77,7 @@ def noise_aware_synth_analysis(
     clipped = model.clip(d_syn)
     m = model.with_design(clipped.x) if clipped.y is not None else model
     theta_hat = m.inverse_mean_map(m.mean_suff_stat(clipped))
-    lam = _regularizer(rel.sigma)
-    ihat = m.fisher_info(theta_hat) + lam * np.eye(m.d)
-    iinv = np.linalg.inv(ihat)
-    var = iinv / rel.n + rel.sigma**2 * (iinv @ iinv) + iinv / clipped.n
-    var = 0.5 * (var + var.T)
-    np.fill_diagonal(var, np.minimum(np.diag(var), 1e6 / rel.n))
+    var = dp_variance(m, theta_hat, rel, n_syn=clipped.n)
     return EstimateReport(
         theta_hat=theta_hat,
         variance=var,

@@ -233,6 +233,36 @@ def test_synth_dimension_mismatch_exits_3(workdir):
     assert res.exit_code == 3
 
 
+def mismatched_release(workdir, kind):
+    """A release the Gaussian model of ``workdir`` must reject."""
+    if kind == "model_id":  # one-dimensional, as the model, but Poisson
+        rel = ReleasedStatistic(np.array([2.0]), 0.1, 1000, 1, 60.0,
+                                PrivacyBudget(1.0, 1e-6), "poisson")
+    else:
+        rel = ReleasedStatistic(np.array([0.1, 0.2]), 0.1, 1000, 2, 60.0,
+                                PrivacyBudget(1.0, 1e-6), "poisson")
+    rel.save(workdir / "rel.json")
+
+
+MISMATCH_COMMANDS = {
+    "estimate": ("estimate",),
+    "bootstrap": ("bootstrap", "--b-boot", 20),
+    "synth": ("synth", "--n-syn", 10, "--out", "syn.csv"),
+    "analyze": ("analyze", "--data", "data.csv", "--mode", "noise_aware"),
+}
+
+
+@pytest.mark.parametrize("kind", ["model_id", "d"])
+@pytest.mark.parametrize("command", list(MISMATCH_COMMANDS))
+def test_release_model_mismatch_exits_3(workdir, command, kind):
+    mismatched_release(workdir, kind)
+    args = [workdir / a if str(a).endswith((".csv", ".json")) else a
+            for a in MISMATCH_COMMANDS[command]]
+    res = invoke(*args, "--release", workdir / "rel.json", "--model", workdir / "model.json")
+    assert res.exit_code == 3
+    assert "does not match model" in res.output
+
+
 # -------------------------------------------------------------------- synth
 
 def test_synth_zero_rows_exits_2(workdir):
@@ -324,3 +354,16 @@ def test_experiment_run_end_to_end(workdir):
     assert res.exit_code == 0
     assert (workdir / "out" / "coverage_sweep.csv").exists()
     assert (workdir / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("field,value", [("experiment_id", "nonsense"),
+                                         ("methods", ["plugin_wald", "magic"])])
+def test_experiment_run_unknown_name_exits_3(workdir, field, value):
+    cfg = {"experiment_id": "coverage_sweep", "n_grid": [100], "epsilon_grid": [1.0],
+           "replications": 2, field: value}
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    res = invoke("experiment", "run", "--config", workdir / "cfg.json",
+                 "--out", workdir / "out")
+    assert res.exit_code == 3
+    assert "cannot load experiment config" in res.output
+    assert not (workdir / "out").exists()

@@ -145,6 +145,19 @@ def test_dp_variance_symmetric_psd():
     assert np.linalg.eigvalsh(v).min() >= -1e-12
 
 
+def test_dp_variance_n_syn_term_is_added_before_the_cap():
+    model = LogisticModel(np.random.default_rng(5).standard_normal((200, 3)))
+    th = np.array([0.3, -0.2, 0.1])
+    rel = make_release(np.zeros(3), 0.05, n=500, model_id="logistic", B=3.0)
+    iinv = np.linalg.inv(model.fisher_info(th) + estimate._regularizer(rel.sigma) * np.eye(3))
+    want = iinv / 500 + 0.05**2 * (iinv @ iinv) + iinv / 40
+    np.testing.assert_array_equal(dp_variance(model, th, rel, n_syn=40), 0.5 * (want + want.T))
+    # a term that pushes the diagonal past the cap is capped with the rest
+    capped = dp_variance(GaussianMeanModel(1.0), np.zeros(1), make_release([0.0], 0.0, n=10),
+                         n_syn=1e-6)
+    assert capped[0, 0] == 1e6 / 10
+
+
 # ---------------------------------------------------------------- wald
 
 def test_wald_ci_textbook():

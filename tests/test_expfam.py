@@ -103,6 +103,14 @@ def test_mean_suff_stat_examples():
     assert s[0] == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("model", [GaussianMeanModel(), random_logistic(), random_poisson()],
+                         ids=["gaussian", "logistic", "poisson"])
+def test_mean_suff_stat_is_the_mean_bit_for_bit(model):
+    rng = np.random.default_rng(12)
+    data = model.clip(model.sample(np.full(model.d, 0.3), 1001, rng))
+    np.testing.assert_array_equal(model.mean_suff_stat(data), model.suff_stats(data).mean(axis=0))
+
+
 def test_mean_suff_stat_empty_dataset():
     with pytest.raises(EmptyDatasetError, match="empty_dataset"):
         GaussianMeanModel().mean_suff_stat(Dataset(np.array([])))

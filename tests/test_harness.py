@@ -1,5 +1,7 @@
 import json
+import math
 import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -43,6 +45,15 @@ def test_config_validation():
         ExperimentConfig("coverage_sweep", replications=1)
     with pytest.raises(ValueError):
         ExperimentConfig("coverage_sweep", n_grid=[])
+
+
+def test_config_rejects_unknown_names():
+    with pytest.raises(ValueError, match="experiment_id"):
+        ExperimentConfig("nonsense")
+    with pytest.raises(ValueError, match="methods"):
+        ExperimentConfig("coverage_sweep", methods=["plugin_wald", "magic"])
+    with pytest.raises(ValueError, match="distinct"):  # a repeat would be counted twice
+        ExperimentConfig("coverage_sweep", methods=["plugin_wald", "plugin_wald"])
 
 
 def test_config_json_round_trip():
@@ -181,3 +192,35 @@ def test_run_experiment_unknown_id():
     cfg.experiment_id = "nonsense"
     with pytest.raises(ValueError):
         run_experiment(cfg)
+
+
+# rows recorded from the harness before it became one replication pipeline:
+# one small config per experiment id
+GOLDEN = json.loads(Path(__file__).with_name("golden_rows.json").read_text())
+# same tolerances as the benchmark's reference check
+ESTIMATE_RTOL = 1e-5
+ESTIMATE_COLUMNS = {"emp_variance", "avg_ci_length", "mse", "bias_abs"}
+RATE_COLUMNS = {"coverage", "rejection_rate"}
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["config"]["experiment_id"] for c in GOLDEN])
+def test_golden_rows(case):
+    cfg = ExperimentConfig(**case["config"])
+    rows, want = run_experiment(cfg).rows, case["rows"]
+    assert [list(row) for row in rows] == [list(row) for row in want]  # key order too
+    if cfg.model_id == "gaussian_mean":
+        # bit for bit, so the experiment CSVs are byte-identical
+        assert json.dumps(rows) == json.dumps(want)
+        return
+    for got, ref in zip(rows, want):
+        for col, b in ref.items():
+            a = got[col]
+            if col in RATE_COLUMNS:
+                assert abs(a - b) <= 1.0 / cfg.replications + 1e-12, col
+            elif col in ESTIMATE_COLUMNS:
+                assert abs(a - b) <= ESTIMATE_RTOL * abs(b), col
+            elif col == "mc_se":
+                assert a == pytest.approx(math.sqrt(got["coverage"] * (1 - got["coverage"])
+                                                    / cfg.replications), abs=1e-12)
+            else:
+                assert a == b, col

@@ -127,6 +127,14 @@ def test_release_sigma_zero_hook_is_exact():
     assert rel.sigma == 0.0
 
 
+def test_only_a_noise_free_release_may_lack_a_budget():
+    model = GaussianMeanModel(1.0, B=1.0)
+    rel = release(np.array([0.25]), model, 100, None, substream(1, "rel"), sigma_override=0.0)
+    assert (rel.s_tilde[0], rel.budget) == (0.25, None)
+    with pytest.raises(ValueError, match="budget"):
+        release(np.array([0.25]), model, 100, None, substream(1, "rel"), sigma_override=0.1)
+
+
 def test_release_deterministic_given_seed():
     a = gaussian_release(s=0.3, seed=77)
     b = gaussian_release(s=0.3, seed=77)
