@@ -49,7 +49,7 @@ def _solver_errors():
 def _load_model(path):
     try:
         return load_model_config(path)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a malformed config, JSON included, is a ValueError
         _data_error(f"cannot load model config: {exc}")
 
 

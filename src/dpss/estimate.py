@@ -19,9 +19,6 @@ from .expfam import PARAM_BOX, Dataset, ExpFamModel, SolverDivergedError
 from .privacy import ReleasedStatistic
 
 VARIANCE_DIAG_CAP = 1e6  # divided by n when applied
-# draws x design rows per batched bootstrap solve, so that each
-# (draws, design rows) temporary of the Newton iteration stays within 0.5 MB
-BOOTSTRAP_CHUNK_ELEMS = 2**16
 
 
 class FisherSingularError(np.linalg.LinAlgError):
@@ -210,31 +207,20 @@ def _solve_draws(
 ) -> tuple[np.ndarray, int, int]:
     """Inverse mean map of every row of s_star: (draws, fallbacks, failures).
 
-    Rows are solved by ``model.newton_batch`` in chunks of
-    BOOTSTRAP_CHUNK_ELEMS // model.batch_width draws.  A row that does not
-    converge goes to the L-BFGS-B fallback from its last batched iterate; if
-    that diverges, the statistic projected onto the ball of radius rel.B is
-    solved once more, and a row that still fails counts as a failure and is
-    replaced by theta_hat.
+    Rows are solved by ``model.inverse_mean_map_batch``.  A diverged row is
+    retried once on its statistic projected onto the ball of radius rel.B;
+    if that fails too, it counts as a failure and is replaced by theta_hat.
     """
-    draws = np.empty_like(s_star)
-    chunk = max(1, BOOTSTRAP_CHUNK_ELEMS // model.batch_width)
-    fallbacks = failures = 0
-    for lo in range(0, len(s_star), chunk):
-        draws[lo:lo + chunk], converged = model.newton_batch(s_star[lo:lo + chunk])
-        for b in lo + np.flatnonzero(~converged):
-            fallbacks += 1
-            try:
-                draws[b] = model._inverse_mean_map_fallback(s_star[b], draws[b])
-            except SolverDivergedError:
-                # retry once with the statistic projected back onto the feasible ball
-                norm = np.linalg.norm(s_star[b])
-                s_proj = s_star[b] * (rel.B / norm) if norm > rel.B else s_star[b]
-                try:
-                    draws[b] = model.inverse_mean_map(s_proj)
-                except SolverDivergedError:
-                    failures += 1
-                    draws[b] = theta_hat
+    draws, fallbacks, diverged = model.inverse_mean_map_batch(s_star)
+    failures = 0
+    for b in np.flatnonzero(diverged):
+        norm = np.linalg.norm(s_star[b])
+        s_proj = s_star[b] * (rel.B / norm) if norm > rel.B else s_star[b]
+        try:
+            draws[b] = model.inverse_mean_map(s_proj)
+        except SolverDivergedError:
+            failures += 1
+            draws[b] = theta_hat
     return draws, fallbacks, failures
 
 
@@ -251,10 +237,9 @@ def parametric_bootstrap(
     noise-aware re-estimates interchangeable here, and the plug-in is far
     cheaper over hundreds of draws.  All B draws are taken in one call
     (the same values, in the same order, as B calls for d normals each)
-    and solved together by the batched damped Newton, chunk by chunk.
-    Only draws it leaves unconverged run the L-BFGS-B fallback, started
-    from their last batched iterate; ``diagnostics["fallbacks"]`` counts
-    them and ``diagnostics["failures"]`` counts the draws replaced by
+    and solved together by the model's batched inverse mean map;
+    ``diagnostics["fallbacks"]`` counts the draws that needed its L-BFGS-B
+    fallback and ``diagnostics["failures"]`` the draws replaced by
     theta_hat.
     """
     theta_hat = plugin_mle(model, rel)

@@ -7,6 +7,11 @@ map (gradient of the log-partition), the Fisher information, a sampler,
 a clipping rule that enforces the L2 bound on the per-record statistic,
 and the inverse mean map used by the plug-in estimator.
 
+``inverse_mean_map_batch`` inverts the mean map for many statistics at
+once: batched damped Newton, then an L-BFGS-B fallback from the last
+iterate of each unconverged row; a row whose fallback diverges is marked,
+not raised.  ``inverse_mean_map`` is the one-row case, which raises.
+
 Regression designs are treated as public: only sum(y_i * x_i) carries
 private information, and the Fisher information is computed from the
 design after the release.
@@ -27,6 +32,9 @@ from scipy.special import expit
 PARAM_BOX = 10.0  # box constraint |theta_j| <= 10 for all solvers
 MAX_LOG_RATE = 700.0  # largest log-link eta whose exp is computed
 NEWTON_MAX_ITER = 100  # Newton iterations of the inverse mean map
+# rows x design rows per batched Newton solve, so that each (rows, design
+# rows) temporary of the iteration stays within 0.5 MB
+NEWTON_CHUNK_ELEMS = 2**16
 
 
 class EmptyDatasetError(ValueError):
@@ -132,60 +140,23 @@ class ExpFamModel(abc.ABC):
         """Model bound to a different public design (no-op for gaussian)."""
         return self
 
-    @property
-    def batch_width(self) -> int:
-        """Columns of the per-row temporaries of ``newton_batch`` (design rows)."""
-        return 1
-
     # -- inverse mean map ----------------------------------------------
 
     @abc.abstractmethod
-    def newton_batch(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve grad_log_partition(theta_b) = S[b] for every row of S, shape (b, d).
+    def inverse_mean_map_batch(self, S: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+        """Solve grad_log_partition(theta_b) = S[b] over the box [-10, 10]^d for each row of S.
 
-        Returns the solutions (or, for rows that did not converge, the last
-        iterate) with shape (b, d), and a boolean mask of the converged rows.
+        Returns the solutions (b, d), the number of rows that needed the
+        fallback, and a mask of the rows whose fallback diverged, which
+        hold its last iterate.
         """
 
     def inverse_mean_map(self, s: np.ndarray) -> np.ndarray:
-        """Solve grad_log_partition(theta) = s over the box [-10, 10]^d.
-
-        Runs ``newton_batch`` on the single row s; if that does not
-        converge, falls back from its last iterate to box-constrained
-        quasi-Newton on the least-squares objective, which resolves
-        statistics outside the attainable mean range to
-        boundary-constrained minimizers instead of erroring.
-        """
-        s = np.asarray(s, dtype=float)
-        theta, converged = self.newton_batch(s[None])
-        if converged[0]:
-            return theta[0]
-        return self._inverse_mean_map_fallback(s, theta[0])
-
-    def _inverse_mean_map_fallback(self, s: np.ndarray, theta0: np.ndarray) -> np.ndarray:
-        def objective(theta):
-            try:
-                r = self.grad_log_partition(theta) - s
-                return 0.5 * float(r @ r), self.fisher_info(theta) @ r
-            except MeanOverflowError:
-                return 1e300, np.zeros(self.d)
-
-        res = minimize(
-            objective,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(-PARAM_BOX, PARAM_BOX)] * self.d,
-            options={"maxiter": 200, "ftol": 1e-15, "gtol": 1e-12},
-        )
-        theta = np.clip(res.x, -PARAM_BOX, PARAM_BOX)
-        grad = self.fisher_info(theta) @ (self.grad_log_partition(theta) - s)
-        # at a box optimum the projected gradient vanishes even though the
-        # residual may not; only a large projected gradient is a failure
-        proj = _projected_gradient(theta, grad)
-        if np.linalg.norm(proj) > 1e-5 * max(1.0, np.linalg.norm(s)):
-            raise SolverDivergedError("solver_diverged", theta)
-        return theta
+        """The one-row ``inverse_mean_map_batch``; a diverged row raises SolverDivergedError."""
+        theta, _, diverged = self.inverse_mean_map_batch(np.asarray(s, dtype=float)[None])
+        if diverged[0]:
+            raise SolverDivergedError("solver_diverged", theta[0])
+        return theta[0]
 
 
 def _solve_blocks(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +217,8 @@ class GaussianMeanModel(ExpFamModel):
         s = np.asarray(s, dtype=float)
         return (s / self.sigma0_sq).clip(-PARAM_BOX, PARAM_BOX)
 
-    def newton_batch(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.inverse_mean_map(S), np.ones(len(S), dtype=bool)
+    def inverse_mean_map_batch(self, S: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+        return self.inverse_mean_map(S), 0, np.zeros(len(S), dtype=bool)
 
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
         mu = self.sigma0_sq * float(np.asarray(theta, dtype=float)[0])
@@ -272,10 +243,6 @@ class _RegressionModel(ExpFamModel):
 
     def suff_stats(self, data: Dataset) -> np.ndarray:
         return data.x * data.y[:, None]
-
-    @property
-    def batch_width(self) -> int:
-        return len(self.design)
 
     @functools.cached_property
     def _design_outer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -368,6 +335,55 @@ class _RegressionModel(ExpFamModel):
             active &= rnorm > tol
         return theta, rnorm <= tol
 
+    def inverse_mean_map_batch(self, S: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+        """``newton_batch`` in chunks of NEWTON_CHUNK_ELEMS // design rows, then the fallback."""
+        S = np.atleast_2d(np.asarray(S, dtype=float))
+        theta = np.empty_like(S)
+        diverged = np.zeros(len(S), dtype=bool)
+        fallbacks = 0
+        chunk = max(1, NEWTON_CHUNK_ELEMS // len(self.design))
+        for lo in range(0, len(S), chunk):
+            theta[lo:lo + chunk], converged = self.newton_batch(S[lo:lo + chunk])
+            for b in lo + np.flatnonzero(~converged):
+                fallbacks += 1
+                try:
+                    theta[b] = self._inverse_mean_map_fallback(S[b], theta[b])
+                except SolverDivergedError as exc:
+                    theta[b], diverged[b] = exc.last_iterate, True
+        return theta, fallbacks, diverged
+
+    def _inverse_mean_map_fallback(self, s: np.ndarray, theta0: np.ndarray) -> np.ndarray:
+        """Box-constrained L-BFGS-B on 0.5 ||mu(theta) - s||^2, started at theta0.
+
+        Each objective call runs the kernel once; the gradient I(theta) r is
+        X'(w * X r) / n, with no d x d Fisher matrix.
+        """
+        X = self.design
+
+        def objective(theta):
+            mu, w, finite = self.mean_and_weights(theta[None])
+            if not finite[0]:
+                return 1e300, np.zeros(self.d)
+            r = mu[0] - s
+            return 0.5 * float(r @ r), (w[0] * (X @ r)) @ X / len(X)
+
+        res = minimize(
+            objective,
+            theta0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(-PARAM_BOX, PARAM_BOX)] * self.d,
+            options={"maxiter": 200, "ftol": 1e-15, "gtol": 1e-12},
+        )
+        theta = np.clip(res.x, -PARAM_BOX, PARAM_BOX)
+        value, grad = objective(theta)
+        # at a box optimum the projected gradient vanishes even though the residual
+        # may not; a large one fails, and so does an end point whose mean overflows
+        proj = _projected_gradient(theta, grad)
+        if not value < 1e300 or np.linalg.norm(proj) > 1e-5 * max(1.0, np.linalg.norm(s)):
+            raise SolverDivergedError("solver_diverged", theta)
+        return theta
+
     def _design_for_sampling(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # reuse the design when sizes match; otherwise resample rows uniformly
         if n == len(self.design):
@@ -458,24 +474,40 @@ def load_model_config(path: str | Path) -> ExpFamModel:
 
     Schema: {model_id, d, sigma0_sq?, clip: {B | B_X, B_Y}, design_csv?}.
     ``design_csv`` is resolved relative to the config file and holds
-    headerless rows of d decimal floats.
+    headerless rows of d decimal floats.  A malformed config raises
+    ValueError naming the field; an unreadable file raises OSError.
     """
     path = Path(path)
     cfg = json.loads(path.read_text())
-    model_id = cfg["model_id"]
-    clip = cfg.get("clip", {})
+    clip = cfg.get("clip", {}) if isinstance(cfg, dict) else None
+    if not isinstance(clip, dict):
+        raise ValueError("the model config and its clip must be JSON objects")
+    model_id = cfg.get("model_id")
     if model_id == "gaussian_mean":
-        return GaussianMeanModel(sigma0_sq=cfg.get("sigma0_sq", 1.0), B=clip["B"])
-    if "design_csv" not in cfg:
+        return GaussianMeanModel(_positive(cfg, "sigma0_sq", 1.0), B=_positive(clip, "B"))
+    if model_id not in MODEL_IDS:
+        raise ValueError(f"unknown model_id {model_id!r}")
+    if not isinstance(cfg.get("design_csv"), str):
         raise ValueError(f"model {model_id!r} requires a design_csv")
+    d = cfg.get("d")
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError(f"d must be a positive integer, got {d!r}")
     design = np.loadtxt(path.parent / cfg["design_csv"], delimiter=",", ndmin=2)
-    if design.shape[1] != cfg["d"]:
+    if design.shape[1] != d:
         raise ValueError("design column count disagrees with d")
+    if len(design) == 0 or not np.isfinite(design).all():
+        raise ValueError("design_csv must hold at least one row, all finite")
     if model_id == "logistic":
-        return LogisticModel(design, B_X=clip["B_X"])
-    if model_id == "poisson":
-        return PoissonModel(design, B_X=clip["B_X"], B_Y=clip["B_Y"])
-    raise ValueError(f"unknown model_id {model_id!r}")
+        return LogisticModel(design, B_X=_positive(clip, "B_X"))
+    return PoissonModel(design, B_X=_positive(clip, "B_X"), B_Y=_positive(clip, "B_Y"))
+
+
+def _positive(obj: dict, key: str, default: float | None = None) -> float:
+    """obj[key] (or the default) as a float; ValueError unless a finite positive number."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < np.inf:
+        raise ValueError(f"{key} must be a positive number, got {value!r}")
+    return float(value)
 
 
 def dataset_from_csv(path: str | Path, model: ExpFamModel) -> Dataset:

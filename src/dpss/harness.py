@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimate, synthgen
-from .expfam import Dataset, ExpFamModel, GaussianMeanModel, LogisticModel, PoissonModel
+from .expfam import MODEL_IDS, Dataset, ExpFamModel, GaussianMeanModel, LogisticModel, PoissonModel
 from .privacy import PrivacyBudget, release
 from .rng import substream
 
@@ -53,6 +53,12 @@ DEFAULT_METHODS = ("nonprivate", "plugin_wald", "noise_aware_wald", "bootstrap",
 POWER_METHODS = ("plugin_wald", "nonprivate", "naive_synth")
 # clipping-study row label -> method
 CLIPPING_METHODS = {"plugin": "plugin_wald", "noise_aware": "noise_aware_wald"}
+# studies that run one fixed model; a config that names another is rejected
+STUDY_MODELS = {
+    "variance_validation": "gaussian_mean",
+    "scaling_study": "gaussian_mean",
+    "clipping_study": "logistic",
+}
 
 
 @dataclass
@@ -75,6 +81,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment_id not in RUNNERS:
             raise ValueError(f"unknown experiment_id {self.experiment_id!r}")
+        if self.model_id not in MODEL_IDS:
+            raise ValueError(f"unknown model_id {self.model_id!r}")
+        study_model = STUDY_MODELS.get(self.experiment_id, self.model_id)
+        if self.model_id != study_model:
+            raise ValueError(f"{self.experiment_id} runs only model_id {study_model!r}")
         methods = list(self.methods or ())
         if any(m not in METHODS for m in methods) or len(set(methods)) < len(methods):
             raise ValueError(f"methods must be distinct names from {list(METHODS)}: {methods}")
@@ -84,6 +95,10 @@ class ExperimentConfig:
             raise ValueError("need at least 2 replications")
         if not self.n_grid or not self.epsilon_grid:
             raise ValueError("grids must be nonempty")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        if self.b_boot < 2:
+            raise ValueError("b_boot must be at least 2")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -269,9 +284,7 @@ def _gaussian_estimates(cfg, idx, n, eps):
     """(theta0, plug-in estimate per replication, sigma) of one Gaussian cell."""
     theta0 = _theta0(cfg, GAUSS_THETA0)
     estimates = np.empty(cfg.replications)
-    for r, (model, _, rel, _) in enumerate(
-        _replications(cfg, idx, "gaussian_mean", theta0, n, eps)
-    ):
+    for r, (model, _, rel, _) in enumerate(_replications(cfg, idx, cfg.model_id, theta0, n, eps)):
         estimates[r] = estimate.plugin_mle(model, rel)[0]
     return theta0, estimates, rel.sigma
 
@@ -307,7 +320,7 @@ def _variance_cell(cfg, idx, n, eps):
         "rel_error": abs(emp - theory) / theory,
     }
     # variance of a sample variance of (approx) gaussians: var ~ 2 v^2/(R-1)
-    return [_row(cfg, "gaussian_mean", cols, float(theory * np.sqrt(2.0 / (cfg.replications - 1))))]
+    return [_row(cfg, cfg.model_id, cols, float(theory * np.sqrt(2.0 / (cfg.replications - 1))))]
 
 
 def run_variance_validation(cfg: ExperimentConfig) -> MetricsTable:
@@ -345,14 +358,14 @@ def _clipping_cell(cfg, idx, B):
     n, eps = cfg.n_grid[0], cfg.epsilon_grid[0]
     acc = _accuracy(theta0, (
         _run_methods(CLIPPING_METHODS.values(), *rep, cfg)
-        for rep in _replications(cfg, idx, "logistic", theta0, n, eps, B)
+        for rep in _replications(cfg, idx, cfg.model_id, theta0, n, eps, B)
     ), cfg)
     rows = []
     for label, method in CLIPPING_METHODS.items():
         a = acc[method]
         cols = {"method": label, "n": n, "epsilon": eps, "B": B,
                 "bias_abs": a["bias_abs"], "mse": a["mse"], "coverage": a["coverage"]}
-        rows.append(_row(cfg, "logistic", cols, mc_se(a["coverage"], cfg.replications)))
+        rows.append(_row(cfg, cfg.model_id, cols, mc_se(a["coverage"], cfg.replications)))
     return rows
 
 
@@ -378,7 +391,7 @@ def _scaling_cell(cfg, idx, n, eps):
         "privacy_var": privacy_var,
         "privacy_dominated": privacy_var > sampling_var,
     }
-    return [_row(cfg, "gaussian_mean", cols)]
+    return [_row(cfg, cfg.model_id, cols)]
 
 
 def run_scaling_study(cfg: ExperimentConfig) -> MetricsTable:
@@ -424,7 +437,7 @@ def privacy_slope(table: MetricsTable, eps: float) -> float:
 # ------------------------------------------------------------------ #
 
 def _power_cell(cfg, idx, eps, effect):
-    theta0 = _theta0(cfg, GAUSS_THETA0)
+    theta0 = _theta0(cfg, default_theta0(cfg.model_id))
     n = cfg.n_grid[0]
     methods = cfg.methods or POWER_METHODS
     rejects = dict.fromkeys(methods, 0.0)
@@ -461,7 +474,7 @@ def _synth_reports(model, raw, rel, rng, cfg, n_syn):
 
 
 def _synth_cell(cfg, idx, ratio):
-    theta0 = _theta0(cfg, GAUSS_THETA0)
+    theta0 = _theta0(cfg, default_theta0(cfg.model_id))
     n, eps = cfg.n_grid[0], cfg.epsilon_grid[0]
     n_syn = int(round(ratio * n))
     acc = _accuracy(theta0, (

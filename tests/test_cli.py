@@ -357,10 +357,13 @@ def test_experiment_run_end_to_end(workdir):
 
 
 @pytest.mark.parametrize("field,value", [("experiment_id", "nonsense"),
-                                         ("methods", ["plugin_wald", "magic"])])
+                                         ("methods", ["plugin_wald", "magic"]),
+                                         ("model_id", "nonsense"),
+                                         ("alpha", 2),
+                                         ("b_boot", 1)])
 def test_experiment_run_unknown_name_exits_3(workdir, field, value):
     cfg = {"experiment_id": "coverage_sweep", "n_grid": [100], "epsilon_grid": [1.0],
-           "replications": 2, field: value}
+           "replications": 2, "methods": ["plugin_wald", "bootstrap"], field: value}
     (workdir / "cfg.json").write_text(json.dumps(cfg))
     res = invoke("experiment", "run", "--config", workdir / "cfg.json",
                  "--out", workdir / "out")

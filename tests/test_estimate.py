@@ -366,8 +366,7 @@ def test_bootstrap_chunks_are_sized_by_the_design_not_the_release():
     newton = model.newton_batch
     model.newton_batch = lambda S: widths.append(len(S)) or newton(S)
     draws, fallbacks, failures = estimate._solve_draws(model, s_star, thetas[0], rel)
-    assert model.batch_width == 2**14
-    assert widths == [4, 4, 2]  # BOOTSTRAP_CHUNK_ELEMS // 2**14 draws per chunk
+    assert widths == [4, 4, 2]  # NEWTON_CHUNK_ELEMS // 2**14 draws per chunk
     assert (fallbacks, failures) == (0, 0)
     np.testing.assert_allclose(draws, thetas, atol=1e-8)
 

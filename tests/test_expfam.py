@@ -1,7 +1,14 @@
+import json
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+from dpss import expfam
 from dpss.expfam import (
     NEWTON_MAX_ITER,
     PARAM_BOX,
@@ -11,6 +18,7 @@ from dpss.expfam import (
     LogisticModel,
     MeanOverflowError,
     PoissonModel,
+    SolverDivergedError,
     dataset_from_csv,
     dataset_to_csv,
     _solve_blocks,
@@ -327,11 +335,86 @@ def test_newton_batch_singular_fisher_leaves_row_unconverged():
     np.testing.assert_array_equal(theta, 0.0)
 
 
-def test_gaussian_newton_batch_is_closed_form():
+def test_gaussian_inverse_mean_map_batch_is_closed_form():
     model = GaussianMeanModel(2.0)
-    theta, converged = model.newton_batch(np.array([[1.0], [-40.0]]))
+    theta, fallbacks, diverged = model.inverse_mean_map_batch(np.array([[1.0], [-40.0]]))
     np.testing.assert_array_equal(theta[:, 0], [0.5, -PARAM_BOX])
-    assert converged.all()
+    assert fallbacks == 0 and not diverged.any()
+
+
+def capture_fallback_objective(monkeypatch):
+    """Record the objective each L-BFGS-B fallback hands to minimize, and its evaluations."""
+    seen = {"objectives": [], "evaluations": 0}
+    minimize = expfam.minimize
+
+    def spy(fun, x0, **kwargs):
+        def counted(theta):
+            seen["evaluations"] += 1
+            return fun(theta)
+
+        seen["objectives"].append(fun)
+        return minimize(counted, x0, **kwargs)
+
+    monkeypatch.setattr(expfam, "minimize", spy)
+    return seen
+
+
+@pytest.mark.parametrize("maker", [random_logistic, random_poisson])
+def test_fallback_gradient_is_fisher_times_residual(monkeypatch, maker):
+    model = maker()
+    seen = capture_fallback_objective(monkeypatch)
+    s = model.grad_log_partition(np.full(model.d, 0.3))
+    model._inverse_mean_map_fallback(s, np.zeros(model.d))
+    objective = seen["objectives"][0]
+    for theta in np.random.default_rng(21).uniform(-2.0, 2.0, (5, model.d)):
+        r = model.grad_log_partition(theta) - s
+        value, grad = objective(theta)
+        assert value == pytest.approx(0.5 * float(r @ r), rel=1e-12)
+        np.testing.assert_allclose(grad, model.fisher_info(theta) @ r, rtol=1e-12, atol=1e-15)
+
+
+def test_fallback_runs_the_kernel_once_per_objective_call(monkeypatch):
+    model = random_poisson()
+    seen = capture_fallback_objective(monkeypatch)
+    kernel_rows = []
+    kernel = model.mean_and_weights
+    monkeypatch.setattr(model, "mean_and_weights",
+                        lambda Theta: kernel_rows.append(len(Theta)) or kernel(Theta))
+    monkeypatch.setattr(model, "_fisher_blocks", lambda W: pytest.fail("Fisher matrix formed"))
+    # a statistic no mean can reach ends on the box, after many objective calls
+    model._inverse_mean_map_fallback(np.array([-1.0, -1.0]), np.zeros(2))
+    assert seen["evaluations"] > 1
+    # one call per evaluation, plus one for the final stationarity check
+    assert kernel_rows == [1] * (seen["evaluations"] + 1)
+
+
+def test_fallback_raises_at_an_overflowing_end_point(monkeypatch):
+    # features of 100 put exp(x . theta) past the log-link cap on the box face
+    model = PoissonModel(np.full((5, 1), 100.0), B_X=1e3, B_Y=1e6)
+    monkeypatch.setattr(expfam, "minimize", lambda fun, x0, **kw: SimpleNamespace(x=[PARAM_BOX]))
+    with pytest.raises(SolverDivergedError) as exc:
+        model._inverse_mean_map_fallback(np.array([5.0]), np.zeros(1))
+    np.testing.assert_array_equal(exc.value.last_iterate, [PARAM_BOX])
+
+
+def test_diverged_fallback_marks_its_row_and_the_single_solve_raises(monkeypatch):
+    model = random_logistic(d=2)
+    S = np.array([model.grad_log_partition(t) for t in ([0.2, -0.1], [0.4, 0.3], [-0.5, 0.1])])
+    S[1] = [3.0, 3.0]  # out of the mean range: Newton leaves the row unconverged
+    stuck = np.array([1.5, -2.5])
+
+    def diverge(s, theta0):
+        raise SolverDivergedError("solver_diverged", stuck)
+
+    monkeypatch.setattr(model, "_inverse_mean_map_fallback", diverge)
+    theta, fallbacks, diverged = model.inverse_mean_map_batch(S)
+    assert fallbacks == 1
+    assert diverged.tolist() == [False, True, False]
+    np.testing.assert_array_equal(theta[1], stuck)
+    np.testing.assert_allclose(theta[[0, 2]], [[0.2, -0.1], [-0.5, 0.1]], atol=1e-8)
+    with pytest.raises(SolverDivergedError) as exc:
+        model.inverse_mean_map(S[1])
+    np.testing.assert_array_equal(exc.value.last_iterate, stuck)
 
 
 # --------------------------------------------------------------- sampling
@@ -391,6 +474,71 @@ def test_load_model_config_dimension_mismatch(tmp_path):
     )
     with pytest.raises(ValueError):
         load_model_config(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"model_id": "logistic", "d": 2, "clip": {}, "design_csv": "design.csv"}, "B_X"),
+    ({"model_id": "poisson", "d": 2, "clip": {"B_X": 3.0}, "design_csv": "design.csv"}, "B_Y"),
+    ({"model_id": "logistic", "clip": {"B_X": 3.0}, "design_csv": "design.csv"}, "d"),
+    ({"model_id": "logistic", "d": "2", "clip": {"B_X": 3.0}, "design_csv": "design.csv"}, "d"),
+    ({"model_id": "gaussian_mean", "d": 1, "clip": {"B": "4"}}, "B"),
+    ({"model_id": "gaussian_mean", "d": 1, "sigma0_sq": None, "clip": {"B": 4.0}}, "sigma0_sq"),
+    ({"model_id": "gaussian_mean", "d": 1, "clip": [4.0]}, "clip"),
+    ({"d": 1, "clip": {"B": 4.0}}, "model_id"),
+])
+def test_load_model_config_names_the_malformed_field(tmp_path, cfg, field):
+    np.savetxt(tmp_path / "design.csv", np.eye(2), delimiter=",")
+    (tmp_path / "m.json").write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=field):
+        load_model_config(tmp_path / "m.json")
+
+
+VALID_CONFIGS = [
+    {"model_id": "gaussian_mean", "d": 1, "sigma0_sq": 2.0, "clip": {"B": 4.0}},
+    {"model_id": "logistic", "d": 2, "clip": {"B_X": 3.0}, "design_csv": "design.csv"},
+    {"model_id": "poisson", "d": 2, "clip": {"B_X": 3.0, "B_Y": 20.0}, "design_csv": "design.csv"},
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+CONFIG_FIELDS = ["model_id", "d", "sigma0_sq", "clip", "design_csv"]
+CLIP_FIELDS = ["B", "B_X", "B_Y"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(VALID_CONFIGS),
+    replaced=st.dictionaries(st.sampled_from(CONFIG_FIELDS), JSON_VALUES, max_size=2),
+    clip_replaced=st.dictionaries(st.sampled_from(CLIP_FIELDS), JSON_VALUES, max_size=2),
+    dropped=st.sets(st.sampled_from(CONFIG_FIELDS + CLIP_FIELDS), max_size=2),
+)
+def test_load_model_config_builds_a_model_or_raises_value_error(
+    tmp_path_factory, base, replaced, clip_replaced, dropped
+):
+    folder = tmp_path_factory.mktemp("config")
+    np.savetxt(folder / "design.csv", np.array([[0.5, -1.0], [2.0, 0.3], [-0.7, 1.1]]),
+               delimiter=",")
+    clip = {k: v for k, v in dict(base["clip"], **clip_replaced).items() if k not in dropped}
+    cfg = {k: v for k, v in {**base, "clip": clip, **replaced}.items() if k not in dropped}
+    (folder / "m.json").write_text(json.dumps(cfg))
+    try:
+        model = load_model_config(folder / "m.json")
+    except ValueError:
+        return
+    except OSError:
+        # only a design_csv that names no readable file may fail to open
+        assert cfg["design_csv"] != "design.csv"
+        return
+    # whatever loads is a working model of the configured family and size
+    assert model.model_id == cfg["model_id"]
+    assert math.isfinite(model.clip_bounds.B) and model.clip_bounds.B > 0
+    if model.model_id != "gaussian_mean":
+        assert model.design.shape == (3, cfg["d"]) == (3, model.d)
+    assert np.all(np.isfinite(model.grad_log_partition(np.zeros(model.d))))
+    assert np.all(np.isfinite(model.fisher_info(np.zeros(model.d))))
 
 
 def test_dataset_csv_round_trip(tmp_path):

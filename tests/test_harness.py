@@ -7,10 +7,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from dpss import harness
 from dpss.harness import (
     ExperimentConfig,
     MetricsTable,
     crossover_points,
+    default_theta0,
     delta_for,
     mc_se,
     privacy_slope,
@@ -45,11 +47,46 @@ def test_config_validation():
         ExperimentConfig("coverage_sweep", replications=1)
     with pytest.raises(ValueError):
         ExperimentConfig("coverage_sweep", n_grid=[])
+    for alpha in (0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentConfig("coverage_sweep", alpha=alpha)
+    with pytest.raises(ValueError, match="b_boot"):
+        ExperimentConfig("coverage_sweep", b_boot=1)
+
+
+@pytest.mark.parametrize("experiment_id, model_id", [
+    ("variance_validation", "logistic"),
+    ("scaling_study", "poisson"),
+    ("clipping_study", "gaussian_mean"),  # the default model_id
+])
+def test_config_rejects_a_model_the_study_does_not_run(experiment_id, model_id):
+    with pytest.raises(ValueError, match="runs only"):
+        ExperimentConfig(experiment_id, model_id=model_id)
+
+
+@pytest.mark.parametrize("experiment_id, grid", [
+    ("power_study", {"effect_grid": [0.5]}),
+    ("synth_eval", {"ratios": [1]}),
+])
+def test_theta0_defaults_to_the_configured_model(monkeypatch, experiment_id, grid):
+    monkeypatch.setenv("DPSS_THREADS", "1")  # the spy sees only cells run in this process
+    thetas = []
+    make = harness.make_model_and_data
+    monkeypatch.setattr(harness, "make_model_and_data",
+                        lambda model_id, theta0, *a, **kw: thetas.append(theta0)
+                        or make(model_id, theta0, *a, **kw))
+    cfg = ExperimentConfig(experiment_id, model_id="logistic", n_grid=[200],
+                           epsilon_grid=[1.0], replications=2, master_seed=3, **grid)
+    rows = run_experiment(cfg).rows
+    assert {row["model"] for row in rows} == {"logistic"}
+    assert thetas and all(len(theta) == len(default_theta0("logistic")) for theta in thetas)
 
 
 def test_config_rejects_unknown_names():
     with pytest.raises(ValueError, match="experiment_id"):
         ExperimentConfig("nonsense")
+    with pytest.raises(ValueError, match="model_id"):
+        ExperimentConfig("coverage_sweep", model_id="nonsense")
     with pytest.raises(ValueError, match="methods"):
         ExperimentConfig("coverage_sweep", methods=["plugin_wald", "magic"])
     with pytest.raises(ValueError, match="distinct"):  # a repeat would be counted twice
