@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri
 
-from .expfam import PARAM_BOX, Dataset, ExpFamModel, SolverDivergedError
+from .expfam import PARAM_BOX, Dataset, ExpFamModel, MeanOverflowError, SolverDivergedError
 from .privacy import ReleasedStatistic
 
 VARIANCE_DIAG_CAP = 1e6  # divided by n when applied
@@ -99,15 +99,27 @@ def plugin_mle(model: ExpFamModel, rel: ReleasedStatistic) -> np.ndarray:
     return model.inverse_mean_map(rel.s_tilde)
 
 
-def noise_aware_mle(model: ExpFamModel, rel: ReleasedStatistic) -> np.ndarray:
+def noise_aware_mle(
+    model: ExpFamModel, rel: ReleasedStatistic, *, _solver: dict | None = None
+) -> np.ndarray:
     """GLS estimator weighting the residual by sampling + privacy covariance.
 
     Minimizes
-        (S - mu(theta))' (I_lam(theta)/n + sigma^2 I)^{-1} (S - mu(theta))
-            + 0.1 sigma^2 ||theta - theta_plug||^2
+        f(theta) = r' C^{-1} r + 0.1 sigma^2 ||theta - theta_plug||^2,
+        r = S - mu(theta),  C = (I(theta) + lam I)/n + sigma^2 I,
     over the box, started at the plug-in point.  The Tikhonov term
-    I_lam = I + lam I with lam = max(1e-6, 0.01 sigma^2) and the anchor
-    penalty are stabilizers only; they vanish (or are inert) as sigma -> 0.
+    lam = max(1e-6, 0.01 sigma^2) and the anchor penalty are stabilizers
+    only; they vanish (or are inert) as sigma -> 0.
+
+    With v = C^{-1} r and the design X of N rows, the gradient is
+        -2 I(theta) v - X'(w3 * (X v)^2) / (N n) + 0.2 sigma^2 (theta - theta_plug),
+    where w3 = dW/d(eta) is the third cumulant of each record's outcome.
+    A model with ``mean_and_cumulants`` gives L-BFGS-B this exact gradient
+    from one kernel call per evaluation; the Gaussian mean model has no such
+    kernel, and L-BFGS-B differentiates its objective numerically.
+
+    ``estimate_report`` passes a dict as ``_solver``, which receives
+    L-BFGS-B's iteration and evaluation counts as "nit" and "nfev".
     """
     plug = plugin_mle(model, rel)
     sigma, n, d = rel.sigma, rel.n, model.d
@@ -115,20 +127,40 @@ def noise_aware_mle(model: ExpFamModel, rel: ReleasedStatistic) -> np.ndarray:
     s = rel.s_tilde
     eye = np.eye(d)
 
-    def objective(theta):
+    def objective(theta):  # L-BFGS-B differentiates this one numerically
         r = s - model.grad_log_partition(theta)
         cov = (model.fisher_info(theta) + lam * eye) / n + sigma**2 * eye
         gls = float(r @ np.linalg.solve(cov, r))
         diff = theta - plug
         return gls + 0.1 * sigma**2 * float(diff @ diff)
 
+    def objective_and_gradient(theta):
+        mu, w, w3, finite = model.mean_and_cumulants(theta[None])
+        if not finite[0]:
+            raise MeanOverflowError("mean_overflow")
+        fisher = model._fisher_blocks(w)[0]
+        r = s - mu[0]
+        v = np.linalg.solve((fisher + lam * eye) / n + sigma**2 * eye, r)
+        xv = model.design @ v
+        diff = theta - plug
+        grad = (
+            -2.0 * (fisher @ v)
+            - (w3[0] * xv * xv) @ model.design / (len(model.design) * n)
+            + 0.2 * sigma**2 * diff
+        )
+        return float(r @ v) + 0.1 * sigma**2 * float(diff @ diff), grad
+
+    exact = model.mean_and_cumulants is not None
     res = minimize(
-        objective,
+        objective_and_gradient if exact else objective,
         plug,
+        jac=exact,
         method="L-BFGS-B",
         bounds=[(-PARAM_BOX, PARAM_BOX)] * d,
         options={"maxiter": 200, "gtol": 1e-8, "ftol": 1e-14},
     )
+    if _solver is not None:
+        _solver.update(nit=int(res.nit), nfev=int(res.nfev))
     if not res.success and res.status == 1:  # maxiter exceeded
         raise NoiseAwareDivergedError("na_diverged", res.x)
     return np.clip(res.x, -PARAM_BOX, PARAM_BOX)
@@ -229,6 +261,7 @@ def parametric_bootstrap(
     rel: ReleasedStatistic,
     cfg: BootstrapConfig,
     rng: np.random.Generator,
+    theta_hat: np.ndarray | None = None,
 ) -> EstimateReport:
     """Percentile bootstrap from the CLT-regime distribution of the release.
 
@@ -240,9 +273,11 @@ def parametric_bootstrap(
     and solved together by the model's batched inverse mean map;
     ``diagnostics["fallbacks"]`` counts the draws that needed its L-BFGS-B
     fallback and ``diagnostics["failures"]`` the draws replaced by
-    theta_hat.
+    theta_hat.  A caller that already holds ``plugin_mle(model, rel)`` passes
+    it as ``theta_hat`` to skip solving it again.
     """
-    theta_hat = plugin_mle(model, rel)
+    if theta_hat is None:
+        theta_hat = plugin_mle(model, rel)
     mu = model.grad_log_partition(theta_hat)
     cov = model.fisher_info(theta_hat) / rel.n + rel.sigma**2 * np.eye(model.d)
     chol = np.linalg.cholesky(cov + 1e-15 * np.eye(model.d))
@@ -291,11 +326,12 @@ def estimate_report(
     alpha: float,
 ) -> EstimateReport:
     """Run the chosen DP estimator with its Wald interval in one call."""
+    solver: dict = {}  # the noise-aware solve's L-BFGS-B counts, nit and nfev
     if method == "plugin":
         theta_hat = plugin_mle(model, rel)
         tag = "plugin_wald"
     elif method == "noise_aware":
-        theta_hat = noise_aware_mle(model, rel)
+        theta_hat = noise_aware_mle(model, rel, _solver=solver)
         tag = "noise_aware_wald"
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -311,5 +347,6 @@ def estimate_report(
             "sigma": rel.sigma,
             # the estimate sits on a face of the |theta_j| <= PARAM_BOX box
             "at_box": bool(np.abs(theta_hat).max() >= PARAM_BOX),
+            **solver,
         },
     )

@@ -101,6 +101,10 @@ class ExpFamModel(abc.ABC):
     model_id: str
     d: int
     clip_bounds: ClipBounds
+    # the batched kernel Theta -> (mu, W, W3, finite) of a model with a public
+    # design (see _RegressionModel); without one, the noise-aware objective
+    # has no exact gradient and L-BFGS-B takes finite differences
+    mean_and_cumulants = None
 
     # -- data handling -------------------------------------------------
 
@@ -265,6 +269,18 @@ class _RegressionModel(ExpFamModel):
         return fisher
 
     @abc.abstractmethod
+    def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-record means P and variances W, shape (b, n), and the finite mask.
+
+        This is the one kernel behind ``mean_and_weights`` and
+        ``mean_and_cumulants``: W is the weight vector of the Fisher block.
+        """
+
+    @staticmethod
+    @abc.abstractmethod
+    def _third_cumulants(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Per-record third cumulants dW/d(eta) from the means P and variances W."""
+
     def mean_and_weights(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mean map, Fisher weights and a finite mask for each row of Theta, shape (b, d).
 
@@ -272,6 +288,17 @@ class _RegressionModel(ExpFamModel):
         with shape (b, n), so that I(Theta[k]) = X' diag(W[k]) X / n; and a
         (b,) mask that is False for rows whose mean would overflow.
         """
+        P, W, finite = self._record_moments(Theta)
+        return P @ self.design / len(self.design), W, finite
+
+    def mean_and_cumulants(self, Theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``mean_and_weights`` plus the per-record third cumulants W3, shape (b, n).
+
+        W3 = dW/d(eta) gives the derivative of the Fisher information,
+        dI/d(theta_k) = X' diag(W3 * X[:, k]) X / n, from the same kernel call.
+        """
+        P, W, finite = self._record_moments(Theta)
+        return P @ self.design / len(self.design), W, self._third_cumulants(P, W), finite
 
     def _mean_and_weights_at(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mu, w, finite = self.mean_and_weights(np.asarray(theta, dtype=float)[None])
@@ -404,7 +431,7 @@ class LogisticModel(_RegressionModel):
     def clip(self, data: Dataset) -> Dataset:
         return Dataset(self._clip_features(data.x), data.y, meta=dict(data.meta))
 
-    def mean_and_weights(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # expit's formula 1 / (1 + exp(-eta)), in place on numpy's vectorised
         # exp, which is several times faster; an overflowing exp gives p = 0
         P = np.negative(Theta @ self.design.T)
@@ -412,7 +439,11 @@ class LogisticModel(_RegressionModel):
             np.exp(P, out=P)
         P += 1.0
         np.reciprocal(P, out=P)
-        return P @ self.design / len(self.design), P * (1.0 - P), np.ones(len(P), dtype=bool)
+        return P, P * (1.0 - P), np.ones(len(P), dtype=bool)
+
+    @staticmethod
+    def _third_cumulants(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return W * (1.0 - 2.0 * P)
 
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
         X = self._design_for_sampling(n, rng)
@@ -446,12 +477,16 @@ class PoissonModel(_RegressionModel):
             raise MeanOverflowError("mean_overflow")
         return np.exp(eta)
 
-    def mean_and_weights(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         eta = Theta @ self.design.T
         finite = eta.max(axis=1) <= MAX_LOG_RATE
         # rows past the cap are masked out; capping keeps their exp finite
         lam = np.exp(np.minimum(eta, MAX_LOG_RATE))
-        return lam @ self.design / len(self.design), lam, finite
+        return lam, lam, finite
+
+    @staticmethod
+    def _third_cumulants(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return W  # every cumulant of a Poisson count is its rate
 
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
         X = self._design_for_sampling(n, rng)
@@ -511,10 +546,15 @@ def _positive(obj: dict, key: str, default: float | None = None) -> float:
 
 
 def dataset_from_csv(path: str | Path, model: ExpFamModel) -> Dataset:
-    """Read a dataset CSV: one column x (gaussian) or d features then y."""
+    """Read a dataset CSV: one column x (gaussian) or d features then y.
+
+    A nan or inf entry raises ValueError; clipping would hide an inf.
+    """
     arr = np.loadtxt(path, delimiter=",", ndmin=2)
     if arr.size == 0:
         raise EmptyDatasetError("empty_dataset")
+    if not np.isfinite(arr).all():
+        raise ValueError("data must be finite; found nan or inf")
     if model.model_id == "gaussian_mean":
         if arr.shape[1] != 1:
             raise ValueError("gaussian data must have exactly one column")

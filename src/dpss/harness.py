@@ -206,10 +206,15 @@ def _replications(cfg, idx, model_id, theta, n, eps, B=None):
         yield model, raw, release(s_bar, model, n, budget, rng, sigma_override=sigma_override), rng
 
 
-def _naive_synth(model, raw, rel, rng, cfg, earlier):
-    # synthetic data from the plug-in estimate, reusing plugin_wald's if it ran
+def _plugin_theta(model, rel, earlier) -> np.ndarray:
+    """The plug-in estimate, reusing plugin_wald's if it ran on this replication."""
     plugin = earlier.get("plugin_wald")
-    plug = plugin.theta_hat if plugin is not None else estimate.plugin_mle(model, rel)
+    return plugin.theta_hat if plugin is not None else estimate.plugin_mle(model, rel)
+
+
+def _naive_synth(model, raw, rel, rng, cfg, earlier):
+    # synthetic data from the plug-in estimate
+    plug = _plugin_theta(model, rel, earlier)
     syn = synthgen.generate_synthetic(model, plug, synthgen.SynthConfig(rel.n), rng)
     return synthgen.naive_analysis(model, syn, cfg.alpha)
 
@@ -227,7 +232,8 @@ METHODS = {
         model, rel, "noise_aware", cfg.alpha
     ),
     "bootstrap": lambda model, raw, rel, rng, cfg, earlier: estimate.parametric_bootstrap(
-        model, rel, estimate.BootstrapConfig(cfg.b_boot, cfg.alpha), rng
+        model, rel, estimate.BootstrapConfig(cfg.b_boot, cfg.alpha), rng,
+        theta_hat=_plugin_theta(model, rel, earlier),
     ),
     "naive_synth": _naive_synth,
 }

@@ -108,6 +108,31 @@ def test_release_schema_mismatch_exits_3(workdir):
     assert res.exit_code == 3
 
 
+# a model config and a two-row data CSV with one {bad} entry, per model
+NON_FINITE_DATA = {
+    "gaussian_mean": ({"model_id": "gaussian_mean", "d": 1, "clip": {"B": 5.0}},
+                      "0.2\n{bad}\n"),
+    "logistic": ({"model_id": "logistic", "d": 2, "clip": {"B_X": 3.0},
+                  "design_csv": "design.csv"}, "1.0,0.0,1\n-0.5,0.0,{bad}\n"),
+    "poisson": ({"model_id": "poisson", "d": 2, "clip": {"B_X": 3.0, "B_Y": 20.0},
+                 "design_csv": "design.csv"}, "1.0,{bad},2\n-0.5,0.0,0\n"),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("model_id", list(NON_FINITE_DATA))
+def test_release_non_finite_data_exits_3(workdir, model_id, bad):
+    config, rows = NON_FINITE_DATA[model_id]
+    (workdir / "design.csv").write_text("1.0,0.0\n-0.5,0.0\n")
+    (workdir / "m.json").write_text(json.dumps(config))
+    (workdir / "bad.csv").write_text(rows.format(bad=bad))
+    res = invoke("release", "--data", workdir / "bad.csv", "--model", workdir / "m.json",
+                 "--epsilon", 1.0, "--out", workdir / "rel.json")
+    assert res.exit_code == 3
+    assert "error: cannot read data: data must be finite" in res.output
+    assert not (workdir / "rel.json").exists()  # an inf is not clipped into a release
+
+
 # ---------------------------------------------------------------- estimate
 
 def write_release(workdir, s=0.3, sigma=0.1, n=1000):

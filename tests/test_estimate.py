@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from dpss import estimate
 from dpss.estimate import (
@@ -20,6 +21,7 @@ from dpss.expfam import (
     Dataset,
     GaussianMeanModel,
     LogisticModel,
+    MeanOverflowError,
     PoissonModel,
     SolverDivergedError,
 )
@@ -108,6 +110,117 @@ def test_noise_aware_first_order_equivalence_monte_carlo():
         if gap <= 0.5 * (n**-0.5 + rel.sigma):
             ok += 1
     assert ok >= 190
+
+
+def finite_difference_noise_aware(model, rel):
+    """The noise-aware solve with L-BFGS-B's finite-difference gradient: the reference."""
+    plug = plugin_mle(model, rel)
+    sigma, n, d = rel.sigma, rel.n, model.d
+    lam = max(1e-6, 0.01 * sigma**2)
+    s = rel.s_tilde
+    eye = np.eye(d)
+
+    def objective(theta):
+        r = s - model.grad_log_partition(theta)
+        cov = (model.fisher_info(theta) + lam * eye) / n + sigma**2 * eye
+        gls = float(r @ np.linalg.solve(cov, r))
+        diff = theta - plug
+        return gls + 0.1 * sigma**2 * float(diff @ diff)
+
+    res = minimize(objective, plug, method="L-BFGS-B", bounds=[(-PARAM_BOX, PARAM_BOX)] * d,
+                   options={"maxiter": 200, "gtol": 1e-8, "ftol": 1e-14})
+    return np.clip(res.x, -PARAM_BOX, PARAM_BOX)
+
+
+def gls_objective(monkeypatch, model, rel):
+    """The objective that noise_aware_mle hands to L-BFGS-B, and whether it returns a gradient."""
+    seen = []
+    real = estimate.minimize
+    monkeypatch.setattr(estimate, "minimize",
+                        lambda fun, x0, **kw: seen.append((fun, kw["jac"])) or real(fun, x0, **kw))
+    noise_aware_mle(model, rel)
+    monkeypatch.undo()
+    (fun, jac), = seen
+    return fun, jac
+
+
+def noise_aware_release(model_id, eps, seed):
+    n = {"logistic": 1000, "poisson": 500, "gaussian_mean": 1000}[model_id]
+    return simulated_release(model_id, n, eps, seed)
+
+
+@pytest.mark.parametrize("model_id", ["logistic", "poisson"])
+@pytest.mark.parametrize("on_box", [False, True])
+def test_noise_aware_gradient_matches_central_differences(monkeypatch, model_id, on_box):
+    model, rel = noise_aware_release(model_id, 0.3, seed=11)
+    fun, jac = gls_objective(monkeypatch, model, rel)
+    assert jac is True
+    theta = plugin_mle(model, rel) + substream(11, "gradient-point").uniform(-0.3, 0.3, model.d)
+    if on_box:
+        theta[0] = PARAM_BOX
+    value, grad = fun(theta)
+    h = 1e-5 * max(1.0, np.abs(theta).max())
+    central = np.array([(fun(theta + h * e)[0] - fun(theta - h * e)[0]) / (2 * h)
+                        for e in np.eye(model.d)])
+    assert value == fun(theta)[0] > 0
+    np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-6 * np.abs(central).max())
+
+
+@pytest.mark.parametrize("model_id", ["logistic", "poisson"])
+def test_noise_aware_evaluation_makes_one_one_row_kernel_call(monkeypatch, model_id):
+    model, rel = noise_aware_release(model_id, 0.1, seed=0)
+    fun, _ = gls_objective(monkeypatch, model, rel)
+    # a start off the minimiser, so that L-BFGS-B iterates
+    plug = np.clip(plugin_mle(model, rel) - 0.2, -PARAM_BOX, PARAM_BOX)
+    monkeypatch.setattr(estimate, "plugin_mle", lambda model, rel: plug)
+    rows = []
+    kernel = model._record_moments
+    monkeypatch.setattr(model, "_record_moments",
+                        lambda Theta: rows.append(len(Theta)) or kernel(Theta))
+    for name in ("grad_log_partition", "fisher_info", "mean_and_weights"):
+        monkeypatch.setattr(model, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+    for k in range(3):
+        fun(plug + 0.1 * k)
+        assert rows == [1] * (k + 1)
+    rows.clear()
+    solver = {}
+    noise_aware_mle(model, rel, _solver=solver)
+    assert solver["nfev"] > 1 and rows == [1] * solver["nfev"]
+
+
+@pytest.mark.parametrize("model_id", ["gaussian_mean", "logistic", "poisson"])
+@pytest.mark.parametrize("eps", [1.0, 0.1])
+def test_noise_aware_agrees_with_the_finite_difference_solve(model_id, eps):
+    for seed in range(4):
+        model, rel = noise_aware_release(model_id, eps, seed)
+        ref = finite_difference_noise_aware(model, rel)
+        theta = noise_aware_mle(model, rel)
+        if model_id == "gaussian_mean":  # keeps the finite-difference solve, bit for bit
+            np.testing.assert_array_equal(theta, ref)
+        else:
+            np.testing.assert_allclose(theta, ref, rtol=0.0, atol=1e-5 * np.abs(ref).max())
+
+
+def test_noise_aware_overflowing_mean_raises(monkeypatch):
+    X = substream(6, "overflow").uniform(20.0, 60.0, (200, 2))
+    model = PoissonModel(X, B_X=100.0, B_Y=1e6)
+    rel = make_release(model.grad_log_partition(np.array([0.05, 0.05])), 0.1, n=200,
+                       model_id="poisson", B=1e8)
+    fun, _ = gls_objective(monkeypatch, model, rel)
+    with pytest.raises(MeanOverflowError):
+        fun(np.array([PARAM_BOX, PARAM_BOX]))
+
+
+def test_noise_aware_report_counts_solver_work():
+    model, rel = noise_aware_release("logistic", 0.1, seed=0)
+    plugin = estimate.estimate_report(model, rel, "plugin", 0.05)
+    report = estimate.estimate_report(model, rel, "noise_aware", 0.05)
+    solver = {}
+    np.testing.assert_array_equal(noise_aware_mle(model, rel, _solver=solver), report.theta_hat)
+    assert solver["nit"] > 0 and solver["nfev"] > solver["nit"]
+    assert {k: report.diagnostics[k] for k in solver} == solver
+    assert list(report.diagnostics) == ["lambda", "sigma", "at_box", "nit", "nfev"]
+    assert list(plugin.diagnostics) == ["lambda", "sigma", "at_box"]
 
 
 # ---------------------------------------------------------------- variance

@@ -335,6 +335,22 @@ def test_newton_batch_singular_fisher_leaves_row_unconverged():
     np.testing.assert_array_equal(theta, 0.0)
 
 
+@pytest.mark.parametrize("maker", [random_logistic, random_poisson])
+def test_mean_and_cumulants_extends_mean_and_weights(maker):
+    model = maker()
+    rng = np.random.default_rng(9)
+    Theta, u = rng.uniform(-1.0, 1.0, (4, model.d)), rng.standard_normal(model.d)
+    mu, W, W3, finite = model.mean_and_cumulants(Theta)
+    for got, want in zip((mu, W, finite), model.mean_and_weights(Theta)):
+        np.testing.assert_array_equal(got, want)
+    # W3 = dW/d(eta): the derivative of W along u is W3 * (X u)
+    h = 1e-6
+    plus, minus = (model.mean_and_weights(Theta + t * u)[1] for t in (h, -h))
+    dW = (plus - minus) / (2 * h)
+    np.testing.assert_allclose(dW, W3 * (model.design @ u), rtol=1e-6, atol=1e-9)
+    assert GaussianMeanModel().mean_and_cumulants is None
+
+
 def test_gaussian_inverse_mean_map_batch_is_closed_form():
     model = GaussianMeanModel(2.0)
     theta, fallbacks, diverged = model.inverse_mean_map_batch(np.array([[1.0], [-40.0]]))

@@ -133,6 +133,18 @@ def test_sweep_bit_identical_across_thread_counts():
     assert serial.rows == threaded.rows
 
 
+def test_bootstrap_reuses_the_plugin_estimate(monkeypatch):
+    calls = []
+    plugin_mle = harness.estimate.plugin_mle
+    monkeypatch.setattr(harness.estimate, "plugin_mle",
+                        lambda model, rel: calls.append(1) or plugin_mle(model, rel))
+    monkeypatch.setenv("DPSS_THREADS", "1")
+    cfg = tiny_sweep_config(model_id="logistic", replications=3, b_boot=20,
+                            methods=["plugin_wald", "bootstrap"])
+    run_coverage_sweep(cfg)
+    assert len(calls) == 3  # one plug-in solve per replication, not one per method
+
+
 def test_every_cell_reports_mc_se_and_delta_rule():
     table = run_coverage_sweep(tiny_sweep_config())
     for row in table.rows:
