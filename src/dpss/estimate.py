@@ -114,25 +114,18 @@ def noise_aware_mle(
     With v = C^{-1} r and the design X of N rows, the gradient is
         -2 I(theta) v - X'(w3 * (X v)^2) / (N n) + 0.2 sigma^2 (theta - theta_plug),
     where w3 = dW/d(eta) is the third cumulant of each record's outcome.
-    A model with ``mean_and_cumulants`` gives L-BFGS-B this exact gradient
-    from one kernel call per evaluation; the Gaussian mean model has no such
-    kernel, and L-BFGS-B differentiates its objective numerically.
+    ``model.mean_and_cumulants`` gives L-BFGS-B this exact gradient from one
+    kernel call per evaluation.
 
     ``estimate_report`` passes a dict as ``_solver``, which receives
-    L-BFGS-B's iteration and evaluation counts as "nit" and "nfev".
+    L-BFGS-B's iteration and evaluation counts and its exit status as
+    "nit", "nfev" and "status".
     """
     plug = plugin_mle(model, rel)
     sigma, n, d = rel.sigma, rel.n, model.d
     lam = _regularizer(sigma)
     s = rel.s_tilde
     eye = np.eye(d)
-
-    def objective(theta):  # L-BFGS-B differentiates this one numerically
-        r = s - model.grad_log_partition(theta)
-        cov = (model.fisher_info(theta) + lam * eye) / n + sigma**2 * eye
-        gls = float(r @ np.linalg.solve(cov, r))
-        diff = theta - plug
-        return gls + 0.1 * sigma**2 * float(diff @ diff)
 
     def objective_and_gradient(theta):
         mu, w, w3, finite = model.mean_and_cumulants(theta[None])
@@ -150,17 +143,16 @@ def noise_aware_mle(
         )
         return float(r @ v) + 0.1 * sigma**2 * float(diff @ diff), grad
 
-    exact = model.mean_and_cumulants is not None
     res = minimize(
-        objective_and_gradient if exact else objective,
+        objective_and_gradient,
         plug,
-        jac=exact,
+        jac=True,
         method="L-BFGS-B",
         bounds=[(-PARAM_BOX, PARAM_BOX)] * d,
         options={"maxiter": 200, "gtol": 1e-8, "ftol": 1e-14},
     )
     if _solver is not None:
-        _solver.update(nit=int(res.nit), nfev=int(res.nfev))
+        _solver.update(nit=int(res.nit), nfev=int(res.nfev), status=int(res.status))
     if not res.success and res.status == 1:  # maxiter exceeded
         raise NoiseAwareDivergedError("na_diverged", res.x)
     return np.clip(res.x, -PARAM_BOX, PARAM_BOX)
@@ -301,7 +293,7 @@ def parametric_bootstrap(
 
 def nonprivate_mle(model: ExpFamModel, data: Dataset, alpha: float) -> EstimateReport:
     """Oracle baseline: classical MLE with inverse-Fisher/n Wald intervals."""
-    m = model.with_design(data.x) if data.y is not None else model
+    m = model.with_design(data.x)
     s_bar = m.mean_suff_stat(data)
     theta_hat = m.inverse_mean_map(s_bar)
     try:
@@ -326,7 +318,7 @@ def estimate_report(
     alpha: float,
 ) -> EstimateReport:
     """Run the chosen DP estimator with its Wald interval in one call."""
-    solver: dict = {}  # the noise-aware solve's L-BFGS-B counts, nit and nfev
+    solver: dict = {}  # the noise-aware solve's L-BFGS-B nit, nfev and status
     if method == "plugin":
         theta_hat = plugin_mle(model, rel)
         tag = "plugin_wald"

@@ -12,9 +12,11 @@ once: batched damped Newton, then an L-BFGS-B fallback from the last
 iterate of each unconverged row; a row whose fallback diverges is marked,
 not raised.  ``inverse_mean_map`` is the one-row case, which raises.
 
-Regression designs are treated as public: only sum(y_i * x_i) carries
-private information, and the Fisher information is computed from the
-design after the release.
+Every log-partition is A(theta) = mean_i a(x_i . theta) over a public
+design X, so the mean map, the Fisher information and their derivatives
+come from one per-record kernel over X.  The Gaussian mean is the one-row
+design x = 1 with a(eta) = sigma0^2 eta^2 / 2.  For the regressions only
+sum(y_i * x_i) carries private information; X is used after the release.
 """
 
 from __future__ import annotations
@@ -101,10 +103,7 @@ class ExpFamModel(abc.ABC):
     model_id: str
     d: int
     clip_bounds: ClipBounds
-    # the batched kernel Theta -> (mu, W, W3, finite) of a model with a public
-    # design (see _RegressionModel); without one, the noise-aware objective
-    # has no exact gradient and L-BFGS-B takes finite differences
-    mean_and_cumulants = None
+    design: np.ndarray  # public design X of the per-record kernel, shape (N, d)
 
     # -- data handling -------------------------------------------------
 
@@ -128,13 +127,71 @@ class ExpFamModel(abc.ABC):
 
     # -- family structure ----------------------------------------------
 
-    @abc.abstractmethod
-    def grad_log_partition(self, theta: np.ndarray) -> np.ndarray:
-        """Mean parameter mu(theta), the gradient of the log-partition."""
+    @functools.cached_property
+    def _design_outer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Upper-triangle indices (i, j) and the products x_i x_j of each design row.
+
+        The products have shape (n, d(d+1)/2); W @ products / n holds the
+        upper triangles of the Fisher blocks X' diag(w) X / n.
+        """
+        i, j = np.triu_indices(self.d)
+        outer = np.empty((len(self.design), len(i)))
+        for k in range(len(i)):  # column by column, so no (n, d(d+1)/2) temporaries
+            np.multiply(self.design[:, i[k]], self.design[:, j[k]], out=outer[:, k])
+        return i, j, outer
+
+    def _fisher_blocks(self, W: np.ndarray) -> np.ndarray:
+        """I = X' diag(w) X / n for each row w of W, from one GEMM: shape (b, d, d)."""
+        i, j, outer = self._design_outer
+        fisher = np.empty((len(W), self.d, self.d))
+        fisher[:, i, j] = fisher[:, j, i] = W @ outer / len(self.design)
+        return fisher
 
     @abc.abstractmethod
+    def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-record means P and variances W, shape (b, n), and the finite mask.
+
+        This is the one kernel behind ``mean_and_weights`` and
+        ``mean_and_cumulants``: W is the weight vector of the Fisher block.
+        """
+
+    @staticmethod
+    @abc.abstractmethod
+    def _third_cumulants(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Per-record third cumulants dW/d(eta) from the means P and variances W."""
+
+    def mean_and_weights(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean map, Fisher weights and a finite mask for each row of Theta, shape (b, d).
+
+        Returns mu = P @ X / n with shape (b, d); the per-record weights W
+        with shape (b, n), so that I(Theta[k]) = X' diag(W[k]) X / n; and a
+        (b,) mask that is False for rows whose mean would overflow.
+        """
+        P, W, finite = self._record_moments(Theta)
+        return P @ self.design / len(self.design), W, finite
+
+    def mean_and_cumulants(self, Theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``mean_and_weights`` plus the per-record third cumulants W3, shape (b, n).
+
+        W3 = dW/d(eta) gives the derivative of the Fisher information,
+        dI/d(theta_k) = X' diag(W3 * X[:, k]) X / n, from the same kernel call.
+        """
+        P, W, finite = self._record_moments(Theta)
+        return P @ self.design / len(self.design), W, self._third_cumulants(P, W), finite
+
+    def _mean_and_weights_at(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mu, w, finite = self.mean_and_weights(np.asarray(theta, dtype=float)[None])
+        if not finite[0]:
+            raise MeanOverflowError("mean_overflow")
+        return mu[0], w
+
+    def grad_log_partition(self, theta: np.ndarray) -> np.ndarray:
+        """Mean parameter mu(theta), the gradient of the log-partition."""
+        return self._mean_and_weights_at(theta)[0]
+
     def fisher_info(self, theta: np.ndarray) -> np.ndarray:
         """Fisher information I(theta) = Jacobian of the mean map, (d, d)."""
+        return self._fisher_blocks(self._mean_and_weights_at(theta)[1])[0]
 
     @abc.abstractmethod
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
@@ -196,6 +253,7 @@ class GaussianMeanModel(ExpFamModel):
         self.sigma0_sq = float(sigma0_sq)
         self.d = 1
         self.clip_bounds = ClipBounds(B=float(B))
+        self.design = np.ones((1, 1))  # one record x = 1, a(eta) = sigma0^2 eta^2 / 2
 
     def clip(self, data: Dataset) -> Dataset:
         B = self.clip_bounds.B
@@ -210,6 +268,15 @@ class GaussianMeanModel(ExpFamModel):
         theta = np.asarray(theta, dtype=float)
         return 0.5 * self.sigma0_sq * float(theta[0] ** 2)
 
+    def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        P = self.sigma0_sq * (Theta @ self.design.T)
+        return P, np.full_like(P, self.sigma0_sq), np.ones(len(P), dtype=bool)
+
+    @staticmethod
+    def _third_cumulants(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return np.zeros_like(W)
+
+    # the kernel's results in closed form, bit for bit and several times faster
     def grad_log_partition(self, theta: np.ndarray) -> np.ndarray:
         return self.sigma0_sq * np.asarray(theta, dtype=float)
 
@@ -247,70 +314,6 @@ class _RegressionModel(ExpFamModel):
 
     def suff_stats(self, data: Dataset) -> np.ndarray:
         return data.x * data.y[:, None]
-
-    @functools.cached_property
-    def _design_outer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Upper-triangle indices (i, j) and the products x_i x_j of each design row.
-
-        The products have shape (n, d(d+1)/2); W @ products / n holds the
-        upper triangles of the Fisher blocks X' diag(w) X / n.
-        """
-        i, j = np.triu_indices(self.d)
-        outer = np.empty((len(self.design), len(i)))
-        for k in range(len(i)):  # column by column, so no (n, d(d+1)/2) temporaries
-            np.multiply(self.design[:, i[k]], self.design[:, j[k]], out=outer[:, k])
-        return i, j, outer
-
-    def _fisher_blocks(self, W: np.ndarray) -> np.ndarray:
-        """I = X' diag(w) X / n for each row w of W, from one GEMM: shape (b, d, d)."""
-        i, j, outer = self._design_outer
-        fisher = np.empty((len(W), self.d, self.d))
-        fisher[:, i, j] = fisher[:, j, i] = W @ outer / len(self.design)
-        return fisher
-
-    @abc.abstractmethod
-    def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-record means P and variances W, shape (b, n), and the finite mask.
-
-        This is the one kernel behind ``mean_and_weights`` and
-        ``mean_and_cumulants``: W is the weight vector of the Fisher block.
-        """
-
-    @staticmethod
-    @abc.abstractmethod
-    def _third_cumulants(P: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Per-record third cumulants dW/d(eta) from the means P and variances W."""
-
-    def mean_and_weights(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mean map, Fisher weights and a finite mask for each row of Theta, shape (b, d).
-
-        Returns mu = P @ X / n with shape (b, d); the per-record weights W
-        with shape (b, n), so that I(Theta[k]) = X' diag(W[k]) X / n; and a
-        (b,) mask that is False for rows whose mean would overflow.
-        """
-        P, W, finite = self._record_moments(Theta)
-        return P @ self.design / len(self.design), W, finite
-
-    def mean_and_cumulants(self, Theta: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``mean_and_weights`` plus the per-record third cumulants W3, shape (b, n).
-
-        W3 = dW/d(eta) gives the derivative of the Fisher information,
-        dI/d(theta_k) = X' diag(W3 * X[:, k]) X / n, from the same kernel call.
-        """
-        P, W, finite = self._record_moments(Theta)
-        return P @ self.design / len(self.design), W, self._third_cumulants(P, W), finite
-
-    def _mean_and_weights_at(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mu, w, finite = self.mean_and_weights(np.asarray(theta, dtype=float)[None])
-        if not finite[0]:
-            raise MeanOverflowError("mean_overflow")
-        return mu[0], w
-
-    def grad_log_partition(self, theta: np.ndarray) -> np.ndarray:
-        return self._mean_and_weights_at(theta)[0]
-
-    def fisher_info(self, theta: np.ndarray) -> np.ndarray:
-        return self._fisher_blocks(self._mean_and_weights_at(theta)[1])[0]
 
     def newton_batch(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Damped Newton for every row of S at once, each row started at theta = 0.

@@ -20,6 +20,8 @@ import csv
 import hashlib
 import itertools
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -61,6 +63,18 @@ STUDY_MODELS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_positive(value) -> bool:
+    return _is_finite(value) and value > 0
+
+
 @dataclass
 class ExperimentConfig:
     experiment_id: str
@@ -91,13 +105,30 @@ class ExperimentConfig:
             raise ValueError(f"methods must be distinct names from {list(METHODS)}: {methods}")
         if self.delta_rule != "one_over_n_sq":
             raise ValueError("only the delta = 1/n^2 rule is supported")
-        if self.replications < 2:
+        if not _is_int(self.replications) or self.replications < 2:
             raise ValueError("need at least 2 replications")
         if not self.n_grid or not self.epsilon_grid:
             raise ValueError("grids must be nonempty")
+        if not all(_is_int(n) and n >= 1 for n in self.n_grid):
+            raise ValueError(f"n_grid entries must be positive integers: {self.n_grid}")
+        for name in ("epsilon_grid", "B_grid"):
+            if not all(_is_positive(v) for v in getattr(self, name) or ()):
+                raise ValueError(f"{name} entries must be finite positive numbers")
+        # the synth study draws round(ratio * n) synthetic records
+        if not all(_is_positive(r) and round(r * n) >= 1 for r in self.ratios or () for n in self.n_grid):
+            raise ValueError("each entry of ratios must give round(ratio * n) >= 1 synthetic records")
+        if not all(_is_finite(e) for e in self.effect_grid or ()):
+            raise ValueError("effect_grid entries must be finite numbers")
+        if not _is_int(self.master_seed) or self.master_seed < 0:
+            raise ValueError("master_seed must be a non-negative integer")
+        if self.theta0 is not None:
+            if len(self.theta0) == 0 or not all(_is_finite(t) for t in self.theta0):
+                raise ValueError("theta0 must be a nonempty list of finite numbers")
+            if self.model_id == "gaussian_mean" and len(self.theta0) != 1:
+                raise ValueError("theta0 of gaussian_mean must have one entry")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.b_boot < 2:
+        if not _is_int(self.b_boot) or self.b_boot < 2:
             raise ValueError("b_boot must be at least 2")
 
     @classmethod
@@ -521,9 +552,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     table = runner(cfg)
     if out_dir is not None:
         out_dir = Path(out_dir)
-        (out_dir / "figures").mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
         table.to_csv(out_dir / f"{cfg.experiment_id}.csv")
-        table.to_csv(out_dir / "figures" / f"{cfg.experiment_id}_long.csv")
         from . import __version__
 
         cfg_json = cfg.to_json()

@@ -75,7 +75,7 @@ def noise_aware_synth_analysis(
     direct DP variance.
     """
     clipped = model.clip(d_syn)
-    m = model.with_design(clipped.x) if clipped.y is not None else model
+    m = model.with_design(clipped.x)
     theta_hat = m.inverse_mean_map(m.mean_suff_stat(clipped))
     var = dp_variance(m, theta_hat, rel, n_syn=clipped.n)
     return EstimateReport(

@@ -385,7 +385,15 @@ def test_experiment_run_end_to_end(workdir):
                                          ("methods", ["plugin_wald", "magic"]),
                                          ("model_id", "nonsense"),
                                          ("alpha", 2),
-                                         ("b_boot", 1)])
+                                         ("b_boot", 1),
+                                         ("n_grid", [0]),
+                                         ("n_grid", [100.5]),
+                                         ("epsilon_grid", [0.0]),
+                                         ("epsilon_grid", [-1.0]),
+                                         ("B_grid", [-1]),
+                                         ("ratios", [0]),
+                                         ("master_seed", -1),
+                                         ("theta0", [1, 2])])
 def test_experiment_run_unknown_name_exits_3(workdir, field, value):
     cfg = {"experiment_id": "coverage_sweep", "n_grid": [100], "epsilon_grid": [1.0],
            "replications": 2, "methods": ["plugin_wald", "bootstrap"], field: value}

@@ -149,7 +149,7 @@ def noise_aware_release(model_id, eps, seed):
     return simulated_release(model_id, n, eps, seed)
 
 
-@pytest.mark.parametrize("model_id", ["logistic", "poisson"])
+@pytest.mark.parametrize("model_id", ["gaussian_mean", "logistic", "poisson"])
 @pytest.mark.parametrize("on_box", [False, True])
 def test_noise_aware_gradient_matches_central_differences(monkeypatch, model_id, on_box):
     model, rel = noise_aware_release(model_id, 0.3, seed=11)
@@ -166,7 +166,7 @@ def test_noise_aware_gradient_matches_central_differences(monkeypatch, model_id,
     np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-6 * np.abs(central).max())
 
 
-@pytest.mark.parametrize("model_id", ["logistic", "poisson"])
+@pytest.mark.parametrize("model_id", ["gaussian_mean", "logistic", "poisson"])
 def test_noise_aware_evaluation_makes_one_one_row_kernel_call(monkeypatch, model_id):
     model, rel = noise_aware_release(model_id, 0.1, seed=0)
     fun, _ = gls_objective(monkeypatch, model, rel)
@@ -195,7 +195,9 @@ def test_noise_aware_agrees_with_the_finite_difference_solve(model_id, eps):
         model, rel = noise_aware_release(model_id, eps, seed)
         ref = finite_difference_noise_aware(model, rel)
         theta = noise_aware_mle(model, rel)
-        if model_id == "gaussian_mean":  # keeps the finite-difference solve, bit for bit
+        # both Gaussian solves end at the plug-in point: the exact one after
+        # one evaluation, the finite-difference one in a failed line search
+        if model_id == "gaussian_mean":
             np.testing.assert_array_equal(theta, ref)
         else:
             np.testing.assert_allclose(theta, ref, rtol=0.0, atol=1e-5 * np.abs(ref).max())
@@ -219,8 +221,18 @@ def test_noise_aware_report_counts_solver_work():
     np.testing.assert_array_equal(noise_aware_mle(model, rel, _solver=solver), report.theta_hat)
     assert solver["nit"] > 0 and solver["nfev"] > solver["nit"]
     assert {k: report.diagnostics[k] for k in solver} == solver
-    assert list(report.diagnostics) == ["lambda", "sigma", "at_box", "nit", "nfev"]
+    assert list(report.diagnostics) == ["lambda", "sigma", "at_box", "nit", "nfev", "status"]
     assert list(plugin.diagnostics) == ["lambda", "sigma", "at_box"]
+
+
+@pytest.mark.parametrize("s_tilde, at_box", [(0.4, False), (40.0, True)])
+def test_gaussian_noise_aware_solve_stops_at_the_plug_in_point(s_tilde, at_box):
+    model = GaussianMeanModel(2.0, B=50.0)
+    rel = make_release([s_tilde], 0.3, B=50.0)
+    report = estimate.estimate_report(model, rel, "noise_aware", 0.05)
+    np.testing.assert_array_equal(report.theta_hat, plugin_mle(model, rel))
+    assert report.diagnostics["at_box"] is at_box
+    assert report.diagnostics["nfev"] == 1 and report.diagnostics["status"] == 0
 
 
 # ---------------------------------------------------------------- variance

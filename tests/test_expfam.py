@@ -14,6 +14,7 @@ from dpss.expfam import (
     PARAM_BOX,
     Dataset,
     EmptyDatasetError,
+    ExpFamModel,
     GaussianMeanModel,
     LogisticModel,
     MeanOverflowError,
@@ -335,7 +336,7 @@ def test_newton_batch_singular_fisher_leaves_row_unconverged():
     np.testing.assert_array_equal(theta, 0.0)
 
 
-@pytest.mark.parametrize("maker", [random_logistic, random_poisson])
+@pytest.mark.parametrize("maker", [lambda: GaussianMeanModel(2.3), random_logistic, random_poisson])
 def test_mean_and_cumulants_extends_mean_and_weights(maker):
     model = maker()
     rng = np.random.default_rng(9)
@@ -348,7 +349,19 @@ def test_mean_and_cumulants_extends_mean_and_weights(maker):
     plus, minus = (model.mean_and_weights(Theta + t * u)[1] for t in (h, -h))
     dW = (plus - minus) / (2 * h)
     np.testing.assert_allclose(dW, W3 * (model.design @ u), rtol=1e-6, atol=1e-9)
-    assert GaussianMeanModel().mean_and_cumulants is None
+    if model.model_id == "gaussian_mean":  # a(eta) is quadratic
+        assert not W3.any()
+
+
+@pytest.mark.parametrize("sigma0_sq", [1.0, 2.3, 0.3, 1e-6])
+def test_gaussian_closed_forms_equal_the_design_kernel(sigma0_sq):
+    model = GaussianMeanModel(sigma0_sq)
+    for t in np.random.default_rng(4).uniform(-PARAM_BOX, PARAM_BOX, 50):
+        theta = np.array([t])
+        np.testing.assert_array_equal(model.grad_log_partition(theta),
+                                      ExpFamModel.grad_log_partition(model, theta))
+        np.testing.assert_array_equal(model.fisher_info(theta),
+                                      ExpFamModel.fisher_info(model, theta))
 
 
 def test_gaussian_inverse_mean_map_batch_is_closed_form():

@@ -52,6 +52,16 @@ def test_config_validation():
             ExperimentConfig("coverage_sweep", alpha=alpha)
     with pytest.raises(ValueError, match="b_boot"):
         ExperimentConfig("coverage_sweep", b_boot=1)
+    for field, value in [("n_grid", [0]), ("n_grid", [100.5]), ("n_grid", [True]),
+                         ("epsilon_grid", [0.0]), ("epsilon_grid", [-1.0]),
+                         ("epsilon_grid", [math.inf]), ("B_grid", [-1]), ("B_grid", [math.nan]),
+                         ("effect_grid", [math.nan]), ("ratios", [0]), ("ratios", [0.004]),
+                         ("master_seed", -1), ("master_seed", 1.5), ("replications", 2.5),
+                         ("theta0", []), ("theta0", [math.nan]), ("theta0", [1, 2])]:
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{"experiment_id": "coverage_sweep", "n_grid": [100], field: value})
+    # a regression model takes a theta0 of any width
+    assert ExperimentConfig("coverage_sweep", model_id="logistic", theta0=[1, 2]).theta0 == [1, 2]
 
 
 @pytest.mark.parametrize("experiment_id, model_id", [
@@ -228,7 +238,6 @@ def test_run_experiment_writes_outputs(tmp_path):
     cfg = tiny_sweep_config()
     run_experiment(cfg, tmp_path)
     assert (tmp_path / "coverage_sweep.csv").exists()
-    assert (tmp_path / "figures" / "coverage_sweep_long.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["master_seed"] == 99
     import hashlib
