@@ -231,7 +231,8 @@ def experiment_run(config_path, out_dir):
         cfg = harness.ExperimentConfig.from_json(Path(config_path).read_text())
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         _data_error(f"cannot load experiment config: {exc}")
-    harness.run_experiment(cfg, out_dir)
+    with _solver_errors():
+        harness.run_experiment(cfg, out_dir)
     click.echo(f"wrote {out_dir}/{cfg.experiment_id}.csv", err=True)
 
 

@@ -36,6 +36,9 @@ class NoiseAwareDivergedError(RuntimeError):
         super().__init__(message)
         self.best_iterate = np.asarray(best_iterate, dtype=float)
 
+    def __reduce__(self):  # picklable, so a harness worker process can raise it
+        return type(self), (str(self), self.best_iterate)
+
 
 class BootstrapUnstableError(RuntimeError):
     """Too many bootstrap inner solves failed."""
@@ -263,9 +266,9 @@ def parametric_bootstrap(
     cheaper over hundreds of draws.  All B draws are taken in one call
     (the same values, in the same order, as B calls for d normals each)
     and solved together by the model's batched inverse mean map;
-    ``diagnostics["fallbacks"]`` counts the draws that needed its L-BFGS-B
-    fallback and ``diagnostics["failures"]`` the draws replaced by
-    theta_hat.  A caller that already holds ``plugin_mle(model, rel)`` passes
+    ``diagnostics["fallbacks"]`` counts the draws that Newton left to its
+    projected-Newton fallback and ``diagnostics["failures"]`` the draws
+    replaced by theta_hat.  A caller that already holds ``plugin_mle(model, rel)`` passes
     it as ``theta_hat`` to skip solving it again.
     """
     if theta_hat is None:

@@ -8,9 +8,10 @@ a clipping rule that enforces the L2 bound on the per-record statistic,
 and the inverse mean map used by the plug-in estimator.
 
 ``inverse_mean_map_batch`` inverts the mean map for many statistics at
-once: batched damped Newton, then an L-BFGS-B fallback from the last
-iterate of each unconverged row; a row whose fallback diverges is marked,
-not raised.  ``inverse_mean_map`` is the one-row case, which raises.
+once: batched damped Newton, then one batched projected-Newton fallback on
+the least-squares residual for all unconverged rows, each started from its
+last Newton iterate; a row whose fallback diverges is marked, not raised.
+``inverse_mean_map`` is the one-row case, which raises.
 
 Every log-partition is A(theta) = mean_i a(x_i . theta) over a public
 design X, so the mean map, the Fisher information and their derivatives
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
 PARAM_BOX = 10.0  # box constraint |theta_j| <= 10 for all solvers
@@ -53,6 +53,9 @@ class SolverDivergedError(RuntimeError):
     def __init__(self, message, last_iterate):
         super().__init__(message)
         self.last_iterate = np.asarray(last_iterate, dtype=float)
+
+    def __reduce__(self):  # picklable, so a harness worker process can raise it
+        return type(self), (str(self), self.last_iterate)
 
 
 @dataclass(frozen=True)
@@ -315,6 +318,37 @@ class _RegressionModel(ExpFamModel):
     def suff_stats(self, data: Dataset) -> np.ndarray:
         return data.x * data.y[:, None]
 
+    def _backtrack(self, kernel, S, rows, step, theta, resid, rnorm, moments) -> np.ndarray:
+        """Halve each row's step until its candidate lowers the residual norm.
+
+        The candidate of row ``rows[k]`` is theta + t step[k] clipped to the
+        box; one ``kernel`` call per halving round evaluates every row still
+        searching.  A candidate with a finite mean and a smaller residual is
+        accepted in place into theta, resid, rnorm and the per-record arrays
+        ``moments`` (the kernel's outputs between the mean and the finite
+        mask).  Returns the rows that found none in 30 halvings.
+        """
+        t = np.ones(len(rows))
+        searching = np.ones(len(rows), dtype=bool)
+        for _ in range(30):
+            j = np.flatnonzero(searching)
+            if j.size == 0:
+                break
+            r = rows[j]
+            cand = np.clip(theta[r] + t[j, None] * step[j], -PARAM_BOX, PARAM_BOX)
+            mu, *per_record, finite = kernel(cand)
+            cand_resid = mu - S[r]
+            with np.errstate(over="ignore"):  # an overflowing norm is inf: rejected
+                cand_norm = np.linalg.norm(cand_resid, axis=1)
+            ok = finite & (cand_norm < rnorm[r])
+            acc = r[ok]
+            theta[acc], resid[acc], rnorm[acc] = cand[ok], cand_resid[ok], cand_norm[ok]
+            for store, new in zip(moments, per_record):
+                store[acc] = new[ok]
+            searching[j[ok]] = False
+            t[j[~ok]] *= 0.5
+        return rows[searching]
+
     def newton_batch(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Damped Newton for every row of S at once, each row started at theta = 0.
 
@@ -342,31 +376,18 @@ class _RegressionModel(ExpFamModel):
             step, solved = _solve_blocks(fisher, -resid[rows])
             active[rows[~solved]] = False
             rows, step = rows[solved], step[solved]
-            # backtrack on the residual norm, up to 30 halvings per row
-            t = np.ones(len(rows))
-            searching = np.ones(len(rows), dtype=bool)
-            for _ in range(30):
-                j = np.flatnonzero(searching)
-                if j.size == 0:
-                    break
-                r = rows[j]
-                cand = np.clip(theta[r] + t[j, None] * step[j], -PARAM_BOX, PARAM_BOX)
-                mu, w, finite = self.mean_and_weights(cand)
-                cand_resid = mu - S[r]
-                with np.errstate(over="ignore"):  # an overflowing norm is inf: rejected
-                    cand_norm = np.linalg.norm(cand_resid, axis=1)
-                ok = finite & (cand_norm < rnorm[r])
-                acc = r[ok]
-                theta[acc], resid[acc], rnorm[acc] = cand[ok], cand_resid[ok], cand_norm[ok]
-                weights[acc] = w[ok]
-                searching[j[ok]] = False
-                t[j[~ok]] *= 0.5
-            active[rows[searching]] = False
+            stuck = self._backtrack(self.mean_and_weights, S, rows, step,
+                                    theta, resid, rnorm, (weights,))
+            active[stuck] = False
             active &= rnorm > tol
         return theta, rnorm <= tol
 
     def inverse_mean_map_batch(self, S: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-        """``newton_batch`` in chunks of NEWTON_CHUNK_ELEMS // design rows, then the fallback."""
+        """``newton_batch`` in chunks of NEWTON_CHUNK_ELEMS // design rows, then the fallback.
+
+        Each chunk's unconverged rows go to one batched fallback call, started
+        at their last Newton iterates; rows that Newton converges are not touched.
+        """
         S = np.atleast_2d(np.asarray(S, dtype=float))
         theta = np.empty_like(S)
         diverged = np.zeros(len(S), dtype=bool)
@@ -374,45 +395,85 @@ class _RegressionModel(ExpFamModel):
         chunk = max(1, NEWTON_CHUNK_ELEMS // len(self.design))
         for lo in range(0, len(S), chunk):
             theta[lo:lo + chunk], converged = self.newton_batch(S[lo:lo + chunk])
-            for b in lo + np.flatnonzero(~converged):
-                fallbacks += 1
-                try:
-                    theta[b] = self._inverse_mean_map_fallback(S[b], theta[b])
-                except SolverDivergedError as exc:
-                    theta[b], diverged[b] = exc.last_iterate, True
+            rows = lo + np.flatnonzero(~converged)
+            if rows.size:
+                fallbacks += rows.size
+                theta[rows], diverged[rows] = self._inverse_mean_map_fallback(S[rows], theta[rows])
         return theta, fallbacks, diverged
 
-    def _inverse_mean_map_fallback(self, s: np.ndarray, theta0: np.ndarray) -> np.ndarray:
-        """Box-constrained L-BFGS-B on 0.5 ||mu(theta) - s||^2, started at theta0.
+    def _inverse_mean_map_fallback(
+        self, S: np.ndarray, Theta0: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Projected Newton on 0.5 ||mu(theta) - s||^2 over the box, every row of S at once.
 
-        Each objective call runs the kernel once; the gradient I(theta) r is
-        X'(w * X r) / n, with no d x d Fisher matrix.
+        Bertsekas (SIAM J. Control Optim. 1982): with r = mu - s, the gradient
+        is g = I r and the Hessian H = I^2 + X' diag(w3 * X r) X / n, both from
+        one ``mean_and_cumulants`` call.  Coordinates within eps of a bound
+        whose gradient points out of the box are moved onto it; the others
+        take the Newton step on their free block of H, or of the Gauss-Newton
+        I^2 where that block is not positive definite.  A row stops when its
+        step predicts a decrease -g.step of at most 1e-15 max(1, f), the
+        relative tolerance L-BFGS-B was given here; when 30 halvings find no
+        smaller residual; or after NEWTON_MAX_ITER iterations.
+
+        Returns the end points (b, d) and a mask of the rows that diverged:
+        those whose mean overflows, or whose projected gradient exceeds
+        1e-5 max(1, ||s||).
         """
-        X = self.design
-
-        def objective(theta):
-            mu, w, finite = self.mean_and_weights(theta[None])
-            if not finite[0]:
-                return 1e300, np.zeros(self.d)
-            r = mu[0] - s
-            return 0.5 * float(r @ r), (w[0] * (X @ r)) @ X / len(X)
-
-        res = minimize(
-            objective,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(-PARAM_BOX, PARAM_BOX)] * self.d,
-            options={"maxiter": 200, "ftol": 1e-15, "gtol": 1e-12},
-        )
-        theta = np.clip(res.x, -PARAM_BOX, PARAM_BOX)
-        value, grad = objective(theta)
+        S = np.atleast_2d(np.asarray(S, dtype=float))
+        theta = np.clip(np.asarray(Theta0, dtype=float), -PARAM_BOX, PARAM_BOX)
+        eye = np.eye(self.d)
+        mu, W, W3, finite = self.mean_and_cumulants(theta)
+        resid = mu - S
+        with np.errstate(over="ignore"):
+            rnorm = np.linalg.norm(resid, axis=1)
+        active = finite.copy()
+        for _ in range(NEWTON_MAX_ITER):
+            rows = np.flatnonzero(active)
+            if rows.size == 0:
+                break
+            th = theta[rows]
+            grad, gauss_newton, hess = self._least_squares_derivatives(
+                resid[rows], W[rows], W3[rows])
+            # Bertsekas' eps: the length of a projected gradient step, at most 1e-3
+            eps = np.minimum(1e-3, np.linalg.norm(th - np.clip(th - grad, -PARAM_BOX, PARAM_BOX),
+                                                  axis=1))[:, None]
+            upper = (th >= PARAM_BOX - eps) & (grad < 0)
+            lower = (th <= -PARAM_BOX + eps) & (grad > 0)
+            fixed = upper | lower
+            # the free block of H (or of I^2), with an identity on the fixed coordinates
+            keep = ~fixed[:, :, None] & ~fixed[:, None, :]
+            pin = fixed[:, :, None] * eye
+            gauss_newton, hess = np.where(keep, gauss_newton, pin), np.where(keep, hess, pin)
+            convex = np.isfinite(hess).all(axis=(1, 2))
+            convex[convex] = np.linalg.eigvalsh(hess[convex])[:, 0] > 0
+            hess[~convex] = gauss_newton[~convex]
+            step, solved = _solve_blocks(hess, np.where(fixed, 0.0, -grad))
+            step = np.where(upper, PARAM_BOX - th, np.where(lower, -PARAM_BOX - th, step))
+            # a row whose step predicts a decrease of at most 1e-15 max(1, f) has converged
+            decrease = -(grad * step).sum(axis=1)
+            moving = solved & (decrease > 1e-15 * np.maximum(1.0, 0.5 * rnorm[rows] ** 2))
+            active[rows[~moving]] = False
+            stuck = self._backtrack(self.mean_and_cumulants, S, rows[moving], step[moving],
+                                    theta, resid, rnorm, (W, W3))
+            active[stuck] = False
         # at a box optimum the projected gradient vanishes even though the residual
         # may not; a large one fails, and so does an end point whose mean overflows
-        proj = _projected_gradient(theta, grad)
-        if not value < 1e300 or np.linalg.norm(proj) > 1e-5 * max(1.0, np.linalg.norm(s)):
-            raise SolverDivergedError("solver_diverged", theta)
-        return theta
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row is nan: diverged
+            proj = _projected_gradient(theta, self._least_squares_derivatives(resid, W, W3)[0])
+            tol = 1e-5 * np.maximum(1.0, np.linalg.norm(S, axis=1))
+            return theta, ~(finite & (np.linalg.norm(proj, axis=1) <= tol))
+
+    def _least_squares_derivatives(self, resid, W, W3) -> tuple[np.ndarray, ...]:
+        """Gradient, Gauss-Newton Hessian and Hessian of 0.5 ||mu(theta) - s||^2 per row.
+
+        With r = mu - s and the kernel's W and W3 at theta: g = I r, shape
+        (b, d); I^2 and H = I^2 + X' diag(w3 * X r) X / n, shape (b, d, d).
+        """
+        fisher = self._fisher_blocks(W)
+        gauss_newton = fisher @ fisher
+        hess = gauss_newton + self._fisher_blocks(W3 * (resid @ self.design.T))
+        return (fisher @ resid[..., None])[..., 0], gauss_newton, hess
 
     def _design_for_sampling(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # reuse the design when sizes match; otherwise resample rows uniformly

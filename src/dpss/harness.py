@@ -50,6 +50,8 @@ POISSON_THETA0 = np.array([0.5])
 POISSON_B_X = 3.0
 POISSON_B_Y = 20.0
 POISSON_X_RANGE = (0.2, 1.5)  # positive exposure-like covariate
+# the largest rate numpy's Generator.poisson accepts (its POISSON_LAM_MAX)
+POISSON_RATE_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 DEFAULT_METHODS = ("nonprivate", "plugin_wald", "noise_aware_wald", "bootstrap", "naive_synth")
 POWER_METHODS = ("plugin_wald", "nonprivate", "naive_synth")
@@ -126,6 +128,13 @@ class ExperimentConfig:
                 raise ValueError("theta0 must be a nonempty list of finite numbers")
             if self.model_id == "gaussian_mean" and len(self.theta0) != 1:
                 raise ValueError("theta0 of gaussian_mean must have one entry")
+            if self.model_id == "poisson":
+                # the largest log-rate x . theta0 over the covariate box POISSON_X_RANGE^d
+                log_rate = sum(max(t * x for x in POISSON_X_RANGE) for t in self.theta0)
+                with np.errstate(over="ignore"):
+                    if np.exp(log_rate) > POISSON_RATE_MAX:
+                        raise ValueError(f"theta0 of poisson gives rates up to exp({log_rate:g}), "
+                                         f"past the sampler's limit {POISSON_RATE_MAX:.4g}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not _is_int(self.b_boot) or self.b_boot < 2:

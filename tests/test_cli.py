@@ -238,6 +238,23 @@ def test_solver_failures_exit_3(workdir, monkeypatch, command, module, attr, rep
     assert f"error: {code}" in res.output
 
 
+@pytest.mark.parametrize("attr, exc, code", [
+    ("noise_aware_mle", NoiseAwareDivergedError("na_diverged", [0.0]), "na_diverged"),
+    ("parametric_bootstrap", BootstrapUnstableError("bootstrap_unstable"), "bootstrap_unstable"),
+])
+def test_experiment_run_solver_failure_exits_3(workdir, monkeypatch, attr, exc, code):
+    monkeypatch.setenv("DPSS_THREADS", "1")  # the patch holds only in this process
+    monkeypatch.setattr(estimate, attr, raising(exc))
+    cfg = {"experiment_id": "coverage_sweep", "model_id": "logistic", "n_grid": [200],
+           "epsilon_grid": [1.0], "replications": 2,
+           "methods": ["plugin_wald", "noise_aware_wald", "bootstrap"]}
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    res = invoke("experiment", "run", "--config", workdir / "cfg.json",
+                 "--out", workdir / "out")
+    assert res.exit_code == 3
+    assert f"error: {code}" in res.output
+
+
 def test_analyze_singular_fisher_exits_3(workdir):
     # the second feature is zero on every record, so the classical Fisher
     # information of the naive analysis cannot be inverted
@@ -393,10 +410,13 @@ def test_experiment_run_end_to_end(workdir):
                                          ("B_grid", [-1]),
                                          ("ratios", [0]),
                                          ("master_seed", -1),
-                                         ("theta0", [1, 2])])
+                                         ("theta0", [1, 2]),
+                                         # rates past numpy's Poisson sampler
+                                         (("model_id", "theta0"), ("poisson", [800]))])
 def test_experiment_run_unknown_name_exits_3(workdir, field, value):
     cfg = {"experiment_id": "coverage_sweep", "n_grid": [100], "epsilon_grid": [1.0],
-           "replications": 2, "methods": ["plugin_wald", "bootstrap"], field: value}
+           "replications": 2, "methods": ["plugin_wald", "bootstrap"]}
+    cfg.update(zip(field, value) if isinstance(field, tuple) else [(field, value)])
     (workdir / "cfg.json").write_text(json.dumps(cfg))
     res = invoke("experiment", "run", "--config", workdir / "cfg.json",
                  "--out", workdir / "out")

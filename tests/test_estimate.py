@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -8,6 +10,7 @@ from dpss.estimate import (
     BootstrapUnstableError,
     EstimateReport,
     InvalidVarianceError,
+    NoiseAwareDivergedError,
     dp_variance,
     noise_aware_mle,
     nonprivate_mle,
@@ -435,15 +438,15 @@ def test_batched_bootstrap_matches_per_draw_loop(monkeypatch, model_id, n, eps):
 def test_batched_bootstrap_logistic_low_eps_fallbacks_agree_to_solver_tolerance(monkeypatch):
     # Newton rows agree to rounding.  A logistic draw far outside the mean
     # range leaves Newton unconverged near the box, where the least-squares
-    # objective is nearly flat; L-BFGS-B then stops within its own tolerance
-    # of a minimizer, so a last iterate that differs in the last bits (a
-    # GEMM over the chunk instead of one row) moves its answer by ~1e-7.
+    # objective is nearly flat; the fallback then stops within its own
+    # tolerance of a minimizer, so a last iterate that differs in the last
+    # bits (a GEMM over the chunk instead of one row) can move its answer.
     model, rel = simulated_release("logistic", 1000, 0.1, seed=5)
     seen = capture_solved_draws(monkeypatch)
     fell_back = []
     fallback = model._inverse_mean_map_fallback
     monkeypatch.setattr(model, "_inverse_mean_map_fallback",
-                        lambda s, theta0: fell_back.append(s.copy()) or fallback(s, theta0))
+                        lambda S, Theta0: fell_back.extend(S.copy()) or fallback(S, Theta0))
     cfg = BootstrapConfig(200, 0.05)
     report = parametric_bootstrap(model, rel, cfg, substream(5, "draws"))
     monkeypatch.undo()
@@ -454,6 +457,49 @@ def test_batched_bootstrap_logistic_low_eps_fallbacks_agree_to_solver_tolerance(
     np.testing.assert_allclose(draws[newton_rows], ref_draws[newton_rows], rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(draws, ref_draws, rtol=0.0, atol=1e-5)
     assert failures == ref_failures == report.diagnostics["failures"]
+
+
+def lbfgsb_fallback(model, s, theta0):
+    """The per-row L-BFGS-B fallback that the batched projected Newton replaced.
+
+    Kept as the reference: returns the end point and whether it diverged,
+    by the same end check.
+    """
+    X = model.design
+
+    def objective(theta):
+        mu, w, finite = model.mean_and_weights(theta[None])
+        if not finite[0]:
+            return 1e300, np.zeros(model.d)
+        r = mu[0] - s
+        return 0.5 * float(r @ r), (w[0] * (X @ r)) @ X / len(X)
+
+    res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                   bounds=[(-PARAM_BOX, PARAM_BOX)] * model.d,
+                   options={"maxiter": 200, "ftol": 1e-15, "gtol": 1e-12})
+    theta = np.clip(res.x, -PARAM_BOX, PARAM_BOX)
+    value, grad = objective(theta)
+    proj = grad.copy()
+    proj[(theta >= PARAM_BOX - 1e-12) & (grad < 0)] = 0.0
+    proj[(theta <= -PARAM_BOX + 1e-12) & (grad > 0)] = 0.0
+    return theta, not value < 1e300 or np.linalg.norm(proj) > 1e-5 * max(1.0, np.linalg.norm(s))
+
+
+@pytest.mark.parametrize("model_id, n", [("logistic", 1000), ("poisson", 500)])
+def test_batched_fallback_agrees_with_per_row_lbfgsb_on_low_eps_draws(model_id, n):
+    model, rel = simulated_release(model_id, n, 0.1, seed=5)
+    theta_hat = plugin_mle(model, rel)
+    cov = model.fisher_info(theta_hat) / rel.n + rel.sigma**2 * np.eye(model.d)
+    z = substream(5, "draws").standard_normal((200, model.d))
+    s_star = model.grad_log_partition(theta_hat) + z @ np.linalg.cholesky(cov).T
+    Theta0, converged = model.newton_batch(s_star)
+    S, Theta0 = s_star[~converged], Theta0[~converged]
+    assert len(S) > 20  # at eps = 0.1 many draws fall back
+    theta, diverged = model._inverse_mean_map_fallback(S, Theta0)
+    ref = [lbfgsb_fallback(model, s, t0) for s, t0 in zip(S, Theta0)]
+    assert diverged.tolist() == [d for _, d in ref]
+    ref_theta = np.array([t for t, _ in ref])
+    np.testing.assert_allclose(theta, ref_theta, rtol=0.0, atol=1e-5 * np.abs(ref_theta).max())
 
 
 def test_batched_bootstrap_rows_that_overflow_match_the_loop(monkeypatch):
@@ -517,8 +563,8 @@ def test_bootstrap_failed_draws_are_retried_projected_counted_and_replaced(monke
     # projection keeps the direction, so these rows fail again when retried
     flaky_newton(model, lambda S: S[:, 1] > 0)
 
-    def diverge(s, theta0):
-        raise SolverDivergedError("solver_diverged", theta0)
+    def diverge(S, Theta0):
+        return Theta0.copy(), np.ones(len(S), dtype=bool)
 
     monkeypatch.setattr(model, "_inverse_mean_map_fallback", diverge)
     retried = []
@@ -531,6 +577,16 @@ def test_bootstrap_failed_draws_are_retried_projected_counted_and_replaced(monke
     assert not np.any(np.all(np.delete(draws, bad, axis=0) == theta_hat, axis=1))
     expected = s_star[bad] * (rel.B / np.linalg.norm(s_star[bad], axis=1))[:, None]
     np.testing.assert_allclose(np.array(retried), expected, rtol=1e-15)
+
+
+@pytest.mark.parametrize("exc", [NoiseAwareDivergedError("na_diverged", [0.5, -1.0]),
+                                 SolverDivergedError("solver_diverged", [2.0])])
+def test_solver_errors_survive_pickling(exc):
+    # a harness worker process sends the errors of its cells back pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and str(back) == str(exc)
+    iterate = "best_iterate" if isinstance(exc, NoiseAwareDivergedError) else "last_iterate"
+    np.testing.assert_array_equal(getattr(back, iterate), getattr(exc, iterate))
 
 
 def test_bootstrap_unstable_at_ten_percent_failures(monkeypatch):
@@ -553,8 +609,8 @@ def test_bootstrap_unstable_when_every_draw_diverges(monkeypatch):
     theta_hat = plugin_mle(model, rel)
     flaky_newton(model, lambda S: np.ones(len(S), dtype=bool))
 
-    def diverge(s, theta0):
-        raise SolverDivergedError("solver_diverged", theta0)
+    def diverge(S, Theta0):
+        return Theta0.copy(), np.ones(len(S), dtype=bool)
 
     monkeypatch.setattr(model, "_inverse_mean_map_fallback", diverge)
     monkeypatch.setattr(estimate, "plugin_mle", lambda m, r: theta_hat)

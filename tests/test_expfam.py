@@ -1,6 +1,5 @@
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from dpss import expfam
 from dpss.expfam import (
     NEWTON_MAX_ITER,
     PARAM_BOX,
@@ -371,58 +369,102 @@ def test_gaussian_inverse_mean_map_batch_is_closed_form():
     assert fallbacks == 0 and not diverged.any()
 
 
-def capture_fallback_objective(monkeypatch):
-    """Record the objective each L-BFGS-B fallback hands to minimize, and its evaluations."""
-    seen = {"objectives": [], "evaluations": 0}
-    minimize = expfam.minimize
-
-    def spy(fun, x0, **kwargs):
-        def counted(theta):
-            seen["evaluations"] += 1
-            return fun(theta)
-
-        seen["objectives"].append(fun)
-        return minimize(counted, x0, **kwargs)
-
-    monkeypatch.setattr(expfam, "minimize", spy)
-    return seen
-
-
 @pytest.mark.parametrize("maker", [random_logistic, random_poisson])
-def test_fallback_gradient_is_fisher_times_residual(monkeypatch, maker):
+def test_fallback_gradient_is_fisher_times_residual(maker):
+    # f = 0.5 ||mu - s||^2 has the gradient g = I r and the Hessian
+    # H = I^2 + X' diag(w3 * X r) X / n, the Jacobian of g
     model = maker()
-    seen = capture_fallback_objective(monkeypatch)
-    s = model.grad_log_partition(np.full(model.d, 0.3))
-    model._inverse_mean_map_fallback(s, np.zeros(model.d))
-    objective = seen["objectives"][0]
-    for theta in np.random.default_rng(21).uniform(-2.0, 2.0, (5, model.d)):
+    s = model.grad_log_partition(np.full(model.d, 0.3)) + 0.05
+
+    def f(theta):
         r = model.grad_log_partition(theta) - s
-        value, grad = objective(theta)
-        assert value == pytest.approx(0.5 * float(r @ r), rel=1e-12)
-        np.testing.assert_allclose(grad, model.fisher_info(theta) @ r, rtol=1e-12, atol=1e-15)
+        return 0.5 * float(r @ r)
+
+    def g(theta):
+        return model.fisher_info(theta) @ (model.grad_log_partition(theta) - s)
+
+    Theta = np.random.default_rng(21).uniform(-2.0, 2.0, (5, model.d))
+    mu, W, W3, _ = model.mean_and_cumulants(Theta)
+    grad, gauss_newton, hess = model._least_squares_derivatives(mu - s, W, W3)
+    for k, theta in enumerate(Theta):
+        fisher = model.fisher_info(theta)
+        np.testing.assert_allclose(grad[k], g(theta), rtol=1e-12, atol=1e-15)
+        # each row of the difference Jacobian of a scalar f is its gradient
+        np.testing.assert_allclose(grad[k], _fd_jacobian(f, theta)[0], rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(gauss_newton[k], fisher @ fisher, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(hess[k], _fd_jacobian(g, theta), rtol=1e-5, atol=1e-8)
+
+
+def spy_kernel(monkeypatch, model):
+    """Record the number of rows of each fallback kernel call; the Newton kernel must not run."""
+    kernel_rows = []
+    kernel = model.mean_and_cumulants
+    monkeypatch.setattr(model, "mean_and_cumulants",
+                        lambda Theta: kernel_rows.append(len(Theta)) or kernel(Theta))
+    monkeypatch.setattr(model, "mean_and_weights", lambda Theta: pytest.fail("second kernel"))
+    return kernel_rows
 
 
 def test_fallback_runs_the_kernel_once_per_objective_call(monkeypatch):
     model = random_poisson()
-    seen = capture_fallback_objective(monkeypatch)
-    kernel_rows = []
-    kernel = model.mean_and_weights
-    monkeypatch.setattr(model, "mean_and_weights",
-                        lambda Theta: kernel_rows.append(len(Theta)) or kernel(Theta))
-    monkeypatch.setattr(model, "_fisher_blocks", lambda W: pytest.fail("Fisher matrix formed"))
-    # a statistic no mean can reach ends on the box, after many objective calls
-    model._inverse_mean_map_fallback(np.array([-1.0, -1.0]), np.zeros(2))
-    assert seen["evaluations"] > 1
-    # one call per evaluation, plus one for the final stationarity check
-    assert kernel_rows == [1] * (seen["evaluations"] + 1)
+    kernel_rows = spy_kernel(monkeypatch, model)
+    # statistics no mean can reach end on the box, after many rounds
+    S = np.array([[-1.0, -1.0], [-2.0, 0.5], [-0.5, -3.0]])
+    theta, diverged = model._inverse_mean_map_fallback(S, np.zeros((3, 2)))
+    assert not diverged.any()
+    np.testing.assert_array_equal(np.abs(theta).max(axis=1), PARAM_BOX)
+    # one call for the start of every row, then one per halving round of the rows searching
+    assert kernel_rows[0] == 3 and len(kernel_rows) > 3 and max(kernel_rows) <= 3
+
+
+@pytest.mark.parametrize("maker", [random_logistic, random_poisson])
+def test_fallback_started_at_a_solution_makes_one_kernel_call(monkeypatch, maker):
+    # the end check reuses the last kernel call: none is made for it
+    model = maker()
+    Theta0 = np.random.default_rng(22).uniform(-1.0, 1.0, (4, model.d))
+    S = np.array([model.grad_log_partition(t) for t in Theta0])
+    kernel_rows = spy_kernel(monkeypatch, model)
+    theta, diverged = model._inverse_mean_map_fallback(S, Theta0)
+    assert kernel_rows == [4]
+    np.testing.assert_array_equal(theta, Theta0)
+    assert not diverged.any()
+
+
+@pytest.mark.parametrize("maker, shift", [
+    (random_logistic, [2.0, 0.0, 0.0]),  # the first mean coordinate cannot reach s
+    (random_poisson, [-3.0, -3.0]),  # a Poisson mean is positive
+])
+def test_fallback_solves_copies_of_a_statistic_with_the_kernel_calls_of_one(maker, shift):
+    model = maker()
+    s = model.grad_log_partition(np.full(model.d, 0.2)) + shift
+    moments = model._record_moments
+
+    def solve_counting_kernel_calls(b):
+        calls = []
+        model._record_moments = lambda Theta: calls.append(Theta) or moments(Theta)
+        return model.inverse_mean_map_batch(np.tile(s, (b, 1))), len(calls)
+
+    (one, one_fallbacks, _), one_calls = solve_counting_kernel_calls(1)
+    (many, many_fallbacks, diverged), many_calls = solve_counting_kernel_calls(40)
+    assert (one_fallbacks, many_fallbacks) == (1, 40) and not diverged.any()
+    assert many_calls == one_calls
+    np.testing.assert_allclose(many, np.tile(one, (40, 1)), rtol=0.0, atol=1e-12)
 
 
 def test_fallback_raises_at_an_overflowing_end_point(monkeypatch):
-    # features of 100 put exp(x . theta) past the log-link cap on the box face
+    # features of 100 put exp(x . theta) past the log-link cap on the box face,
+    # so a row started there cannot move and is marked; the other row is solved
     model = PoissonModel(np.full((5, 1), 100.0), B_X=1e3, B_Y=1e6)
-    monkeypatch.setattr(expfam, "minimize", lambda fun, x0, **kw: SimpleNamespace(x=[PARAM_BOX]))
+    theta, diverged = model._inverse_mean_map_fallback(np.array([[5.0], [5.0]]),
+                                                       np.array([[PARAM_BOX], [0.0]]))
+    assert diverged.tolist() == [True, False]
+    np.testing.assert_array_equal(theta[0], [PARAM_BOX])
+    np.testing.assert_allclose(theta[1], [np.log(0.05) / 100.0], rtol=1e-8)
+    # the one-row solve raises with that end point
+    monkeypatch.setattr(model, "newton_batch",
+                        lambda S: (np.full((1, 1), PARAM_BOX), np.array([False])))
     with pytest.raises(SolverDivergedError) as exc:
-        model._inverse_mean_map_fallback(np.array([5.0]), np.zeros(1))
+        model.inverse_mean_map(np.array([5.0]))
     np.testing.assert_array_equal(exc.value.last_iterate, [PARAM_BOX])
 
 
@@ -431,9 +473,11 @@ def test_diverged_fallback_marks_its_row_and_the_single_solve_raises(monkeypatch
     S = np.array([model.grad_log_partition(t) for t in ([0.2, -0.1], [0.4, 0.3], [-0.5, 0.1])])
     S[1] = [3.0, 3.0]  # out of the mean range: Newton leaves the row unconverged
     stuck = np.array([1.5, -2.5])
+    handed = []
 
-    def diverge(s, theta0):
-        raise SolverDivergedError("solver_diverged", stuck)
+    def diverge(S, Theta0):
+        handed.append((S.copy(), Theta0.copy()))
+        return np.tile(stuck, (len(S), 1)), np.ones(len(S), dtype=bool)
 
     monkeypatch.setattr(model, "_inverse_mean_map_fallback", diverge)
     theta, fallbacks, diverged = model.inverse_mean_map_batch(S)
@@ -441,6 +485,9 @@ def test_diverged_fallback_marks_its_row_and_the_single_solve_raises(monkeypatch
     assert diverged.tolist() == [False, True, False]
     np.testing.assert_array_equal(theta[1], stuck)
     np.testing.assert_allclose(theta[[0, 2]], [[0.2, -0.1], [-0.5, 0.1]], atol=1e-8)
+    (fell_back, started), = handed  # only the unconverged row, from its last Newton iterate
+    np.testing.assert_array_equal(fell_back, S[[1]])
+    np.testing.assert_array_equal(started, model.newton_batch(S)[0][[1]])
     with pytest.raises(SolverDivergedError) as exc:
         model.inverse_mean_map(S[1])
     np.testing.assert_array_equal(exc.value.last_iterate, stuck)

@@ -14,6 +14,7 @@ from dpss.harness import (
     crossover_points,
     default_theta0,
     delta_for,
+    make_model_and_data,
     mc_se,
     privacy_slope,
     run_clipping_study,
@@ -62,6 +63,20 @@ def test_config_validation():
             ExperimentConfig(**{"experiment_id": "coverage_sweep", "n_grid": [100], field: value})
     # a regression model takes a theta0 of any width
     assert ExperimentConfig("coverage_sweep", model_id="logistic", theta0=[1, 2]).theta0 == [1, 2]
+    # Poisson rates exp(x . theta0) past numpy's sampler, at x = 1.5 (or 0.2 for a negative entry)
+    for theta0 in ([800], [30], [20, 10], [30, -1]):
+        with pytest.raises(ValueError, match="theta0"):
+            ExperimentConfig("coverage_sweep", model_id="poisson", theta0=theta0)
+    for theta0 in ([29], [29, -100]):
+        ExperimentConfig("coverage_sweep", model_id="poisson", theta0=theta0)
+
+
+def test_poisson_theta0_limit_is_the_samplers():
+    # the largest accepted theta0 samples; the smallest rejected one is past the sampler
+    rng = np.random.default_rng(14)
+    make_model_and_data("poisson", np.array([29.0]), 2000, rng)
+    with pytest.raises(ValueError, match="lam value too large"):
+        make_model_and_data("poisson", np.array([30.0]), 2000, rng)
 
 
 @pytest.mark.parametrize("experiment_id, model_id", [
