@@ -17,7 +17,13 @@ import click
 import numpy as np
 
 from . import estimate, harness, synthgen
-from .expfam import SolverDivergedError, dataset_from_csv, dataset_to_csv, load_model_config
+from .expfam import (
+    MeanOverflowError,
+    SolverDivergedError,
+    dataset_from_csv,
+    dataset_to_csv,
+    load_model_config,
+)
 from .privacy import PrivacyBudget, ReleasedStatistic, calibrate_agm, release, verify_agm_condition
 from .rng import substream
 
@@ -30,6 +36,7 @@ def _data_error(message: str):
 # numerical failures of the estimators, reported as "error: <code>" with exit 3
 SOLVER_ERRORS = (
     SolverDivergedError,
+    MeanOverflowError,
     estimate.NoiseAwareDivergedError,
     estimate.FisherSingularError,
     estimate.BootstrapUnstableError,

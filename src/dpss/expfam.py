@@ -11,7 +11,10 @@ and the inverse mean map used by the plug-in estimator.
 once: batched damped Newton, then one batched projected-Newton fallback on
 the least-squares residual for all unconverged rows, each started from its
 last Newton iterate; a row whose fallback diverges is marked, not raised.
-``inverse_mean_map`` is the one-row case, which raises.
+A Newton row on a face of the box whose step points further out goes to
+the fallback at once, without halving, when the residual does not
+decrease along the clipped step.  ``inverse_mean_map`` is the one-row case,
+which raises.
 
 Every log-partition is A(theta) = mean_i a(x_i . theta) over a public
 design X, so the mean map, the Fisher information and their derivatives
@@ -238,6 +241,21 @@ def _solve_blocks(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return x, solved
 
 
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(A, axis=1), without overflow for finite rows with entries past 1e154.
+
+    Only a row whose sum of squares overflows is rescaled by its largest
+    entry, so every other norm is bit-identical to numpy's.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(A, axis=1)
+    big = np.isinf(norms) & np.isfinite(A).all(axis=1)
+    if big.any():
+        scale = np.abs(A[big]).max(axis=1)
+        norms[big] = scale * np.linalg.norm(A[big] / scale[:, None], axis=1)
+    return norms
+
+
 def _projected_gradient(theta, grad):
     proj = grad.copy()
     proj[(theta >= PARAM_BOX - 1e-12) & (grad < 0)] = 0.0
@@ -355,13 +373,18 @@ class _RegressionModel(ExpFamModel):
         A row converges when ||mu(theta) - s|| <= 1e-8 max(1, ||s||).  It
         stops unconverged when its Fisher block is singular, or when 30
         halvings of its own step length find no candidate in the box with a
-        finite mean and a smaller residual.  The weights of each accepted
-        candidate give the next Fisher blocks, one GEMM for all rows.
+        finite mean and a smaller residual.  A row on a face of the box whose
+        step points further out stops at once, without halving, when the
+        slope (I r).d of 0.5 ||mu - s||^2 along the clipped step d (the step
+        with those blocked coordinates set to zero) is not negative: short
+        steps then cannot lower the residual (Bertsekas, SIAM J. Control
+        Optim. 1982).  The weights of each accepted candidate give the next
+        Fisher blocks, one GEMM for all rows.
         """
         S = np.atleast_2d(np.asarray(S, dtype=float))
         b, d = S.shape
         theta = np.zeros((b, d))
-        tol = 1e-8 * np.maximum(1.0, np.linalg.norm(S, axis=1))
+        tol = 1e-8 * np.maximum(1.0, _row_norms(S))
         mu0, w0, _ = self.mean_and_weights(theta[:1])
         resid = mu0 - S
         weights = np.repeat(w0, b, axis=0)
@@ -373,9 +396,15 @@ class _RegressionModel(ExpFamModel):
             if rows.size == 0:
                 break
             fisher = self._fisher_blocks(weights[rows]) + ridge
-            step, solved = _solve_blocks(fisher, -resid[rows])
-            active[rows[~solved]] = False
-            rows, step = rows[solved], step[solved]
+            step, moving = _solve_blocks(fisher, -resid[rows])
+            if np.abs(theta).max() >= PARAM_BOX:  # interior solves skip the check
+                # blocked: on a face of the box, with the step pointing further out
+                th = theta[rows]
+                blocked = ((th >= PARAM_BOX) & (step > 0)) | ((th <= -PARAM_BOX) & (step < 0))
+                slope = np.einsum("kij,kj,ki->k", fisher, np.where(blocked, 0.0, step), resid[rows])
+                moving &= ~blocked.any(axis=1) | (slope < 0)
+            active[rows[~moving]] = False
+            rows, step = rows[moving], step[moving]
             stuck = self._backtrack(self.mean_and_weights, S, rows, step,
                                     theta, resid, rnorm, (weights,))
             active[stuck] = False
@@ -461,7 +490,7 @@ class _RegressionModel(ExpFamModel):
         # may not; a large one fails, and so does an end point whose mean overflows
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row is nan: diverged
             proj = _projected_gradient(theta, self._least_squares_derivatives(resid, W, W3)[0])
-            tol = 1e-5 * np.maximum(1.0, np.linalg.norm(S, axis=1))
+            tol = 1e-5 * np.maximum(1.0, _row_norms(S))
             return theta, ~(finite & (np.linalg.norm(proj, axis=1) <= tol))
 
     def _least_squares_derivatives(self, resid, W, W3) -> tuple[np.ndarray, ...]:

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from dpss import estimate, synthgen
 from dpss.cli import main
 from dpss.estimate import BootstrapUnstableError, FisherSingularError, NoiseAwareDivergedError
-from dpss.expfam import SolverDivergedError
+from dpss.expfam import MeanOverflowError, SolverDivergedError
 from dpss.privacy import PrivacyBudget, ReleasedStatistic, calibrate_agm
 
 runner = CliRunner()
@@ -224,6 +224,8 @@ def every_draw_failed(model, s_star, theta_hat, rel):
      raising(SolverDivergedError("solver_diverged", [0.0])), "solver_diverged"),
     (["analyze", "--mode", "noise_aware"], synthgen, "noise_aware_synth_analysis",
      raising(FisherSingularError("fisher_singular")), "fisher_singular"),
+    (["estimate", "--method", "noise_aware"], estimate, "noise_aware_mle",
+     raising(MeanOverflowError("mean_overflow")), "mean_overflow"),
 ])
 def test_solver_failures_exit_3(workdir, monkeypatch, command, module, attr, replacement, code):
     write_release(workdir)
@@ -253,6 +255,21 @@ def test_experiment_run_solver_failure_exits_3(workdir, monkeypatch, attr, exc, 
                  "--out", workdir / "out")
     assert res.exit_code == 3
     assert f"error: {code}" in res.output
+
+
+@pytest.mark.parametrize("method", ["plugin", "noise_aware"])
+def test_estimate_of_a_statistic_past_1e154_exits_3(workdir, method):
+    # the norm of 1e290 overflowed, so theta = 0 passed for its solution
+    np.savetxt(workdir / "design.csv", np.linspace(50.0, 100.0, 40)[:, None])
+    (workdir / "poisson.json").write_text(json.dumps(
+        {"model_id": "poisson", "d": 1, "clip": {"B_X": 200.0, "B_Y": 1e6},
+         "design_csv": "design.csv"}))
+    ReleasedStatistic(np.array([1e290]), 0.1, 1000, 1, 2e8, PrivacyBudget(1.0, 1e-6),
+                      "poisson").save(workdir / "rel.json")
+    res = invoke("estimate", "--release", workdir / "rel.json",
+                 "--model", workdir / "poisson.json", "--method", method)
+    assert res.exit_code == 3
+    assert "error: solver_diverged" in res.output
 
 
 def test_analyze_singular_fisher_exits_3(workdir):

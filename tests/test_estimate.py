@@ -502,6 +502,23 @@ def test_batched_fallback_agrees_with_per_row_lbfgsb_on_low_eps_draws(model_id, 
     np.testing.assert_allclose(theta, ref_theta, rtol=0.0, atol=1e-5 * np.abs(ref_theta).max())
 
 
+def test_newton_hands_box_blocked_low_eps_draws_on_without_halving_rounds():
+    # at eps = 0.1 most logistic draws lie outside the mean range; their Newton
+    # rows reach the box with steps pointing out of it, and stop there instead
+    # of trying 30 halvings each (225 kernel calls over 6972 rows before)
+    model, rel = simulated_release("logistic", 1000, 0.1, seed=5)
+    theta_hat = plugin_mle(model, rel)
+    cov = model.fisher_info(theta_hat) / rel.n + rel.sigma**2 * np.eye(model.d)
+    z = substream(5, "draws").standard_normal((200, model.d))
+    s_star = model.grad_log_partition(theta_hat) + z @ np.linalg.cholesky(cov).T
+    rows = []
+    kernel = model.mean_and_weights
+    model.mean_and_weights = lambda Theta: rows.append(len(Theta)) or kernel(Theta)
+    _, converged = model.newton_batch(s_star)
+    assert (~converged).sum() == 182  # as many rows as before are left to the fallback
+    assert len(rows) <= 100 and sum(rows) <= 2000
+
+
 def test_batched_bootstrap_rows_that_overflow_match_the_loop(monkeypatch):
     # features near 60 make the full Newton step from 0 overflow the log link
     X = substream(6, "overflow").uniform(20.0, 60.0, (200, 2))

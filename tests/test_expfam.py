@@ -20,6 +20,7 @@ from dpss.expfam import (
     SolverDivergedError,
     dataset_from_csv,
     dataset_to_csv,
+    _row_norms,
     _solve_blocks,
     load_model_config,
 )
@@ -314,6 +315,48 @@ def test_newton_batch_reports_overflow_per_row():
     _, converged = model.newton_batch(S)
     assert converged[0]
     assert any(not finite.all() for finite in calls)
+
+
+def test_newton_batch_stops_a_row_whose_clipped_step_cannot_descend():
+    # the first mean coordinate cannot reach 3, so one Newton step puts theta_0
+    # on the box face, and every later step points further out; along the
+    # clipped step the residual does not decrease, so the row stops at once
+    model = random_logistic(d=2)
+    s = np.array([3.0, 0.0])
+    calls = []
+    kernel = model.mean_and_weights
+    model.mean_and_weights = lambda Theta: calls.append(len(Theta)) or kernel(Theta)
+    theta, converged = model.newton_batch(s[None])
+    newton_calls = len(calls)
+    assert not converged[0]
+    assert theta[0, 0] == PARAM_BOX and abs(theta[0, 1]) < PARAM_BOX
+    fisher = model.fisher_info(theta[0])
+    step = np.linalg.solve(fisher + 1e-12 * np.eye(2), s - model.grad_log_partition(theta[0]))
+    assert step[0] > 0  # blocked by the face
+    # the start and the step that reached the face; the loop used to add 30
+    # halving rounds, every one rejected, and end at the same iterate
+    assert newton_calls == 2
+    ref_theta, ref_converged = scalar_newton(random_logistic(d=2), s)
+    assert not ref_converged
+    np.testing.assert_array_equal(theta[0], ref_theta)
+
+
+def test_row_norms_survive_entries_past_1e154():
+    A = np.array([[3.0, 4.0], [1e290, 0.0], [3e200, -4e200], [np.inf, 1.0]])
+    norms = _row_norms(A)
+    assert norms[0] == np.linalg.norm(A[0])
+    np.testing.assert_allclose(norms[1:3], [1e290, 5e200], rtol=1e-15)
+    assert norms[3] == np.inf
+    X = np.random.default_rng(4).standard_normal((50, 3))
+    np.testing.assert_array_equal(_row_norms(X), np.linalg.norm(X, axis=1))
+
+
+def test_inverse_of_a_statistic_past_1e154_raises():
+    # its norm used to overflow to inf, and so did the tolerance, so theta = 0
+    # passed for a solution of mu(theta) = 1e290
+    model = PoissonModel(np.linspace(50.0, 100.0, 40)[:, None], B_X=200.0, B_Y=1e6)
+    with pytest.raises(SolverDivergedError):
+        model.inverse_mean_map(np.array([1e290]))
 
 
 def test_solve_blocks_marks_only_singular_rows():
