@@ -26,8 +26,10 @@ sum(y_i * x_i) carries private information; X is used after the release.
 from __future__ import annotations
 
 import abc
+import ctypes
 import functools
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +42,32 @@ NEWTON_MAX_ITER = 100  # Newton iterations of the inverse mean map
 # rows x design rows per batched Newton solve, so that each (rows, design
 # rows) temporary of the iteration stays within 0.5 MB
 NEWTON_CHUNK_ELEMS = 2**16
+
+
+def _keep_solver_temporaries_on_the_heap() -> None:
+    """Fix glibc's mmap and trim thresholds above the batched solvers' temporaries.
+
+    glibc moves both thresholds at run time, to the size of the largest
+    mmapped block the process has freed so far, so whether each 0.5 MB
+    (rows, design rows) temporary of a solve comes from a fresh mmap, or is
+    trimmed off the heap top when freed, depends on what the process did
+    before.  Processes running the same low-eps bootstrap then fault in
+    about 4k or about 13k pages per pass, and their times differ by 15%.
+    With the thresholds fixed at 4 and 16 temporaries, those arrays stay in
+    the heap and a pass faults in a few pages.  Elsewhere than glibc this
+    does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    temporary = NEWTON_CHUNK_ELEMS * np.dtype(float).itemsize
+    mallopt(-3, 4 * temporary)  # M_MMAP_THRESHOLD
+    mallopt(-1, 16 * temporary)  # M_TRIM_THRESHOLD
+
+
+if sys.platform.startswith("linux"):
+    _keep_solver_temporaries_on_the_heap()
 
 
 class EmptyDatasetError(ValueError):

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+import dpss.expfam
 from dpss.expfam import (
     NEWTON_MAX_ITER,
     PARAM_BOX,
@@ -667,3 +671,29 @@ def test_dataset_csv_round_trip(tmp_path):
     back = dataset_from_csv(tmp_path / "d.csv", model)
     np.testing.assert_array_equal(back.x, data.x)
     np.testing.assert_array_equal(back.y, data.y)
+
+
+CHUNK_TEMPORARY_CHURN = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import dpss.expfam
+rows = dpss.expfam.NEWTON_CHUNK_ELEMS
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):  # four chunk-sized temporaries, written and freed together
+    arrays = [np.empty(rows) for _ in range(4)]
+    for a in arrays:
+        a.fill(1.0)
+    del arrays, a
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")
+def test_chunk_sized_temporaries_are_not_faulted_in_again_on_every_iteration():
+    # with glibc's moving thresholds the freed temporaries are trimmed off
+    # the heap and each round faults in their 4 x 128 pages again
+    src = str(Path(dpss.expfam.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", CHUNK_TEMPORARY_CHURN, src],
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 1000
