@@ -103,7 +103,11 @@ def plugin_mle(model: ExpFamModel, rel: ReleasedStatistic) -> np.ndarray:
 
 
 def noise_aware_mle(
-    model: ExpFamModel, rel: ReleasedStatistic, *, _solver: dict | None = None
+    model: ExpFamModel,
+    rel: ReleasedStatistic,
+    *,
+    theta_plug: np.ndarray | None = None,
+    _solver: dict | None = None,
 ) -> np.ndarray:
     """GLS estimator weighting the residual by sampling + privacy covariance.
 
@@ -118,13 +122,15 @@ def noise_aware_mle(
         -2 I(theta) v - X'(w3 * (X v)^2) / (N n) + 0.2 sigma^2 (theta - theta_plug),
     where w3 = dW/d(eta) is the third cumulant of each record's outcome.
     ``model.mean_and_cumulants`` gives L-BFGS-B this exact gradient from one
-    kernel call per evaluation.
+    kernel call per evaluation.  A caller that already holds
+    ``plugin_mle(model, rel)`` passes it as ``theta_plug`` to skip solving
+    it again.
 
     ``estimate_report`` passes a dict as ``_solver``, which receives
     L-BFGS-B's iteration and evaluation counts and its exit status as
     "nit", "nfev" and "status".
     """
-    plug = plugin_mle(model, rel)
+    plug = plugin_mle(model, rel) if theta_plug is None else theta_plug
     sigma, n, d = rel.sigma, rel.n, model.d
     lam = _regularizer(sigma)
     s = rel.s_tilde
@@ -319,14 +325,18 @@ def estimate_report(
     rel: ReleasedStatistic,
     method: str,
     alpha: float,
+    theta_plug: np.ndarray | None = None,
 ) -> EstimateReport:
-    """Run the chosen DP estimator with its Wald interval in one call."""
+    """Run the chosen DP estimator with its Wald interval in one call.
+
+    ``theta_plug``, when given, is ``plugin_mle(model, rel)``, already solved.
+    """
     solver: dict = {}  # the noise-aware solve's L-BFGS-B nit, nfev and status
     if method == "plugin":
-        theta_hat = plugin_mle(model, rel)
+        theta_hat = plugin_mle(model, rel) if theta_plug is None else theta_plug
         tag = "plugin_wald"
     elif method == "noise_aware":
-        theta_hat = noise_aware_mle(model, rel, _solver=solver)
+        theta_hat = noise_aware_mle(model, rel, theta_plug=theta_plug, _solver=solver)
         tag = "noise_aware_wald"
     else:
         raise ValueError(f"unknown method {method!r}")

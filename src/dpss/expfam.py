@@ -8,19 +8,23 @@ a clipping rule that enforces the L2 bound on the per-record statistic,
 and the inverse mean map used by the plug-in estimator.
 
 ``inverse_mean_map_batch`` inverts the mean map for many statistics at
-once: batched damped Newton, then one batched projected-Newton fallback on
-the least-squares residual for all unconverged rows, each started from its
-last Newton iterate; a row whose fallback diverges is marked, not raised.
-A Newton row on a face of the box whose step points further out goes to
-the fallback at once, without halving, when the residual does not
-decrease along the clipped step.  ``inverse_mean_map`` is the one-row case,
-which raises.
+once: one damped-Newton loop over every row, then a batched projected-Newton
+fallback on the least-squares residual for the unconverged rows, each
+started from its last Newton iterate; a row whose fallback diverges is
+marked, not raised.  A Newton row on a face of the box whose step points
+further out goes to the fallback at once, without halving, when the
+residual does not decrease along the clipped step.  ``inverse_mean_map`` is
+the one-row case, which raises.
 
 Every log-partition is A(theta) = mean_i a(x_i . theta) over a public
 design X, so the mean map, the Fisher information and their derivatives
-come from one per-record kernel over X.  The Gaussian mean is the one-row
-design x = 1 with a(eta) = sigma0^2 eta^2 / 2.  For the regressions only
-sum(y_i * x_i) carries private information; X is used after the release.
+come from one per-record kernel over X.  ``mean_and_fisher`` runs it on
+blocks of NEWTON_CHUNK_ELEMS // N rows of parameters, so that its (rows, N)
+temporaries stay in cache however many rows the Newton loop holds; the loop
+itself keeps only the (d, d) Fisher block of each row.  The Gaussian mean
+is the one-row design x = 1 with a(eta) = sigma0^2 eta^2 / 2.  For the
+regressions only sum(y_i * x_i) carries private information; X is used
+after the release.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from scipy.special import expit
 PARAM_BOX = 10.0  # box constraint |theta_j| <= 10 for all solvers
 MAX_LOG_RATE = 700.0  # largest log-link eta whose exp is computed
 NEWTON_MAX_ITER = 100  # Newton iterations of the inverse mean map
-# rows x design rows per batched Newton solve, so that each (rows, design
-# rows) temporary of the iteration stays within 0.5 MB
+# rows x design rows per block of the mean-and-Fisher kernel and per fallback
+# call, so that each (rows, design rows) temporary stays within 0.5 MB
 NEWTON_CHUNK_ELEMS = 2**16
 
 
@@ -185,7 +189,7 @@ class ExpFamModel(abc.ABC):
     def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-record means P and variances W, shape (b, n), and the finite mask.
 
-        This is the one kernel behind ``mean_and_weights`` and
+        This is the one kernel behind ``mean_and_fisher`` and
         ``mean_and_cumulants``: W is the weight vector of the Fisher block.
         """
 
@@ -194,38 +198,56 @@ class ExpFamModel(abc.ABC):
     def _third_cumulants(P: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Per-record third cumulants dW/d(eta) from the means P and variances W."""
 
-    def mean_and_weights(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mean map, Fisher weights and a finite mask for each row of Theta, shape (b, d).
+    @property
+    def _block_rows(self) -> int:
+        """Rows of parameters per kernel block: NEWTON_CHUNK_ELEMS // design rows."""
+        return max(1, NEWTON_CHUNK_ELEMS // len(self.design))
 
-        Returns mu = P @ X / n with shape (b, d); the per-record weights W
-        with shape (b, n), so that I(Theta[k]) = X' diag(W[k]) X / n; and a
-        (b,) mask that is False for rows whose mean would overflow.
+    def mean_and_fisher(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean map, Fisher information and a finite mask for each row of Theta, shape (b, d).
+
+        Returns mu = P @ X / n with shape (b, d); I = X' diag(W) X / n with
+        shape (b, d, d); and a (b,) mask that is False for rows whose mean
+        would overflow.  The kernel runs on blocks of ``_block_rows`` rows,
+        so its (rows, n) temporaries stay within NEWTON_CHUNK_ELEMS entries.
         """
-        P, W, finite = self._record_moments(Theta)
-        return P @ self.design / len(self.design), W, finite
+        n, block = len(self.design), self._block_rows
+        mu = np.empty((len(Theta), self.d))
+        fisher = np.empty((len(Theta), self.d, self.d))
+        finite = np.empty(len(Theta), dtype=bool)
+        # weights near exp(MAX_LOG_RATE) can take a Fisher block past the float
+        # range: it is inf, and its row's mean is near 1e300
+        with np.errstate(over="ignore"):
+            for lo in range(0, len(Theta), block):
+                P, W, finite[lo:lo + block] = self._record_moments(Theta[lo:lo + block])
+                mu[lo:lo + block] = P @ self.design / n
+                fisher[lo:lo + block] = self._fisher_blocks(W)
+                del P, W  # so that the next block's kernel does not hold two blocks at once
+        return mu, fisher, finite
 
     def mean_and_cumulants(self, Theta: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``mean_and_weights`` plus the per-record third cumulants W3, shape (b, n).
+        """Mean map, per-record weights W and third cumulants W3, and the finite mask.
 
-        W3 = dW/d(eta) gives the derivative of the Fisher information,
-        dI/d(theta_k) = X' diag(W3 * X[:, k]) X / n, from the same kernel call.
+        mu has shape (b, d) and W, W3 shape (b, n), in one unblocked kernel
+        call: I(Theta[k]) = X' diag(W[k]) X / n, and W3 = dW/d(eta) gives its
+        derivative dI/d(theta_k) = X' diag(W3 * X[:, k]) X / n.
         """
         P, W, finite = self._record_moments(Theta)
         return P @ self.design / len(self.design), W, self._third_cumulants(P, W), finite
 
-    def _mean_and_weights_at(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mu, w, finite = self.mean_and_weights(np.asarray(theta, dtype=float)[None])
+    def _mean_and_fisher_at(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mu, fisher, finite = self.mean_and_fisher(np.asarray(theta, dtype=float)[None])
         if not finite[0]:
             raise MeanOverflowError("mean_overflow")
-        return mu[0], w
+        return mu[0], fisher[0]
 
     def grad_log_partition(self, theta: np.ndarray) -> np.ndarray:
         """Mean parameter mu(theta), the gradient of the log-partition."""
-        return self._mean_and_weights_at(theta)[0]
+        return self._mean_and_fisher_at(theta)[0]
 
     def fisher_info(self, theta: np.ndarray) -> np.ndarray:
         """Fisher information I(theta) = Jacobian of the mean map, (d, d)."""
-        return self._fisher_blocks(self._mean_and_weights_at(theta)[1])[0]
+        return self._mean_and_fisher_at(theta)[1]
 
     @abc.abstractmethod
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
@@ -370,7 +392,7 @@ class _RegressionModel(ExpFamModel):
         The candidate of row ``rows[k]`` is theta + t step[k] clipped to the
         box; one ``kernel`` call per halving round evaluates every row still
         searching.  A candidate with a finite mean and a smaller residual is
-        accepted in place into theta, resid, rnorm and the per-record arrays
+        accepted in place into theta, resid, rnorm and the per-row arrays
         ``moments`` (the kernel's outputs between the mean and the finite
         mask).  Returns the rows that found none in 30 halvings.
         """
@@ -396,7 +418,7 @@ class _RegressionModel(ExpFamModel):
         return rows[searching]
 
     def newton_batch(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Damped Newton for every row of S at once, each row started at theta = 0.
+        """Damped Newton for every row of S in one loop, each row started at theta = 0.
 
         A row converges when ||mu(theta) - s|| <= 1e-8 max(1, ||s||).  It
         stops unconverged when its Fisher block is singular, or when 30
@@ -406,24 +428,27 @@ class _RegressionModel(ExpFamModel):
         slope (I r).d of 0.5 ||mu - s||^2 along the clipped step d (the step
         with those blocked coordinates set to zero) is not negative: short
         steps then cannot lower the residual (Bertsekas, SIAM J. Control
-        Optim. 1982).  The weights of each accepted candidate give the next
-        Fisher blocks, one GEMM for all rows.
+        Optim. 1982).  Each iteration makes one ``mean_and_fisher`` call per
+        halving round over the rows still searching, which blocks the rows
+        itself; the loop keeps the Fisher block of each accepted candidate
+        for the next step, not its per-record weights.
         """
         S = np.atleast_2d(np.asarray(S, dtype=float))
         b, d = S.shape
         theta = np.zeros((b, d))
         tol = 1e-8 * np.maximum(1.0, _row_norms(S))
-        mu0, w0, _ = self.mean_and_weights(theta[:1])
+        mu0, fisher0, _ = self.mean_and_fisher(theta[:1])
         resid = mu0 - S
-        weights = np.repeat(w0, b, axis=0)
-        rnorm = np.linalg.norm(resid, axis=1)
+        fishers = np.repeat(fisher0, b, axis=0)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf: the row stays active
+            rnorm = np.linalg.norm(resid, axis=1)
         active = rnorm > tol
         ridge = 1e-12 * np.eye(d)
         for _ in range(NEWTON_MAX_ITER):
             rows = np.flatnonzero(active)
             if rows.size == 0:
                 break
-            fisher = self._fisher_blocks(weights[rows]) + ridge
+            fisher = fishers[rows] + ridge
             step, moving = _solve_blocks(fisher, -resid[rows])
             if np.abs(theta).max() >= PARAM_BOX:  # interior solves skip the check
                 # blocked: on a face of the box, with the step pointing further out
@@ -433,30 +458,28 @@ class _RegressionModel(ExpFamModel):
                 moving &= ~blocked.any(axis=1) | (slope < 0)
             active[rows[~moving]] = False
             rows, step = rows[moving], step[moving]
-            stuck = self._backtrack(self.mean_and_weights, S, rows, step,
-                                    theta, resid, rnorm, (weights,))
+            stuck = self._backtrack(self.mean_and_fisher, S, rows, step,
+                                    theta, resid, rnorm, (fishers,))
             active[stuck] = False
             active &= rnorm > tol
         return theta, rnorm <= tol
 
     def inverse_mean_map_batch(self, S: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-        """``newton_batch`` in chunks of NEWTON_CHUNK_ELEMS // design rows, then the fallback.
+        """One ``newton_batch`` over every row of S, then the fallback for its unconverged rows.
 
-        Each chunk's unconverged rows go to one batched fallback call, started
-        at their last Newton iterates; rows that Newton converges are not touched.
+        The fallback keeps per-record arrays for each of its rows, so the
+        unconverged rows go to it in calls of ``_block_rows`` rows, each row
+        started at its last Newton iterate; rows that Newton converges are
+        not touched.
         """
         S = np.atleast_2d(np.asarray(S, dtype=float))
-        theta = np.empty_like(S)
+        theta, converged = self.newton_batch(S)
         diverged = np.zeros(len(S), dtype=bool)
-        fallbacks = 0
-        chunk = max(1, NEWTON_CHUNK_ELEMS // len(self.design))
-        for lo in range(0, len(S), chunk):
-            theta[lo:lo + chunk], converged = self.newton_batch(S[lo:lo + chunk])
-            rows = lo + np.flatnonzero(~converged)
-            if rows.size:
-                fallbacks += rows.size
-                theta[rows], diverged[rows] = self._inverse_mean_map_fallback(S[rows], theta[rows])
-        return theta, fallbacks, diverged
+        rows, block = np.flatnonzero(~converged), self._block_rows
+        for lo in range(0, rows.size, block):
+            r = rows[lo:lo + block]
+            theta[r], diverged[r] = self._inverse_mean_map_fallback(S[r], theta[r])
+        return theta, rows.size, diverged
 
     def _inverse_mean_map_fallback(
         self, S: np.ndarray, Theta0: np.ndarray
@@ -507,8 +530,10 @@ class _RegressionModel(ExpFamModel):
             hess[~convex] = gauss_newton[~convex]
             step, solved = _solve_blocks(hess, np.where(fixed, 0.0, -grad))
             step = np.where(upper, PARAM_BOX - th, np.where(lower, -PARAM_BOX - th, step))
-            # a row whose step predicts a decrease of at most 1e-15 max(1, f) has converged
-            decrease = -(grad * step).sum(axis=1)
+            # a row whose step predicts a decrease of at most 1e-15 max(1, f) has
+            # converged; past 1e154 the product overflows, and such a row ends diverged
+            with np.errstate(over="ignore"):
+                decrease = -(grad * step).sum(axis=1)
             moving = solved & (decrease > 1e-15 * np.maximum(1.0, 0.5 * rnorm[rows] ** 2))
             active[rows[~moving]] = False
             stuck = self._backtrack(self.mean_and_cumulants, S, rows[moving], step[moving],
@@ -686,8 +711,17 @@ def dataset_from_csv(path: str | Path, model: ExpFamModel) -> Dataset:
 
 
 def dataset_to_csv(data: Dataset, path: str | Path) -> None:
+    """Write the CSV ``dataset_from_csv`` reads: the bytes of np.savetxt(fmt="%.17g").
+
+    One %-format per block of 1024 rows, instead of savetxt's one per row;
+    the blocks bound the text and the list of floats held at once.
+    """
     if data.y is None:
         arr = data.x.reshape(-1, 1)
     else:
         arr = np.column_stack([data.x, data.y])
-    np.savetxt(path, arr, delimiter=",", fmt="%.17g")
+    row_fmt = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        for lo in range(0, len(arr), 1024):
+            block = arr[lo:lo + 1024]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))

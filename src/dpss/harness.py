@@ -269,7 +269,7 @@ METHODS = {
         model, rel, "plugin", cfg.alpha
     ),
     "noise_aware_wald": lambda model, raw, rel, rng, cfg, earlier: estimate.estimate_report(
-        model, rel, "noise_aware", cfg.alpha
+        model, rel, "noise_aware", cfg.alpha, theta_plug=_plugin_theta(model, rel, earlier)
     ),
     "bootstrap": lambda model, raw, rel, rng, cfg, earlier: estimate.parametric_bootstrap(
         model, rel, estimate.BootstrapConfig(cfg.b_boot, cfg.alpha), rng,

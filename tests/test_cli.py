@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -259,17 +260,21 @@ def test_experiment_run_solver_failure_exits_3(workdir, monkeypatch, attr, exc, 
 
 @pytest.mark.parametrize("method", ["plugin", "noise_aware"])
 def test_estimate_of_a_statistic_past_1e154_exits_3(workdir, method):
-    # the norm of 1e290 overflowed, so theta = 0 passed for its solution
+    # the norm of 1e290 overflowed, so theta = 0 passed for its solution; the
+    # overflows the solvers reject must not print numpy warnings either
     np.savetxt(workdir / "design.csv", np.linspace(50.0, 100.0, 40)[:, None])
     (workdir / "poisson.json").write_text(json.dumps(
         {"model_id": "poisson", "d": 1, "clip": {"B_X": 200.0, "B_Y": 1e6},
          "design_csv": "design.csv"}))
     ReleasedStatistic(np.array([1e290]), 0.1, 1000, 1, 2e8, PrivacyBudget(1.0, 1e-6),
                       "poisson").save(workdir / "rel.json")
-    res = invoke("estimate", "--release", workdir / "rel.json",
-                 "--model", workdir / "poisson.json", "--method", method)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = invoke("estimate", "--release", workdir / "rel.json",
+                     "--model", workdir / "poisson.json", "--method", method)
     assert res.exit_code == 3
     assert "error: solver_diverged" in res.output
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_analyze_singular_fisher_exits_3(workdir):

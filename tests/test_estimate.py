@@ -20,6 +20,7 @@ from dpss.estimate import (
     wald_test,
 )
 from dpss.expfam import (
+    NEWTON_CHUNK_ELEMS,
     PARAM_BOX,
     Dataset,
     GaussianMeanModel,
@@ -180,7 +181,7 @@ def test_noise_aware_evaluation_makes_one_one_row_kernel_call(monkeypatch, model
     kernel = model._record_moments
     monkeypatch.setattr(model, "_record_moments",
                         lambda Theta: rows.append(len(Theta)) or kernel(Theta))
-    for name in ("grad_log_partition", "fisher_info", "mean_and_weights"):
+    for name in ("grad_log_partition", "fisher_info", "mean_and_fisher"):
         monkeypatch.setattr(model, name, lambda *a, name=name: pytest.fail(f"{name} called"))
     for k in range(3):
         fun(plug + 0.1 * k)
@@ -468,7 +469,7 @@ def lbfgsb_fallback(model, s, theta0):
     X = model.design
 
     def objective(theta):
-        mu, w, finite = model.mean_and_weights(theta[None])
+        mu, w, _, finite = model.mean_and_cumulants(theta[None])
         if not finite[0]:
             return 1e300, np.zeros(model.d)
         r = mu[0] - s
@@ -485,13 +486,18 @@ def lbfgsb_fallback(model, s, theta0):
     return theta, not value < 1e300 or np.linalg.norm(proj) > 1e-5 * max(1.0, np.linalg.norm(s))
 
 
-@pytest.mark.parametrize("model_id, n", [("logistic", 1000), ("poisson", 500)])
-def test_batched_fallback_agrees_with_per_row_lbfgsb_on_low_eps_draws(model_id, n):
-    model, rel = simulated_release(model_id, n, 0.1, seed=5)
+def low_eps_draws(model, rel):
+    """200 bootstrap draws of the statistic around the plug-in estimate of ``rel``."""
     theta_hat = plugin_mle(model, rel)
     cov = model.fisher_info(theta_hat) / rel.n + rel.sigma**2 * np.eye(model.d)
     z = substream(5, "draws").standard_normal((200, model.d))
-    s_star = model.grad_log_partition(theta_hat) + z @ np.linalg.cholesky(cov).T
+    return model.grad_log_partition(theta_hat) + z @ np.linalg.cholesky(cov).T
+
+
+@pytest.mark.parametrize("model_id, n", [("logistic", 1000), ("poisson", 500)])
+def test_batched_fallback_agrees_with_per_row_lbfgsb_on_low_eps_draws(model_id, n):
+    model, rel = simulated_release(model_id, n, 0.1, seed=5)
+    s_star = low_eps_draws(model, rel)
     Theta0, converged = model.newton_batch(s_star)
     S, Theta0 = s_star[~converged], Theta0[~converged]
     assert len(S) > 20  # at eps = 0.1 many draws fall back
@@ -507,13 +513,10 @@ def test_newton_hands_box_blocked_low_eps_draws_on_without_halving_rounds():
     # rows reach the box with steps pointing out of it, and stop there instead
     # of trying 30 halvings each (225 kernel calls over 6972 rows before)
     model, rel = simulated_release("logistic", 1000, 0.1, seed=5)
-    theta_hat = plugin_mle(model, rel)
-    cov = model.fisher_info(theta_hat) / rel.n + rel.sigma**2 * np.eye(model.d)
-    z = substream(5, "draws").standard_normal((200, model.d))
-    s_star = model.grad_log_partition(theta_hat) + z @ np.linalg.cholesky(cov).T
+    s_star = low_eps_draws(model, rel)
     rows = []
-    kernel = model.mean_and_weights
-    model.mean_and_weights = lambda Theta: rows.append(len(Theta)) or kernel(Theta)
+    kernel = model.mean_and_fisher
+    model.mean_and_fisher = lambda Theta: rows.append(len(Theta)) or kernel(Theta)
     _, converged = model.newton_batch(s_star)
     assert (~converged).sum() == 182  # as many rows as before are left to the fallback
     assert len(rows) <= 100 and sum(rows) <= 2000
@@ -527,14 +530,14 @@ def test_batched_bootstrap_rows_that_overflow_match_the_loop(monkeypatch):
     s_star = np.array([model.grad_log_partition(t) for t in thetas])
     rel = make_release(s_star[0], 0.0, n=200, model_id="poisson", B=1e8)
     overflowed = []
-    kernel = model.mean_and_weights
+    kernel = model.mean_and_fisher
 
     def spy(Theta):
-        mu, weights, finite = kernel(Theta)
+        mu, fisher, finite = kernel(Theta)
         overflowed.append(not finite.all())
-        return mu, weights, finite
+        return mu, fisher, finite
 
-    monkeypatch.setattr(model, "mean_and_weights", spy)
+    monkeypatch.setattr(model, "mean_and_fisher", spy)
     draws, _, failures = estimate._solve_draws(model, s_star, thetas[0], rel)
     monkeypatch.undo()
     assert any(overflowed)
@@ -545,18 +548,72 @@ def test_batched_bootstrap_rows_that_overflow_match_the_loop(monkeypatch):
 
 def test_bootstrap_chunks_are_sized_by_the_design_not_the_release():
     # the release says n = 100, but the public design has 2**14 rows, and it
-    # is the design that sets the width of the Newton temporaries
+    # is the design that sets the width of the kernel's temporaries
     model = LogisticModel(substream(11, "chunks").standard_normal((2**14, 2)))
     rel = make_release([0.1, -0.1], 0.0, n=100, model_id="logistic", B=3.0)
     thetas = substream(12, "chunks").uniform(-0.5, 0.5, (10, 2))
     s_star = np.array([model.grad_log_partition(t) for t in thetas])
-    widths = []
-    newton = model.newton_batch
+    widths, blocks = [], []
+    newton, kernel, moments = model.newton_batch, model.mean_and_fisher, model._record_moments
     model.newton_batch = lambda S: widths.append(len(S)) or newton(S)
+    model.mean_and_fisher = lambda Theta: blocks.append([]) or kernel(Theta)
+    model._record_moments = lambda Theta: blocks[-1].append(len(Theta)) or moments(Theta)
     draws, fallbacks, failures = estimate._solve_draws(model, s_star, thetas[0], rel)
-    assert widths == [4, 4, 2]  # NEWTON_CHUNK_ELEMS // 2**14 draws per chunk
+    assert widths == [10]  # one Newton loop over every draw
+    # the start at theta = 0, then the first step of all 10 draws, in blocks of
+    # NEWTON_CHUNK_ELEMS // 2**14 rows
+    assert blocks[:2] == [[1], [4, 4, 2]]
+    assert max(max(b) for b in blocks) <= 4
     assert (fallbacks, failures) == (0, 0)
     np.testing.assert_allclose(draws, thetas, atol=1e-8)
+
+
+@pytest.mark.parametrize("model_id, n", [("logistic", 1000), ("poisson", 500)])
+def test_batched_inverse_matches_row_by_row_solves_on_low_eps_draws(model_id, n):
+    # the one Newton loop and the fallback blocks run each row as a solve of
+    # that row alone does (the one-row batch is inverse_mean_map, without the raise)
+    model, rel = simulated_release(model_id, n, 0.1, seed=5)
+    s_star = low_eps_draws(model, rel)
+    theta, fallbacks, diverged = model.inverse_mean_map_batch(s_star)
+    alone = [model.inverse_mean_map_batch(s[None]) for s in s_star]
+    assert fallbacks == sum(f for _, f, _ in alone) > 20
+    assert diverged.tolist() == [bool(d[0]) for _, _, d in alone]
+    np.testing.assert_allclose(theta, np.vstack([t for t, _, _ in alone]), rtol=0.0, atol=1e-12)
+
+
+def test_one_newton_loop_makes_no_more_kernel_calls_than_its_slowest_draw():
+    # 500 draws on a 2**14-row design used to run in 125 chunks of 4, each its
+    # own Newton loop; one loop makes a kernel call per iteration and halving
+    # round of all its rows, no more than the slowest draw makes alone
+    model = LogisticModel(substream(13, "one-loop").standard_normal((2**14, 2)))
+    s_star = model.mean_and_fisher(substream(14, "one-loop").uniform(-1.0, 1.0, (500, 2)))[0]
+    calls = []
+    kernel = model.mean_and_fisher
+    model.mean_and_fisher = lambda Theta: calls.append(len(Theta)) or kernel(Theta)
+    _, fallbacks, _ = model.inverse_mean_map_batch(s_star)
+    assert fallbacks == 0 and calls[:2] == [1, 500]
+    batched = len(calls)
+    alone = []
+    for s in s_star:
+        calls.clear()
+        model.newton_batch(s[None])
+        alone.append(len(calls))
+    assert batched <= max(alone)
+
+
+def test_no_kernel_temporary_is_wider_than_a_block():
+    model = LogisticModel(substream(15, "blocks").standard_normal((2**14, 2)))
+    s_star = model.mean_and_fisher(substream(16, "blocks").uniform(-1.0, 1.0, (40, 2)))[0]
+    s_star[::4, 0] = 3.0  # out of the mean range: these 10 rows go on to the fallback
+    widths, handed = [], []
+    moments, fallback = model._record_moments, model._inverse_mean_map_fallback
+    model._record_moments = lambda Theta: widths.append(len(Theta)) or moments(Theta)
+    model._inverse_mean_map_fallback = lambda S, Theta0: handed.append(len(S)) or fallback(S, Theta0)
+    _, fallbacks, diverged = model.inverse_mean_map_batch(s_star)
+    assert fallbacks == 10 and not diverged.any()
+    block = NEWTON_CHUNK_ELEMS // 2**14
+    assert handed == [block, block, 2]
+    assert max(widths) == block
 
 
 def flaky_newton(model, fails):

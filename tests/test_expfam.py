@@ -307,14 +307,14 @@ def test_newton_batch_matches_scalar_newton(maker, low, high):
 def test_newton_batch_reports_overflow_per_row():
     model = overflowing_poisson()
     calls = []
-    kernel = model.mean_and_weights
+    kernel = model.mean_and_fisher
 
     def spy(Theta):
         out = kernel(Theta)
         calls.append(out[2])
         return out
 
-    model.mean_and_weights = spy
+    model.mean_and_fisher = spy
     S = model.grad_log_partition(np.array([0.1, 0.1]))[None]
     _, converged = model.newton_batch(S)
     assert converged[0]
@@ -328,8 +328,8 @@ def test_newton_batch_stops_a_row_whose_clipped_step_cannot_descend():
     model = random_logistic(d=2)
     s = np.array([3.0, 0.0])
     calls = []
-    kernel = model.mean_and_weights
-    model.mean_and_weights = lambda Theta: calls.append(len(Theta)) or kernel(Theta)
+    kernel = model.mean_and_fisher
+    model.mean_and_fisher = lambda Theta: calls.append(len(Theta)) or kernel(Theta)
     theta, converged = model.newton_batch(s[None])
     newton_calls = len(calls)
     assert not converged[0]
@@ -382,16 +382,16 @@ def test_newton_batch_singular_fisher_leaves_row_unconverged():
 
 
 @pytest.mark.parametrize("maker", [lambda: GaussianMeanModel(2.3), random_logistic, random_poisson])
-def test_mean_and_cumulants_extends_mean_and_weights(maker):
+def test_mean_and_cumulants_extends_mean_and_fisher(maker):
     model = maker()
     rng = np.random.default_rng(9)
     Theta, u = rng.uniform(-1.0, 1.0, (4, model.d)), rng.standard_normal(model.d)
     mu, W, W3, finite = model.mean_and_cumulants(Theta)
-    for got, want in zip((mu, W, finite), model.mean_and_weights(Theta)):
+    for got, want in zip((mu, model._fisher_blocks(W), finite), model.mean_and_fisher(Theta)):
         np.testing.assert_array_equal(got, want)
     # W3 = dW/d(eta): the derivative of W along u is W3 * (X u)
     h = 1e-6
-    plus, minus = (model.mean_and_weights(Theta + t * u)[1] for t in (h, -h))
+    plus, minus = (model.mean_and_cumulants(Theta + t * u)[1] for t in (h, -h))
     dW = (plus - minus) / (2 * h)
     np.testing.assert_allclose(dW, W3 * (model.design @ u), rtol=1e-6, atol=1e-9)
     if model.model_id == "gaussian_mean":  # a(eta) is quadratic
@@ -448,7 +448,7 @@ def spy_kernel(monkeypatch, model):
     kernel = model.mean_and_cumulants
     monkeypatch.setattr(model, "mean_and_cumulants",
                         lambda Theta: kernel_rows.append(len(Theta)) or kernel(Theta))
-    monkeypatch.setattr(model, "mean_and_weights", lambda Theta: pytest.fail("second kernel"))
+    monkeypatch.setattr(model, "mean_and_fisher", lambda Theta: pytest.fail("second kernel"))
     return kernel_rows
 
 
@@ -662,6 +662,17 @@ def test_load_model_config_builds_a_model_or_raises_value_error(
         assert model.design.shape == (3, cfg["d"]) == (3, model.d)
     assert np.all(np.isfinite(model.grad_log_partition(np.zeros(model.d))))
     assert np.all(np.isfinite(model.fisher_info(np.zeros(model.d))))
+
+
+@pytest.mark.parametrize("arr", [
+    np.loadtxt(Path(dpss.expfam.__file__).parent / "data" / "logistic_10k.csv", delimiter=","),
+    np.array([[0.1], [-0.0], [5e-324], [1e308], [-2.5], [1.0 / 3.0]]),
+], ids=["bundled_10k", "gaussian_extremes"])
+def test_dataset_to_csv_writes_the_bytes_of_savetxt(tmp_path, arr):
+    data = Dataset(arr[:, 0]) if arr.shape[1] == 1 else Dataset(arr[:, :-1], arr[:, -1])
+    dataset_to_csv(data, tmp_path / "d.csv")
+    np.savetxt(tmp_path / "ref.csv", arr, delimiter=",", fmt="%.17g")
+    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_dataset_csv_round_trip(tmp_path):

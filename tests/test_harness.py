@@ -170,6 +170,24 @@ def test_bootstrap_reuses_the_plugin_estimate(monkeypatch):
     assert len(calls) == 3  # one plug-in solve per replication, not one per method
 
 
+def test_noise_aware_reuses_the_plugin_estimate(monkeypatch):
+    calls = []
+    plugin_mle = harness.estimate.plugin_mle
+    monkeypatch.setattr(harness.estimate, "plugin_mle",
+                        lambda model, rel: calls.append(1) or plugin_mle(model, rel))
+    monkeypatch.setenv("DPSS_THREADS", "1")
+    cfg = tiny_sweep_config(model_id="logistic", replications=3,
+                            methods=["plugin_wald", "noise_aware_wald"])
+    reused = run_coverage_sweep(cfg)
+    assert len(calls) == 3  # one plug-in solve per replication, not one per method
+    # the same rows as a noise-aware solve that finds its own plug-in start
+    monkeypatch.setitem(harness.METHODS, "noise_aware_wald",
+                        lambda model, raw, rel, rng, cfg, earlier: harness.estimate.estimate_report(
+                            model, rel, "noise_aware", cfg.alpha))
+    assert run_coverage_sweep(cfg).rows == reused.rows
+    assert len(calls) == 9
+
+
 def test_every_cell_reports_mc_se_and_delta_rule():
     table = run_coverage_sweep(tiny_sweep_config())
     for row in table.rows:
