@@ -53,6 +53,14 @@ def _solver_errors():
         _data_error(str(exc))
 
 
+@contextlib.contextmanager
+def _writing(path):
+    try:
+        yield
+    except OSError as exc:  # a missing directory, a file where one is wanted, no permission
+        _data_error(f"cannot write {path}: {exc}")
+
+
 def _load_model(path):
     try:
         return load_model_config(path)
@@ -136,7 +144,8 @@ def release_cmd(data_path, model_path, epsilon, delta, seed, out_path, sigma_ove
         sigma_override=sigma_override,
         seed_tag=str(seed),
     )
-    rel.save(out_path)
+    with _writing(out_path):
+        rel.save(out_path)
     click.echo(
         f"n={n} d={model.d} B={model.clip_bounds.B} sigma={rel.sigma}",
         err=True,
@@ -190,14 +199,15 @@ def synth(release_path, model_path, n_syn, seed, out_path):
     data = synthgen.generate_synthetic(
         model, theta, synthgen.SynthConfig(n_syn), substream(seed, "synth")
     )
-    dataset_to_csv(data, out_path)
     sidecar = {
         "source_theta": [float(t) for t in theta],
         "n_syn": n_syn,
         "seed": seed,
         "model_id": model.model_id,
     }
-    Path(str(out_path) + ".json").write_text(json.dumps(sidecar) + "\n")
+    with _writing(out_path):
+        dataset_to_csv(data, out_path)
+        Path(str(out_path) + ".json").write_text(json.dumps(sidecar) + "\n")
 
 
 @main.command()
@@ -238,7 +248,7 @@ def experiment_run(config_path, out_dir):
         cfg = harness.ExperimentConfig.from_json(Path(config_path).read_text())
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         _data_error(f"cannot load experiment config: {exc}")
-    with _solver_errors():
+    with _solver_errors(), _writing(out_dir):
         harness.run_experiment(cfg, out_dir)
     click.echo(f"wrote {out_dir}/{cfg.experiment_id}.csv", err=True)
 

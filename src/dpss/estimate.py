@@ -118,13 +118,11 @@ def noise_aware_mle(
     lam = max(1e-6, 0.01 sigma^2) and the anchor penalty are stabilizers
     only; they vanish (or are inert) as sigma -> 0.
 
-    With v = C^{-1} r and the design X of N rows, the gradient is
-        -2 I(theta) v - X'(w3 * (X v)^2) / (N n) + 0.2 sigma^2 (theta - theta_plug),
-    where w3 = dW/d(eta) is the third cumulant of each record's outcome.
-    ``model.mean_and_cumulants`` gives L-BFGS-B this exact gradient from one
-    kernel call per evaluation.  A caller that already holds
-    ``plugin_mle(model, rel)`` passes it as ``theta_plug`` to skip solving
-    it again.
+    With v = C^{-1} r, the gradient is
+        -2 I(theta) v - T(theta)[v, v] / n + 0.2 sigma^2 (theta - theta_plug),
+    with T = dI/dtheta; L-BFGS-B gets it from one ``model.mean_fisher_and_skew``
+    call per evaluation.  A caller that already holds ``plugin_mle(model, rel)``
+    passes it as ``theta_plug`` to skip solving it again.
 
     ``estimate_report`` passes a dict as ``_solver``, which receives
     L-BFGS-B's iteration and evaluation counts and its exit status as
@@ -137,19 +135,13 @@ def noise_aware_mle(
     eye = np.eye(d)
 
     def objective_and_gradient(theta):
-        mu, w, w3, finite = model.mean_and_cumulants(theta[None])
+        mu, fisher, skew, finite = model.mean_fisher_and_skew(theta[None])
         if not finite[0]:
             raise MeanOverflowError("mean_overflow")
-        fisher = model._fisher_blocks(w)[0]
         r = s - mu[0]
-        v = np.linalg.solve((fisher + lam * eye) / n + sigma**2 * eye, r)
-        xv = model.design @ v
+        v = np.linalg.solve((fisher[0] + lam * eye) / n + sigma**2 * eye, r)
         diff = theta - plug
-        grad = (
-            -2.0 * (fisher @ v)
-            - (w3[0] * xv * xv) @ model.design / (len(model.design) * n)
-            + 0.2 * sigma**2 * diff
-        )
+        grad = -2.0 * (fisher[0] @ v) - skew[0] @ v @ v / n + 0.2 * sigma**2 * diff
         return float(r @ v) + 0.1 * sigma**2 * float(diff @ diff), grad
 
     res = minimize(

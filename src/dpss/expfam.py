@@ -18,13 +18,14 @@ the one-row case, which raises.
 
 Every log-partition is A(theta) = mean_i a(x_i . theta) over a public
 design X, so the mean map, the Fisher information and their derivatives
-come from one per-record kernel over X.  ``mean_and_fisher`` runs it on
-blocks of NEWTON_CHUNK_ELEMS // N rows of parameters, so that its (rows, N)
-temporaries stay in cache however many rows the Newton loop holds; the loop
-itself keeps only the (d, d) Fisher block of each row.  The Gaussian mean
-is the one-row design x = 1 with a(eta) = sigma0^2 eta^2 / 2.  For the
-regressions only sum(y_i * x_i) carries private information; X is used
-after the release.
+come from one per-record kernel over X.  It runs on blocks of
+NEWTON_CHUNK_ELEMS // N rows of parameters, so that its (rows, N)
+temporaries stay in cache however many rows a solver holds, and returns
+per-row contractions only: ``mean_and_fisher`` the mean and the Fisher
+block, ``mean_fisher_and_skew`` also the third-cumulant tensor
+T = X'[w3 x x x] / N.  The Gaussian mean is the one-row design x = 1 with
+a(eta) = sigma0^2 eta^2 / 2.  For the regressions only sum(y_i * x_i)
+carries private information; X is used after the release.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import abc
 import ctypes
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -43,8 +45,8 @@ from scipy.special import expit
 PARAM_BOX = 10.0  # box constraint |theta_j| <= 10 for all solvers
 MAX_LOG_RATE = 700.0  # largest log-link eta whose exp is computed
 NEWTON_MAX_ITER = 100  # Newton iterations of the inverse mean map
-# rows x design rows per block of the mean-and-Fisher kernel and per fallback
-# call, so that each (rows, design rows) temporary stays within 0.5 MB
+# rows x design rows per block of the per-record kernel, so that each
+# (rows, design rows) temporary stays within 0.5 MB
 NEWTON_CHUNK_ELEMS = 2**16
 
 
@@ -178,20 +180,19 @@ class ExpFamModel(abc.ABC):
             np.multiply(self.design[:, i[k]], self.design[:, j[k]], out=outer[:, k])
         return i, j, outer
 
-    def _fisher_blocks(self, W: np.ndarray) -> np.ndarray:
-        """I = X' diag(w) X / n for each row w of W, from one GEMM: shape (b, d, d)."""
-        i, j, outer = self._design_outer
-        fisher = np.empty((len(W), self.d, self.d))
-        fisher[:, i, j] = fisher[:, j, i] = W @ outer / len(self.design)
-        return fisher
+    @functools.cached_property
+    def _design_triples(self) -> np.ndarray:
+        """The products x_a x_b x_c of each design row for the triples of ``_triples``: (., n)."""
+        (a, b, c), _, _ = _triples(self.d)
+        columns = np.ascontiguousarray(self.design.T)  # the rows of X', not strided columns
+        products = columns[a]
+        products *= columns[b]  # one temporary of the products' size at a time
+        products *= columns[c]
+        return products
 
     @abc.abstractmethod
     def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-record means P and variances W, shape (b, n), and the finite mask.
-
-        This is the one kernel behind ``mean_and_fisher`` and
-        ``mean_and_cumulants``: W is the weight vector of the Fisher block.
-        """
+        """The kernel's per-record means P and variances W, shape (b, n), and finite mask."""
 
     @staticmethod
     @abc.abstractmethod
@@ -208,32 +209,42 @@ class ExpFamModel(abc.ABC):
 
         Returns mu = P @ X / n with shape (b, d); I = X' diag(W) X / n with
         shape (b, d, d); and a (b,) mask that is False for rows whose mean
-        would overflow.  The kernel runs on blocks of ``_block_rows`` rows,
-        so its (rows, n) temporaries stay within NEWTON_CHUNK_ELEMS entries.
+        would overflow.
         """
-        n, block = len(self.design), self._block_rows
-        mu = np.empty((len(Theta), self.d))
-        fisher = np.empty((len(Theta), self.d, self.d))
-        finite = np.empty(len(Theta), dtype=bool)
+        return self._blocked_moments(Theta, skew=False)
+
+    def mean_fisher_and_skew(self, Theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``mean_and_fisher``'s mu, I and mask, with T = X'[w3 x x x] / n between them.
+
+        T, shape (b, d, d, d), is dI/dtheta (w3 = dW/d(eta)): one more GEMM per block.
+        """
+        return self._blocked_moments(Theta, skew=True)
+
+    def _blocked_moments(self, Theta: np.ndarray, skew: bool) -> tuple[np.ndarray, ...]:
+        """mu, I, T if ``skew``, and the finite mask, in blocks of ``_block_rows`` rows."""
+        n, block, b, d = len(self.design), self._block_rows, len(Theta), self.d
+        i, j, outer = self._design_outer
+        (first, _, _), pair, index = _triples(d)
+        mu, fisher, finite = np.empty((b, d)), np.empty((b, d, d)), np.empty(b, dtype=bool)
+        tensor = np.empty((b, d, d, d)) if skew else None
         # weights near exp(MAX_LOG_RATE) can take a Fisher block past the float
         # range: it is inf, and its row's mean is near 1e300
         with np.errstate(over="ignore"):
-            for lo in range(0, len(Theta), block):
-                P, W, finite[lo:lo + block] = self._record_moments(Theta[lo:lo + block])
-                mu[lo:lo + block] = P @ self.design / n
-                fisher[lo:lo + block] = self._fisher_blocks(W)
+            for lo in range(0, b, block):
+                rows = slice(lo, lo + block)
+                P, W, finite[rows] = self._record_moments(Theta[rows])
+                mu[rows] = P @ self.design / n
+                fisher[rows, i, j] = fisher[rows, j, i] = W @ outer / n
+                if skew:
+                    W3 = self._third_cumulants(P, W)
+                    if len(W3) == 1:  # one row: weigh the pair products, build no triple products
+                        unique = ((W3[:, None] * self.design.T) @ outer)[:, first, pair]
+                    else:
+                        unique = W3 @ self._design_triples.T
+                    tensor[rows] = (unique / n)[:, index]  # T from its unique entries
+                    del W3
                 del P, W  # so that the next block's kernel does not hold two blocks at once
-        return mu, fisher, finite
-
-    def mean_and_cumulants(self, Theta: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Mean map, per-record weights W and third cumulants W3, and the finite mask.
-
-        mu has shape (b, d) and W, W3 shape (b, n), in one unblocked kernel
-        call: I(Theta[k]) = X' diag(W[k]) X / n, and W3 = dW/d(eta) gives its
-        derivative dI/d(theta_k) = X' diag(W3 * X[:, k]) X / n.
-        """
-        P, W, finite = self._record_moments(Theta)
-        return P @ self.design / len(self.design), W, self._third_cumulants(P, W), finite
+        return (mu, fisher, tensor, finite) if skew else (mu, fisher, finite)
 
     def _mean_and_fisher_at(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mu, fisher, finite = self.mean_and_fisher(np.asarray(theta, dtype=float)[None])
@@ -276,6 +287,17 @@ class ExpFamModel(abc.ABC):
         return theta[0]
 
 
+@functools.cache
+def _triples(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triples a <= b <= c below d as rows (a, b, c), the position of each (b, c) among
+    the pairs of ``np.triu_indices(d)``, and the (d, d, d) index of each sorted triple."""
+    triples = list(itertools.combinations_with_replacement(range(d), 3))
+    pairs = list(itertools.combinations_with_replacement(range(d), 2))
+    index = [triples.index(tuple(sorted(t))) for t in itertools.product(range(d), repeat=3)]
+    return (np.array(triples).T, np.array([pairs.index(t[1:]) for t in triples]),
+            np.reshape(index, (d, d, d)))
+
+
 def _solve_blocks(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve A[k] x = rhs[k] for each k; a singular block leaves only its own row unsolved."""
     try:
@@ -306,11 +328,11 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _projected_gradient(theta, grad):
-    proj = grad.copy()
-    proj[(theta >= PARAM_BOX - 1e-12) & (grad < 0)] = 0.0
-    proj[(theta <= -PARAM_BOX + 1e-12) & (grad > 0)] = 0.0
-    return proj
+def _least_squares_derivatives(resid, fisher, skew) -> tuple[np.ndarray, ...]:
+    """Per row, the gradient I r, Gauss-Newton Hessian I^2 and Hessian I^2 + T.r of 0.5 ||r||^2."""
+    gauss_newton = fisher @ fisher
+    hess = gauss_newton + np.einsum("kabc,kc->kab", skew, resid)
+    return (fisher @ resid[..., None])[..., 0], gauss_newton, hess
 
 
 class GaussianMeanModel(ExpFamModel):
@@ -404,14 +426,14 @@ class _RegressionModel(ExpFamModel):
                 break
             r = rows[j]
             cand = np.clip(theta[r] + t[j, None] * step[j], -PARAM_BOX, PARAM_BOX)
-            mu, *per_record, finite = kernel(cand)
+            mu, *per_row, finite = kernel(cand)
             cand_resid = mu - S[r]
             with np.errstate(over="ignore"):  # an overflowing norm is inf: rejected
                 cand_norm = np.linalg.norm(cand_resid, axis=1)
             ok = finite & (cand_norm < rnorm[r])
             acc = r[ok]
             theta[acc], resid[acc], rnorm[acc] = cand[ok], cand_resid[ok], cand_norm[ok]
-            for store, new in zip(moments, per_record):
+            for store, new in zip(moments, per_row):
                 store[acc] = new[ok]
             searching[j[ok]] = False
             t[j[~ok]] *= 0.5
@@ -429,9 +451,7 @@ class _RegressionModel(ExpFamModel):
         with those blocked coordinates set to zero) is not negative: short
         steps then cannot lower the residual (Bertsekas, SIAM J. Control
         Optim. 1982).  Each iteration makes one ``mean_and_fisher`` call per
-        halving round over the rows still searching, which blocks the rows
-        itself; the loop keeps the Fisher block of each accepted candidate
-        for the next step, not its per-record weights.
+        halving round over the rows still searching.
         """
         S = np.atleast_2d(np.asarray(S, dtype=float))
         b, d = S.shape
@@ -465,20 +485,17 @@ class _RegressionModel(ExpFamModel):
         return theta, rnorm <= tol
 
     def inverse_mean_map_batch(self, S: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-        """One ``newton_batch`` over every row of S, then the fallback for its unconverged rows.
+        """One ``newton_batch`` over every row of S, then one fallback over its unconverged rows.
 
-        The fallback keeps per-record arrays for each of its rows, so the
-        unconverged rows go to it in calls of ``_block_rows`` rows, each row
-        started at its last Newton iterate; rows that Newton converges are
-        not touched.
+        Each unconverged row starts the fallback at its last Newton iterate;
+        rows that Newton converges are not touched.
         """
         S = np.atleast_2d(np.asarray(S, dtype=float))
         theta, converged = self.newton_batch(S)
         diverged = np.zeros(len(S), dtype=bool)
-        rows, block = np.flatnonzero(~converged), self._block_rows
-        for lo in range(0, rows.size, block):
-            r = rows[lo:lo + block]
-            theta[r], diverged[r] = self._inverse_mean_map_fallback(S[r], theta[r])
+        rows = np.flatnonzero(~converged)
+        if rows.size:
+            theta[rows], diverged[rows] = self._inverse_mean_map_fallback(S[rows], theta[rows])
         return theta, rows.size, diverged
 
     def _inverse_mean_map_fallback(
@@ -487,14 +504,15 @@ class _RegressionModel(ExpFamModel):
         """Projected Newton on 0.5 ||mu(theta) - s||^2 over the box, every row of S at once.
 
         Bertsekas (SIAM J. Control Optim. 1982): with r = mu - s, the gradient
-        is g = I r and the Hessian H = I^2 + X' diag(w3 * X r) X / n, both from
-        one ``mean_and_cumulants`` call.  Coordinates within eps of a bound
-        whose gradient points out of the box are moved onto it; the others
-        take the Newton step on their free block of H, or of the Gauss-Newton
-        I^2 where that block is not positive definite.  A row stops when its
-        step predicts a decrease -g.step of at most 1e-15 max(1, f), the
-        relative tolerance L-BFGS-B was given here; when 30 halvings find no
-        smaller residual; or after NEWTON_MAX_ITER iterations.
+        is g = I r and the Hessian H = I^2 + T . r, both from the I and T of
+        one ``mean_fisher_and_skew`` call: all the loop keeps of each row.
+        Coordinates within eps of a bound whose gradient points out of the
+        box are moved onto it; the others take the Newton step on their free
+        block of H, or of the Gauss-Newton I^2 where that block is not
+        positive definite.  A row stops when its step predicts a decrease
+        -g.step of at most 1e-15 max(1, f), the relative tolerance L-BFGS-B
+        was given here; when 30 halvings find no smaller residual; or after
+        NEWTON_MAX_ITER iterations.
 
         Returns the end points (b, d) and a mask of the rows that diverged:
         those whose mean overflows, or whose projected gradient exceeds
@@ -502,8 +520,7 @@ class _RegressionModel(ExpFamModel):
         """
         S = np.atleast_2d(np.asarray(S, dtype=float))
         theta = np.clip(np.asarray(Theta0, dtype=float), -PARAM_BOX, PARAM_BOX)
-        eye = np.eye(self.d)
-        mu, W, W3, finite = self.mean_and_cumulants(theta)
+        mu, fisher, skew, finite = self.mean_fisher_and_skew(theta)
         resid = mu - S
         with np.errstate(over="ignore"):
             rnorm = np.linalg.norm(resid, axis=1)
@@ -513,8 +530,8 @@ class _RegressionModel(ExpFamModel):
             if rows.size == 0:
                 break
             th = theta[rows]
-            grad, gauss_newton, hess = self._least_squares_derivatives(
-                resid[rows], W[rows], W3[rows])
+            grad, gauss_newton, hess = _least_squares_derivatives(
+                resid[rows], fisher[rows], skew[rows])
             # Bertsekas' eps: the length of a projected gradient step, at most 1e-3
             eps = np.minimum(1e-3, np.linalg.norm(th - np.clip(th - grad, -PARAM_BOX, PARAM_BOX),
                                                   axis=1))[:, None]
@@ -523,7 +540,7 @@ class _RegressionModel(ExpFamModel):
             fixed = upper | lower
             # the free block of H (or of I^2), with an identity on the fixed coordinates
             keep = ~fixed[:, :, None] & ~fixed[:, None, :]
-            pin = fixed[:, :, None] * eye
+            pin = fixed[:, :, None] * np.eye(self.d)
             gauss_newton, hess = np.where(keep, gauss_newton, pin), np.where(keep, hess, pin)
             convex = np.isfinite(hess).all(axis=(1, 2))
             convex[convex] = np.linalg.eigvalsh(hess[convex])[:, 0] > 0
@@ -536,26 +553,17 @@ class _RegressionModel(ExpFamModel):
                 decrease = -(grad * step).sum(axis=1)
             moving = solved & (decrease > 1e-15 * np.maximum(1.0, 0.5 * rnorm[rows] ** 2))
             active[rows[~moving]] = False
-            stuck = self._backtrack(self.mean_and_cumulants, S, rows[moving], step[moving],
-                                    theta, resid, rnorm, (W, W3))
+            stuck = self._backtrack(self.mean_fisher_and_skew, S, rows[moving], step[moving],
+                                    theta, resid, rnorm, (fisher, skew))
             active[stuck] = False
         # at a box optimum the projected gradient vanishes even though the residual
         # may not; a large one fails, and so does an end point whose mean overflows
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row is nan: diverged
-            proj = _projected_gradient(theta, self._least_squares_derivatives(resid, W, W3)[0])
+            proj = _least_squares_derivatives(resid, fisher, skew)[0]
+            proj[((theta >= PARAM_BOX - 1e-12) & (proj < 0))
+                 | ((theta <= -PARAM_BOX + 1e-12) & (proj > 0))] = 0.0
             tol = 1e-5 * np.maximum(1.0, _row_norms(S))
             return theta, ~(finite & (np.linalg.norm(proj, axis=1) <= tol))
-
-    def _least_squares_derivatives(self, resid, W, W3) -> tuple[np.ndarray, ...]:
-        """Gradient, Gauss-Newton Hessian and Hessian of 0.5 ||mu(theta) - s||^2 per row.
-
-        With r = mu - s and the kernel's W and W3 at theta: g = I r, shape
-        (b, d); I^2 and H = I^2 + X' diag(w3 * X r) X / n, shape (b, d, d).
-        """
-        fisher = self._fisher_blocks(W)
-        gauss_newton = fisher @ fisher
-        hess = gauss_newton + self._fisher_blocks(W3 * (resid @ self.design.T))
-        return (fisher @ resid[..., None])[..., 0], gauss_newton, hess
 
     def _design_for_sampling(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # reuse the design when sizes match; otherwise resample rows uniformly

@@ -87,6 +87,13 @@ def test_release_missing_data_exits_3(workdir):
     assert res.exit_code == 3
 
 
+def test_release_to_a_missing_directory_exits_3(workdir):
+    res = invoke("release", "--data", workdir / "data.csv", "--model", workdir / "model.json",
+                 "--epsilon", 1.0, "--out", workdir / "nodir" / "rel.json")
+    assert res.exit_code == 3
+    assert "error: cannot write" in res.output
+
+
 def test_release_negative_sigma_override_exits_2(workdir):
     res = invoke("release", "--data", workdir / "data.csv", "--model", workdir / "model.json",
                  "--epsilon", 1.0, "--out", workdir / "rel.json", "--sigma-override", -1.0)
@@ -336,6 +343,14 @@ def test_synth_zero_rows_exits_2(workdir):
     assert res.exit_code == 2
 
 
+def test_synth_to_a_missing_directory_exits_3(workdir):
+    write_release(workdir)
+    res = invoke("synth", "--release", workdir / "rel.json", "--model", workdir / "model.json",
+                 "--n-syn", 5, "--out", workdir / "nodir" / "s.csv")
+    assert res.exit_code == 3
+    assert "error: cannot write" in res.output
+
+
 def test_synth_reproducible_and_sidecar(workdir):
     write_release(workdir)
     args = ("synth", "--release", workdir / "rel.json", "--model", workdir / "model.json",
@@ -418,6 +433,16 @@ def test_experiment_run_end_to_end(workdir):
     assert res.exit_code == 0
     assert (workdir / "out" / "coverage_sweep.csv").exists()
     assert (workdir / "out" / "manifest.json").exists()
+
+
+def test_experiment_run_under_a_regular_file_exits_3(workdir):
+    cfg = {"experiment_id": "coverage_sweep", "model_id": "gaussian_mean", "n_grid": [100],
+           "epsilon_grid": [1.0], "replications": 2, "methods": ["plugin_wald"]}
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    res = invoke("experiment", "run", "--config", workdir / "cfg.json",
+                 "--out", workdir / "data.csv" / "sub")
+    assert res.exit_code == 3
+    assert "error: cannot write" in res.output
 
 
 @pytest.mark.parametrize("field,value", [("experiment_id", "nonsense"),

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -24,6 +25,7 @@ from dpss.expfam import (
     SolverDivergedError,
     dataset_from_csv,
     dataset_to_csv,
+    _least_squares_derivatives,
     _row_norms,
     _solve_blocks,
     load_model_config,
@@ -382,20 +384,49 @@ def test_newton_batch_singular_fisher_leaves_row_unconverged():
 
 
 @pytest.mark.parametrize("maker", [lambda: GaussianMeanModel(2.3), random_logistic, random_poisson])
-def test_mean_and_cumulants_extends_mean_and_fisher(maker):
+def test_mean_fisher_and_skew_extends_mean_and_fisher(maker):
     model = maker()
     rng = np.random.default_rng(9)
     Theta, u = rng.uniform(-1.0, 1.0, (4, model.d)), rng.standard_normal(model.d)
-    mu, W, W3, finite = model.mean_and_cumulants(Theta)
-    for got, want in zip((mu, model._fisher_blocks(W), finite), model.mean_and_fisher(Theta)):
+    mu, fisher, T, finite = model.mean_fisher_and_skew(Theta)
+    for got, want in zip((mu, fisher, finite), model.mean_and_fisher(Theta)):
         np.testing.assert_array_equal(got, want)
-    # W3 = dW/d(eta): the derivative of W along u is W3 * (X u)
+    # T = dI/dtheta: the derivative of I along u is T . u
     h = 1e-6
-    plus, minus = (model.mean_and_cumulants(Theta + t * u)[1] for t in (h, -h))
-    dW = (plus - minus) / (2 * h)
-    np.testing.assert_allclose(dW, W3 * (model.design @ u), rtol=1e-6, atol=1e-9)
+    plus, minus = (model.mean_fisher_and_skew(Theta + t * u)[1] for t in (h, -h))
+    dI = (plus - minus) / (2 * h)
+    np.testing.assert_allclose(dI, T @ u, rtol=1e-6, atol=1e-9)
     if model.model_id == "gaussian_mean":  # a(eta) is quadratic
-        assert not W3.any()
+        assert not T.any()
+
+
+@pytest.mark.parametrize("maker, n", [
+    (lambda n: GaussianMeanModel(2.3), 1),
+    (lambda n: random_logistic(d=1, n=n), 2**14 + 3),
+    (lambda n: random_logistic(d=5, n=n), 2**13 + 5),
+    (lambda n: random_poisson(d=1, n=n), 2**13 + 5),
+    (lambda n: random_poisson(d=5, n=n), 300),
+])
+def test_skew_tensor_is_the_direct_third_cumulant_contraction(maker, n):
+    # b rows that do not divide into whole blocks of NEWTON_CHUNK_ELEMS // n
+    model = maker(n)
+    rng = np.random.default_rng(23)
+    Theta = rng.uniform(-1.0, 1.0, (2 * model._block_rows + 1, model.d))
+    U = rng.standard_normal((len(Theta), model.d))
+    T = model.mean_fisher_and_skew(Theta)[2]
+    X = model.design
+    P, W, _ = model._record_moments(Theta)
+    W3u = model._third_cumulants(P, W) * (U @ X.T)
+    direct = np.einsum("ki,ia,ib->kab", W3u, X, X) / len(X)  # X' diag(w3 * X u) X / n
+    np.testing.assert_allclose(np.einsum("kabc,kc->kab", T, U), direct, rtol=0.0, atol=1e-12)
+    for k in (0, len(Theta) - 1):  # a one-row call weighs the pair products instead
+        T_row = model.mean_fisher_and_skew(Theta[k:k + 1])[2]
+        np.testing.assert_allclose(T_row[0], T[k], rtol=0.0, atol=1e-12)
+        T = np.concatenate([T, T_row])
+    for perm in itertools.permutations((1, 2, 3)):
+        np.testing.assert_array_equal(T, T.transpose((0,) + perm))
+    if model.model_id == "gaussian_mean":
+        assert not T.any()
 
 
 @pytest.mark.parametrize("sigma0_sq", [1.0, 2.3, 0.3, 1e-6])
@@ -431,8 +462,8 @@ def test_fallback_gradient_is_fisher_times_residual(maker):
         return model.fisher_info(theta) @ (model.grad_log_partition(theta) - s)
 
     Theta = np.random.default_rng(21).uniform(-2.0, 2.0, (5, model.d))
-    mu, W, W3, _ = model.mean_and_cumulants(Theta)
-    grad, gauss_newton, hess = model._least_squares_derivatives(mu - s, W, W3)
+    mu, fisher_blocks, T, _ = model.mean_fisher_and_skew(Theta)
+    grad, gauss_newton, hess = _least_squares_derivatives(mu - s, fisher_blocks, T)
     for k, theta in enumerate(Theta):
         fisher = model.fisher_info(theta)
         np.testing.assert_allclose(grad[k], g(theta), rtol=1e-12, atol=1e-15)
@@ -445,8 +476,8 @@ def test_fallback_gradient_is_fisher_times_residual(maker):
 def spy_kernel(monkeypatch, model):
     """Record the number of rows of each fallback kernel call; the Newton kernel must not run."""
     kernel_rows = []
-    kernel = model.mean_and_cumulants
-    monkeypatch.setattr(model, "mean_and_cumulants",
+    kernel = model.mean_fisher_and_skew
+    monkeypatch.setattr(model, "mean_fisher_and_skew",
                         lambda Theta: kernel_rows.append(len(Theta)) or kernel(Theta))
     monkeypatch.setattr(model, "mean_and_fisher", lambda Theta: pytest.fail("second kernel"))
     return kernel_rows
@@ -496,6 +527,27 @@ def test_fallback_solves_copies_of_a_statistic_with_the_kernel_calls_of_one(make
     assert (one_fallbacks, many_fallbacks) == (1, 40) and not diverged.any()
     assert many_calls == one_calls
     np.testing.assert_allclose(many, np.tile(one, (40, 1)), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("maker, shift", [
+    (lambda: random_logistic(n=2**12), [2.0, 0.0, 0.0]),
+    (lambda: random_poisson(n=2**12), [-3.0, -3.0]),
+])
+def test_fallback_over_three_blocks_of_copies_makes_the_kernel_calls_of_one(monkeypatch, maker,
+                                                                            shift):
+    # the fallback keeps no per-record arrays, so rows that fill three kernel
+    # blocks run one loop: one kernel call per round, as for a single row
+    model = maker()
+    s = model.grad_log_partition(np.full(model.d, 0.2)) + shift
+    kernel_rows = spy_kernel(monkeypatch, model)
+    one, _ = model._inverse_mean_map_fallback(s[None], np.zeros((1, model.d)))
+    one_calls = len(kernel_rows)
+    kernel_rows.clear()
+    b = 3 * model._block_rows
+    many, diverged = model._inverse_mean_map_fallback(np.tile(s, (b, 1)), np.zeros((b, model.d)))
+    assert len(kernel_rows) == one_calls > 1 and kernel_rows[0] == b
+    assert not diverged.any()
+    np.testing.assert_allclose(many, np.tile(one, (b, 1)), rtol=0.0, atol=1e-12)
 
 
 def test_fallback_raises_at_an_overflowing_end_point(monkeypatch):
