@@ -43,6 +43,8 @@ SOLVER_ERRORS = (
 )
 # significance level, open interval (0, 1)
 ALPHA = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
+# numpy seeds its generators from non-negative integers only
+SEED = click.IntRange(min=0)
 
 
 @contextlib.contextmanager
@@ -94,10 +96,7 @@ def main():
 def calibrate(sensitivity, epsilon, delta):
     """Print the calibrated noise scale and the delta it achieves."""
     try:
-        budget = PrivacyBudget(epsilon, delta)
-        if sensitivity <= 0:
-            raise ValueError("invalid_budget: sensitivity must be positive")
-        sigma = calibrate_agm(sensitivity, budget)
+        sigma = calibrate_agm(sensitivity, PrivacyBudget(epsilon, delta))
     except ValueError:
         click.echo("invalid_budget", err=True)
         sys.exit(2)
@@ -110,7 +109,7 @@ def calibrate(sensitivity, epsilon, delta):
 @click.option("--model", "model_path", type=click.Path(), required=True)
 @click.option("--epsilon", type=float, required=True)
 @click.option("--delta", default="auto", help="Numeric delta, or 'auto' for 1/n^2.")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=SEED, default=0)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--sigma-override", type=click.FloatRange(min=0.0), default=None, hidden=True)
 def release_cmd(data_path, model_path, epsilon, delta, seed, out_path, sigma_override):
@@ -171,7 +170,7 @@ def estimate_cmd(release_path, model_path, method, alpha):
 @click.option("--model", "model_path", type=click.Path(), required=True)
 @click.option("--b-boot", type=click.IntRange(min=2), default=500)
 @click.option("--alpha", type=ALPHA, default=0.05)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=SEED, default=0)
 def bootstrap(release_path, model_path, b_boot, alpha, seed):
     """Parametric bootstrap intervals from a released statistic."""
     model = _load_model(model_path)
@@ -186,7 +185,7 @@ def bootstrap(release_path, model_path, b_boot, alpha, seed):
 @click.option("--release", "release_path", type=click.Path(), required=True)
 @click.option("--model", "model_path", type=click.Path(), required=True)
 @click.option("--n-syn", type=int, required=True)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=SEED, default=0)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def synth(release_path, model_path, n_syn, seed, out_path):
     """Generate parametric synthetic data from the plug-in estimate."""

@@ -14,7 +14,9 @@ started from its last Newton iterate; a row whose fallback diverges is
 marked, not raised.  A Newton row on a face of the box whose step points
 further out goes to the fallback at once, without halving, when the
 residual does not decrease along the clipped step.  ``inverse_mean_map`` is
-the one-row case, which raises.
+the one-row case, which raises.  The fallback's step, ``projected_newton_step``
+(Bertsekas' fixed set and a Newton step on the free block), is also the step
+of the noise-aware solve in ``estimate``, so the box is handled in one place.
 
 Every log-partition is A(theta) = mean_i a(x_i . theta) over a public
 design X, so the mean map, the Fisher information and their derivatives
@@ -328,6 +330,34 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
     return norms
 
 
+def projected_newton_step(theta, grad, hess, gauss_newton) -> tuple[np.ndarray, np.ndarray]:
+    """Bertsekas' projected Newton step (SIAM J. Control Optim. 1982) for each row in the box.
+
+    Coordinates within eps of a bound whose gradient points out of the box
+    are fixed: their step moves them onto the bound.  The others take the
+    Newton step on their free block of ``hess``, where eps is the length of
+    a projected gradient step, at most 1e-3.  A row whose free block of
+    ``hess`` is not positive definite uses the free block of the positive
+    semi-definite ``gauss_newton`` instead.  Returns the steps (b, d) and a
+    mask of the rows whose free block could be solved.
+    """
+    eps = np.minimum(1e-3, np.linalg.norm(theta - np.clip(theta - grad, -PARAM_BOX, PARAM_BOX),
+                                          axis=1))[:, None]
+    upper = (theta >= PARAM_BOX - eps) & (grad < 0)
+    lower = (theta <= -PARAM_BOX + eps) & (grad > 0)
+    fixed = upper | lower
+    # the free block, with an identity on the fixed coordinates
+    keep = ~fixed[:, :, None] & ~fixed[:, None, :]
+    pin = fixed[:, :, None] * np.eye(theta.shape[1])
+    hess = np.where(keep, hess, pin)
+    convex = np.isfinite(hess).all(axis=(1, 2))
+    convex[convex] = np.linalg.eigvalsh(hess[convex])[:, 0] > 0
+    hess[~convex] = np.where(keep, gauss_newton, pin)[~convex]
+    step, solved = _solve_blocks(hess, np.where(fixed, 0.0, -grad))
+    step = np.where(upper, PARAM_BOX - theta, np.where(lower, -PARAM_BOX - theta, step))
+    return step, solved
+
+
 def _least_squares_derivatives(resid, fisher, skew) -> tuple[np.ndarray, ...]:
     """Per row, the gradient I r, Gauss-Newton Hessian I^2 and Hessian I^2 + T.r of 0.5 ||r||^2."""
     gauss_newton = fisher @ fisher
@@ -506,13 +536,11 @@ class _RegressionModel(ExpFamModel):
         Bertsekas (SIAM J. Control Optim. 1982): with r = mu - s, the gradient
         is g = I r and the Hessian H = I^2 + T . r, both from the I and T of
         one ``mean_fisher_and_skew`` call: all the loop keeps of each row.
-        Coordinates within eps of a bound whose gradient points out of the
-        box are moved onto it; the others take the Newton step on their free
-        block of H, or of the Gauss-Newton I^2 where that block is not
-        positive definite.  A row stops when its step predicts a decrease
-        -g.step of at most 1e-15 max(1, f), the relative tolerance L-BFGS-B
-        was given here; when 30 halvings find no smaller residual; or after
-        NEWTON_MAX_ITER iterations.
+        Each row takes ``projected_newton_step`` on H, with the Gauss-Newton
+        I^2 where the free block of H is not positive definite.  A row stops
+        when its step predicts a decrease -g.step of at most 1e-15 max(1, f),
+        the relative tolerance L-BFGS-B was given here; when 30 halvings find
+        no smaller residual; or after NEWTON_MAX_ITER iterations.
 
         Returns the end points (b, d) and a mask of the rows that diverged:
         those whose mean overflows, or whose projected gradient exceeds
@@ -529,24 +557,9 @@ class _RegressionModel(ExpFamModel):
             rows = np.flatnonzero(active)
             if rows.size == 0:
                 break
-            th = theta[rows]
             grad, gauss_newton, hess = _least_squares_derivatives(
                 resid[rows], fisher[rows], skew[rows])
-            # Bertsekas' eps: the length of a projected gradient step, at most 1e-3
-            eps = np.minimum(1e-3, np.linalg.norm(th - np.clip(th - grad, -PARAM_BOX, PARAM_BOX),
-                                                  axis=1))[:, None]
-            upper = (th >= PARAM_BOX - eps) & (grad < 0)
-            lower = (th <= -PARAM_BOX + eps) & (grad > 0)
-            fixed = upper | lower
-            # the free block of H (or of I^2), with an identity on the fixed coordinates
-            keep = ~fixed[:, :, None] & ~fixed[:, None, :]
-            pin = fixed[:, :, None] * np.eye(self.d)
-            gauss_newton, hess = np.where(keep, gauss_newton, pin), np.where(keep, hess, pin)
-            convex = np.isfinite(hess).all(axis=(1, 2))
-            convex[convex] = np.linalg.eigvalsh(hess[convex])[:, 0] > 0
-            hess[~convex] = gauss_newton[~convex]
-            step, solved = _solve_blocks(hess, np.where(fixed, 0.0, -grad))
-            step = np.where(upper, PARAM_BOX - th, np.where(lower, -PARAM_BOX - th, step))
+            step, solved = projected_newton_step(theta[rows], grad, hess, gauss_newton)
             # a row whose step predicts a decrease of at most 1e-15 max(1, f) has
             # converged; past 1e154 the product overflows, and such a row ends diverged
             with np.errstate(over="ignore"):

@@ -558,10 +558,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         runner = RUNNERS[cfg.experiment_id]
     except KeyError:
         raise ValueError(f"unknown experiment_id {cfg.experiment_id!r}") from None
-    table = runner(cfg)
-    if out_dir is not None:
+    if out_dir is not None:  # before any replication, so that an unwritable path fails at once
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+    table = runner(cfg)
+    if out_dir is not None:
         table.to_csv(out_dir / f"{cfg.experiment_id}.csv")
         from . import __version__
 

@@ -176,8 +176,8 @@ def _calibrate_unit(epsilon: float, delta: float) -> float:
 
 def calibrate_agm(delta2: float, budget: PrivacyBudget) -> float:
     """Smallest sigma making the Gaussian mechanism (eps, delta)-DP at sensitivity delta2."""
-    if delta2 <= 0:
-        raise ValueError("sensitivity must be positive")
+    if not (0 < delta2 < math.inf):  # nan fails both comparisons
+        raise ValueError("sensitivity must be positive and finite")
     return delta2 * _calibrate_unit(budget.epsilon, budget.delta)
 
 

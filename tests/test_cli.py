@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dpss import estimate, synthgen
+import dpss
+from dpss import estimate, harness, synthgen
 from dpss.cli import main
 from dpss.estimate import BootstrapUnstableError, FisherSingularError, NoiseAwareDivergedError
 from dpss.expfam import MeanOverflowError, SolverDivergedError
@@ -25,6 +30,18 @@ def workdir(tmp_path):
 
 def invoke(*args):
     return runner.invoke(main, [str(a) for a in args])
+
+
+def test_cli_start_up_imports_no_scipy_optimizer():
+    # scipy.optimize, and the linalg and sparse it pulls in, cost every fresh process ~0.2 s
+    env = dict(os.environ, PYTHONPATH=str(Path(dpss.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dpss.cli; print(*sys.modules, sep='\\n')"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    loaded = set(out.stdout.split())
+    assert "dpss.cli" in loaded
+    assert not loaded & {"scipy.optimize", "scipy.linalg", "scipy.sparse"}
 
 
 # --------------------------------------------------------------- calibrate
@@ -51,6 +68,14 @@ def test_calibrate_invalid_budget_exits_2():
     assert "invalid_budget" in res.output
 
 
+@pytest.mark.parametrize("sensitivity", ["inf", "nan", "-inf"])
+def test_calibrate_non_finite_sensitivity_exits_2(sensitivity):
+    # it used to print {"sigma": Infinity, ...} or NaN, which is not JSON, and exit 0
+    res = invoke("calibrate", "--sensitivity", sensitivity, "--epsilon", 1, "--delta", 1e-6)
+    assert res.exit_code == 2
+    assert res.output.strip() == "invalid_budget"
+
+
 # ----------------------------------------------------------------- release
 
 def test_release_sigma_zero_hook(workdir):
@@ -60,6 +85,14 @@ def test_release_sigma_zero_hook(workdir):
     assert res.exit_code == 0
     rel = ReleasedStatistic.load(workdir / "rel.json")
     assert rel.s_tilde[0] == 0.0
+
+
+def test_release_negative_seed_exits_2(workdir):
+    res = invoke("release", "--data", workdir / "data.csv", "--model", workdir / "model.json",
+                 "--epsilon", 1.0, "--seed", -1, "--out", workdir / "rel.json")
+    assert res.exit_code == 2
+    assert "--seed" in res.output
+    assert not (workdir / "rel.json").exists()
 
 
 def test_release_auto_delta_is_one_over_n_sq(workdir):
@@ -188,6 +221,14 @@ def test_bootstrap_command(workdir):
     report = json.loads(res.output)
     assert report["method"] == "bootstrap"
     assert len(report["cis"]) == 1
+
+
+def test_bootstrap_negative_seed_exits_2(workdir):
+    write_release(workdir)
+    res = invoke("bootstrap", "--release", workdir / "rel.json",
+                 "--model", workdir / "model.json", "--seed", -1)
+    assert res.exit_code == 2
+    assert "--seed" in res.output
 
 
 @pytest.mark.parametrize("alpha", [1.5, 0.0])
@@ -343,6 +384,15 @@ def test_synth_zero_rows_exits_2(workdir):
     assert res.exit_code == 2
 
 
+def test_synth_negative_seed_exits_2(workdir):
+    write_release(workdir)
+    res = invoke("synth", "--release", workdir / "rel.json", "--model", workdir / "model.json",
+                 "--n-syn", 5, "--seed", -1, "--out", workdir / "syn.csv")
+    assert res.exit_code == 2
+    assert "--seed" in res.output
+    assert not (workdir / "syn.csv").exists()
+
+
 def test_synth_to_a_missing_directory_exits_3(workdir):
     write_release(workdir)
     res = invoke("synth", "--release", workdir / "rel.json", "--model", workdir / "model.json",
@@ -435,14 +485,23 @@ def test_experiment_run_end_to_end(workdir):
     assert (workdir / "out" / "manifest.json").exists()
 
 
-def test_experiment_run_under_a_regular_file_exits_3(workdir):
+def test_experiment_run_under_a_regular_file_exits_3(workdir, monkeypatch):
     cfg = {"experiment_id": "coverage_sweep", "model_id": "gaussian_mean", "n_grid": [100],
            "epsilon_grid": [1.0], "replications": 2, "methods": ["plugin_wald"]}
     (workdir / "cfg.json").write_text(json.dumps(cfg))
+    replications = []
+    real = harness._replications
+    monkeypatch.setattr(harness, "_replications",
+                        lambda *a, **k: replications.append(a) or real(*a, **k))
     res = invoke("experiment", "run", "--config", workdir / "cfg.json",
                  "--out", workdir / "data.csv" / "sub")
     assert res.exit_code == 3
     assert "error: cannot write" in res.output
+    assert replications == []  # the path failed before any compute
+    # the spy sees the replications of a writable run
+    assert invoke("experiment", "run", "--config", workdir / "cfg.json",
+                  "--out", workdir / "out").exit_code == 0
+    assert replications
 
 
 @pytest.mark.parametrize("field,value", [("experiment_id", "nonsense"),

@@ -137,15 +137,14 @@ def finite_difference_noise_aware(model, rel):
 
 
 def gls_objective(monkeypatch, model, rel):
-    """The objective that noise_aware_mle hands to L-BFGS-B, and whether it returns a gradient."""
+    """The objective that noise_aware_mle minimises, as theta -> (f, gradient), and its Hessians."""
     seen = []
-    real = estimate.minimize
-    monkeypatch.setattr(estimate, "minimize",
-                        lambda fun, x0, **kw: seen.append((fun, kw["jac"])) or real(fun, x0, **kw))
+    real = estimate._gls_objective
+    monkeypatch.setattr(estimate, "_gls_objective", lambda *a: seen.append(real(*a)) or seen[-1])
     noise_aware_mle(model, rel)
     monkeypatch.undo()
-    (fun, jac), = seen
-    return fun, jac
+    fun, = seen
+    return (lambda theta: fun(theta)[:2]), (lambda theta: fun(theta)[2]())
 
 
 def noise_aware_release(model_id, eps, seed):
@@ -157,11 +156,13 @@ def noise_aware_release(model_id, eps, seed):
 @pytest.mark.parametrize("on_box", [False, True])
 def test_noise_aware_gradient_matches_central_differences(monkeypatch, model_id, on_box):
     model, rel = noise_aware_release(model_id, 0.3, seed=11)
-    fun, jac = gls_objective(monkeypatch, model, rel)
-    assert jac is True
+    fun, hessians = gls_objective(monkeypatch, model, rel)
     theta = plugin_mle(model, rel) + substream(11, "gradient-point").uniform(-0.3, 0.3, model.d)
     if on_box:
         theta[0] = PARAM_BOX
+    gauss_newton = hessians(theta)[1]
+    np.testing.assert_allclose(gauss_newton, gauss_newton.T, rtol=1e-12)
+    assert np.linalg.eigvalsh(gauss_newton).min() > 0
     value, grad = fun(theta)
     h = 1e-5 * max(1.0, np.abs(theta).max())
     central = np.array([(fun(theta + h * e)[0] - fun(theta - h * e)[0]) / (2 * h)
@@ -174,7 +175,7 @@ def test_noise_aware_gradient_matches_central_differences(monkeypatch, model_id,
 def test_noise_aware_evaluation_makes_one_one_row_kernel_call(monkeypatch, model_id):
     model, rel = noise_aware_release(model_id, 0.1, seed=0)
     fun, _ = gls_objective(monkeypatch, model, rel)
-    # a start off the minimiser, so that L-BFGS-B iterates
+    # a start off the minimiser, so that the solve iterates
     plug = np.clip(plugin_mle(model, rel) - 0.2, -PARAM_BOX, PARAM_BOX)
     monkeypatch.setattr(estimate, "plugin_mle", lambda model, rel: plug)
     rows = []
@@ -237,6 +238,101 @@ def test_gaussian_noise_aware_solve_stops_at_the_plug_in_point(s_tilde, at_box):
     np.testing.assert_array_equal(report.theta_hat, plugin_mle(model, rel))
     assert report.diagnostics["at_box"] is at_box
     assert report.diagnostics["nfev"] == 1 and report.diagnostics["status"] == 0
+
+
+def lbfgsb_noise_aware(model, rel):
+    """The exact-gradient L-BFGS-B solve that the projected Newton replaced: the reference.
+
+    Returns the end point and scipy's result.
+    """
+    plug = plugin_mle(model, rel)
+    sigma, n, d = rel.sigma, rel.n, model.d
+    lam = max(1e-6, 0.01 * sigma**2)
+    eye = np.eye(d)
+
+    def objective_and_gradient(theta):
+        mu, fisher, skew, finite = model.mean_fisher_and_skew(theta[None])
+        r = rel.s_tilde - mu[0]
+        v = np.linalg.solve((fisher[0] + lam * eye) / n + sigma**2 * eye, r)
+        diff = theta - plug
+        grad = -2.0 * (fisher[0] @ v) - skew[0] @ v @ v / n + 0.2 * sigma**2 * diff
+        return float(r @ v) + 0.1 * sigma**2 * float(diff @ diff), grad
+
+    res = minimize(objective_and_gradient, plug, jac=True, method="L-BFGS-B",
+                   bounds=[(-PARAM_BOX, PARAM_BOX)] * d,
+                   options={"maxiter": 200, "gtol": 1e-8, "ftol": 1e-14})
+    return np.clip(res.x, -PARAM_BOX, PARAM_BOX), res
+
+
+@pytest.mark.parametrize("model_id", ["gaussian_mean", "logistic", "poisson"])
+@pytest.mark.parametrize("eps", [1.0, 0.1])
+def test_noise_aware_agrees_with_the_exact_gradient_lbfgsb_solve(model_id, eps):
+    for seed in range(8):
+        model, rel = noise_aware_release(model_id, eps, seed)
+        ref, res = lbfgsb_noise_aware(model, rel)
+        solver = {}
+        theta = noise_aware_mle(model, rel, _solver=solver)
+        assert solver["status"] == 0 and res.status == 0
+        # Newton steps with the T term: Gauss-Newton steps alone zig-zag on box-bound
+        # logistic solves at eps = 0.1, for up to 130 evaluations
+        assert solver["nfev"] <= 3
+        assert (np.abs(theta).max() >= PARAM_BOX) == (np.abs(ref).max() >= PARAM_BOX)
+        if res.nfev == 1:  # L-BFGS-B stopped at the plug-in point, and so does the new solve
+            assert solver["nfev"] == 1
+            np.testing.assert_array_equal(theta, ref)
+        else:
+            np.testing.assert_allclose(theta, ref, rtol=0.0, atol=1e-6 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("model_id", ["gaussian_mean", "logistic", "poisson"])
+def test_noise_aware_hessian_is_exact_but_for_the_fourth_cumulant(model_id):
+    model, rel = noise_aware_release(model_id, 0.3, seed=11)
+    plug = plugin_mle(model, rel)
+    fun = estimate._gls_objective(model, rel, plug)
+    theta = plug + substream(11, "hessian-point").uniform(-0.3, 0.3, model.d)
+    full, gauss_newton = fun(theta)[2]()
+    mu, fisher, _, _ = model.mean_fisher_and_skew(theta[None])
+    cov = (fisher[0] + estimate._regularizer(rel.sigma) * np.eye(model.d)) / rel.n \
+        + rel.sigma**2 * np.eye(model.d)
+    v = np.linalg.solve(cov, rel.s_tilde - mu[0])
+    np.testing.assert_allclose(gauss_newton, 2.0 * fisher[0] @ np.linalg.solve(cov, fisher[0])
+                               + 0.2 * rel.sigma**2 * np.eye(model.d), rtol=1e-12)
+    # the exact Hessian, the gradient's central differences, is full - Q[v, v] / n, with Q
+    # the fourth cumulants: central differences of T(theta)[v, v] at a fixed v
+    h = 1e-5 * max(1.0, np.abs(theta).max())
+    central = np.array([(fun(theta + h * e)[1] - fun(theta - h * e)[1]) / (2 * h)
+                        for e in np.eye(model.d)])
+
+    def skew_vv(t):
+        return model.mean_fisher_and_skew(t[None])[2][0] @ v @ v
+
+    quartic = np.array([(skew_vv(theta + h * e) - skew_vv(theta - h * e)) / (2 * h)
+                        for e in np.eye(model.d)]) / rel.n
+    np.testing.assert_allclose(full - quartic, central, rtol=1e-6,
+                               atol=1e-6 * np.abs(central).max())
+
+
+def test_noise_aware_solve_capped_at_200_steps_raises_with_its_iterate(monkeypatch):
+    model, rel = noise_aware_release("logistic", 0.1, seed=0)
+    start = np.clip(plugin_mle(model, rel) - 0.2, -PARAM_BOX, PARAM_BOX)
+    real = estimate._gls_objective
+
+    def short_steps(*args):
+        # Hessians 1e4 times too large: every step is accepted and too short to converge
+        fun = real(*args)
+
+        def scaled(theta):
+            f, grad, hessians = fun(theta)
+            return f, grad, lambda: tuple(1e4 * h for h in hessians())
+
+        return scaled
+
+    monkeypatch.setattr(estimate, "_gls_objective", short_steps)
+    solver = {}
+    with pytest.raises(NoiseAwareDivergedError, match="na_diverged") as info:
+        noise_aware_mle(model, rel, theta_plug=start, _solver=solver)
+    assert solver == {"nit": 200, "nfev": 201, "status": 1}
+    assert np.abs(info.value.best_iterate - start).max() > 0
 
 
 # ---------------------------------------------------------------- variance
@@ -433,7 +529,7 @@ def test_batched_bootstrap_matches_per_draw_loop(monkeypatch, model_id, n, eps):
     assert failures == ref_failures == report.diagnostics["failures"]
     assert report.diagnostics["fallbacks"] == fallbacks
     if eps < 1.0:
-        assert fallbacks > 0  # some draws took the L-BFGS-B fallback
+        assert fallbacks > 0  # some draws took the projected-Newton fallback
 
 
 def test_batched_bootstrap_logistic_low_eps_fallbacks_agree_to_solver_tolerance(monkeypatch):

@@ -98,6 +98,12 @@ def test_calibration_monotone_in_epsilon_and_delta():
     assert calibrate_agm(1.0, PrivacyBudget(1.0, 1e-4)) < s1
 
 
+@pytest.mark.parametrize("delta2", [0.0, -1.0, float("inf"), float("-inf"), float("nan")])
+def test_calibration_rejects_a_sensitivity_that_is_not_positive_and_finite(delta2):
+    with pytest.raises(ValueError, match="sensitivity must be positive and finite"):
+        calibrate_agm(delta2, PrivacyBudget(1.0, 1e-6))
+
+
 def test_verify_limits():
     assert verify_agm_condition(1e6, 1.0, 1.0) < 1e-12
     assert verify_agm_condition(0.01, 1.0, 0.1) > 0.5
