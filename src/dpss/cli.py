@@ -24,7 +24,14 @@ from .expfam import (
     dataset_to_csv,
     load_model_config,
 )
-from .privacy import PrivacyBudget, ReleasedStatistic, calibrate_agm, release, verify_agm_condition
+from .privacy import (
+    PrivacyBudget,
+    ReleasedStatistic,
+    calibrate_agm,
+    l2_sensitivity,
+    release,
+    verify_agm_condition,
+)
 from .rng import substream
 
 
@@ -129,20 +136,26 @@ def release_cmd(data_path, model_path, epsilon, delta, seed, out_path, sigma_ove
             raise click.UsageError("delta must be a number or 'auto'")
     try:
         budget = PrivacyBudget(epsilon, delta_val)
+        if sigma_override is None:  # a budget whose sigma is not finite is invalid
+            calibrate_agm(l2_sensitivity(model.clip_bounds.B, n), budget)
     except ValueError:
         click.echo("invalid_budget", err=True)
         sys.exit(2)
     clipped = model.clip(data)
     s_bar = model.mean_suff_stat(clipped)
-    rel = release(
-        s_bar,
-        model,
-        n,
-        budget,
-        substream(seed, "release"),
-        sigma_override=sigma_override,
-        seed_tag=str(seed),
-    )
+    try:
+        with np.errstate(over="ignore"):  # noise past the float range is reported below
+            rel = release(
+                s_bar,
+                model,
+                n,
+                budget,
+                substream(seed, "release"),
+                sigma_override=sigma_override,
+                seed_tag=str(seed),
+            )
+    except ValueError as exc:  # the noisy statistic is not finite
+        _data_error(f"cannot release: {exc}")
     with _writing(out_path):
         rel.save(out_path)
     click.echo(

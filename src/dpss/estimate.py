@@ -20,7 +20,7 @@ from .expfam import (
     ExpFamModel,
     MeanOverflowError,
     SolverDivergedError,
-    projected_newton_step,
+    minimize_in_box,
 )
 from .privacy import ReleasedStatistic
 
@@ -109,48 +109,45 @@ def plugin_mle(model: ExpFamModel, rel: ReleasedStatistic) -> np.ndarray:
 
 
 def _gls_objective(model: ExpFamModel, rel: ReleasedStatistic, plug: np.ndarray):
-    """The objective f of ``noise_aware_mle``, as theta -> (f, gradient, hessians).
+    """The objective f of ``noise_aware_mle`` as ``minimize_in_box``'s (evaluate, hessians).
 
-    One ``model.mean_fisher_and_skew`` call per evaluation gives f and its
-    exact gradient.  ``hessians()`` then gives, from the same call, the
-    Hessian of f without its fourth-cumulant term,
+    One row: ``evaluate`` makes one ``model.mean_fisher_and_skew`` call, which
+    gives f and its exact gradient; a mean that overflows is not finite.
+    ``hessians`` then gives, from the same call, the Hessian of f without its
+    fourth-cumulant term,
         2 M C^{-1} M - 2 T[v] + 0.2 sigma^2 1,  M = I + T[v] / n,
     and the positive-definite Gauss-Newton Hessian 2 I C^{-1} I + 0.2 sigma^2 1.
-    A mean that overflows raises MeanOverflowError.
     """
     sigma, n, d = rel.sigma, rel.n, model.d
     lam = _regularizer(sigma)
     s = rel.s_tilde
     eye = np.eye(d)
 
-    def objective(theta):
-        mu, fisher, skew, finite = model.mean_fisher_and_skew(theta[None])
+    def covariance(fisher):
+        return (fisher + lam * eye) / n + sigma**2 * eye
+
+    def evaluate(Theta, rows):
+        mu, fisher, skew, finite = model.mean_fisher_and_skew(Theta)
         if not finite[0]:
-            raise MeanOverflowError("mean_overflow")
+            return np.full(1, np.inf), np.zeros((1, d)), finite, fisher, skew, np.zeros((1, d))
         r = s - mu[0]
-        cov = (fisher[0] + lam * eye) / n + sigma**2 * eye
-        v = np.linalg.solve(cov, r)
-        diff = theta - plug
+        v = np.linalg.solve(covariance(fisher[0]), r)
+        diff = Theta[0] - plug
         grad = -2.0 * (fisher[0] @ v) - skew[0] @ v @ v / n + 0.2 * sigma**2 * diff
+        f = float(r @ v) + 0.1 * sigma**2 * float(diff @ diff)
+        return np.full(1, f), grad[None], finite, fisher, skew, v[None]
 
-        def hessians():
-            skew_v = skew[0] @ v
-            solved = np.linalg.solve(cov, np.hstack((fisher[0], skew_v)))  # C^{-1} [I, T[v]]
-            m = fisher[0] + skew_v / n
-            full = 2.0 * m @ (solved[:, :d] + solved[:, d:] / n) - 2.0 * skew_v
-            gauss_newton = 2.0 * fisher[0] @ solved[:, :d]
-            return full + 0.2 * sigma**2 * eye, gauss_newton + 0.2 * sigma**2 * eye
+    def hessians(rows, state):
+        fisher, skew, v = (a[rows[0]] for a in state)
+        skew_v = skew @ v
+        # C^{-1} [I, T[v]]
+        solved = np.linalg.solve(covariance(fisher), np.hstack((fisher, skew_v)))
+        m = fisher + skew_v / n
+        full = 2.0 * m @ (solved[:, :d] + solved[:, d:] / n) - 2.0 * skew_v
+        gauss_newton = 2.0 * fisher @ solved[:, :d]
+        return (full + 0.2 * sigma**2 * eye)[None], (gauss_newton + 0.2 * sigma**2 * eye)[None]
 
-        return float(r @ v) + 0.1 * sigma**2 * float(diff @ diff), grad, hessians
-
-    return objective
-
-
-def _projected_gradient_norm(theta: np.ndarray, grad: np.ndarray) -> float:
-    """max_j |theta_j - clip(theta_j - grad_j)|, in L-BFGS-B's own arithmetic."""
-    proj = np.where(grad < 0, np.maximum(theta - PARAM_BOX, grad),
-                    np.minimum(theta + PARAM_BOX, grad))
-    return float(np.abs(proj).max())
+    return evaluate, hessians
 
 
 def noise_aware_mle(
@@ -165,70 +162,32 @@ def noise_aware_mle(
     Minimizes
         f(theta) = r' C^{-1} r + 0.1 sigma^2 ||theta - theta_plug||^2,
         r = S - mu(theta),  C = (I(theta) + lam I)/n + sigma^2 I,
-    over the box, started at the plug-in point.  The Tikhonov term
-    lam = max(1e-6, 0.01 sigma^2) and the anchor penalty are stabilizers
-    only; they vanish (or are inert) as sigma -> 0.
-
+    over the box with ``expfam.minimize_in_box``, started at the plug-in
+    point.  The Tikhonov term lam = max(1e-6, 0.01 sigma^2) and the anchor
+    penalty are stabilizers only; they vanish (or are inert) as sigma -> 0.
     With v = C^{-1} r, the gradient is
         -2 I(theta) v - T(theta)[v, v] / n + 0.2 sigma^2 (theta - theta_plug),
-    with T = dI/dtheta, from one ``model.mean_fisher_and_skew`` call per
-    evaluation (``_gls_objective``).  The solve is a projected Newton method
-    (Bertsekas 1982): each iteration takes ``expfam.projected_newton_step``,
-    the step of the inverse mean map's fallback, on the Hessian of f without
-    its fourth-cumulant term, or on the positive-definite Gauss-Newton
-    Hessian 2 I C^{-1} I + 0.2 sigma^2 1 where the first is not positive
-    definite on the free block, and halves the step until f decreases.  It stops
-    with the meaning of the L-BFGS-B settings it replaced: status 0 when the
-    largest projected gradient entry is at most 1e-8 or an accepted step
-    lowers f by at most 1e-14 max(|f|, 1); status 1 after 200 accepted steps,
-    which raises NoiseAwareDivergedError with the iterate; status 2 when 30
-    halvings find no decrease, which returns the current point.  In the
-    interior the plug-in point is stationary, so most solves stop after one
-    evaluation.  A caller that already holds ``plugin_mle(model, rel)``
-    passes it as ``theta_plug`` to skip solving it again.
+    with T = dI/dtheta (``_gls_objective``).  In the interior the plug-in
+    point is stationary, so most solves stop after one evaluation.  A start
+    whose mean overflows raises MeanOverflowError; a solve that reaches the
+    minimiser's step cap (status 1) raises NoiseAwareDivergedError with its
+    iterate.  A caller that already holds ``plugin_mle(model, rel)`` passes
+    it as ``theta_plug`` to skip solving it again.
 
     ``estimate_report`` passes a dict as ``_solver``, which receives the
     accepted steps, the objective evaluations and the exit status as
     "nit", "nfev" and "status".
     """
     plug = plugin_mle(model, rel) if theta_plug is None else theta_plug
-    objective = _gls_objective(model, rel, plug)
-    theta = np.clip(plug, -PARAM_BOX, PARAM_BOX)
-    f, grad, hessians = objective(theta)
-    nit, nfev = 0, 1
-    while True:
-        if _projected_gradient_norm(theta, grad) <= 1e-8:
-            status = 0
-            break
-        if nit >= 200:
-            status = 1
-            break
-        hess, gauss_newton = hessians()
-        step, solved = projected_newton_step(theta[None], grad[None], hess[None],
-                                             gauss_newton[None])
-        if not solved[0]:  # singular: sigma = 0 and a singular Fisher block
-            status = 2
-            break
-        for k in range(30):
-            cand = np.clip(theta + 0.5**k * step[0], -PARAM_BOX, PARAM_BOX)
-            f_new, grad_new, hessians_new = objective(cand)
-            nfev += 1
-            if f_new < f:
-                break
-        else:
-            status = 2
-            break
-        nit += 1
-        converged = f - f_new <= 1e-14 * max(abs(f), abs(f_new), 1.0)
-        theta, f, grad, hessians = cand, f_new, grad_new, hessians_new
-        if converged:
-            status = 0
-            break
+    evaluate, hessians = _gls_objective(model, rel, plug)
+    theta, finite, _, status, nit, nfev = minimize_in_box(evaluate, hessians, np.asarray(plug)[None])
+    if not finite[0]:
+        raise MeanOverflowError("mean_overflow")
     if _solver is not None:
-        _solver.update(nit=nit, nfev=nfev, status=status)
-    if status == 1:
-        raise NoiseAwareDivergedError("na_diverged", theta)
-    return theta
+        _solver.update(nit=int(nit[0]), nfev=int(nfev[0]), status=int(status[0]))
+    if status[0] == 1:
+        raise NoiseAwareDivergedError("na_diverged", theta[0])
+    return theta[0]
 
 
 def dp_variance(

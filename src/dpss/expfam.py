@@ -8,15 +8,13 @@ a clipping rule that enforces the L2 bound on the per-record statistic,
 and the inverse mean map used by the plug-in estimator.
 
 ``inverse_mean_map_batch`` inverts the mean map for many statistics at
-once: one damped-Newton loop over every row, then a batched projected-Newton
-fallback on the least-squares residual for the unconverged rows, each
-started from its last Newton iterate; a row whose fallback diverges is
-marked, not raised.  A Newton row on a face of the box whose step points
-further out goes to the fallback at once, without halving, when the
-residual does not decrease along the clipped step.  ``inverse_mean_map`` is
-the one-row case, which raises.  The fallback's step, ``projected_newton_step``
-(Bertsekas' fixed set and a Newton step on the free block), is also the step
-of the noise-aware solve in ``estimate``, so the box is handled in one place.
+once: one damped-Newton loop over every row, then a fallback on the
+least-squares residual for the unconverged rows, each started from its last
+Newton iterate; a row whose fallback diverges is marked, not raised.
+``inverse_mean_map`` is the one-row case, which raises.  The fallback is
+``minimize_in_box``, Bertsekas' projected Newton method over the box for a
+batch of rows, which also solves the noise-aware likelihood in ``estimate``;
+it and Newton share one backtracking line search, ``_backtrack``.
 
 Every log-partition is A(theta) = mean_i a(x_i . theta) over a public
 design X, so the mean map, the Fisher information and their derivatives
@@ -46,7 +44,7 @@ from scipy.special import expit
 
 PARAM_BOX = 10.0  # box constraint |theta_j| <= 10 for all solvers
 MAX_LOG_RATE = 700.0  # largest log-link eta whose exp is computed
-NEWTON_MAX_ITER = 100  # Newton iterations of the inverse mean map
+NEWTON_MAX_ITER = 100  # iterations of the inverse mean map's Newton loop and of minimize_in_box
 # rows x design rows per block of the per-record kernel, so that each
 # (rows, design rows) temporary stays within 0.5 MB
 NEWTON_CHUNK_ELEMS = 2**16
@@ -358,11 +356,105 @@ def projected_newton_step(theta, grad, hess, gauss_newton) -> tuple[np.ndarray, 
     return step, solved
 
 
-def _least_squares_derivatives(resid, fisher, skew) -> tuple[np.ndarray, ...]:
-    """Per row, the gradient I r, Gauss-Newton Hessian I^2 and Hessian I^2 + T.r of 0.5 ||r||^2."""
-    gauss_newton = fisher @ fisher
-    hess = gauss_newton + np.einsum("kabc,kc->kab", skew, resid)
-    return (fisher @ resid[..., None])[..., 0], gauss_newton, hess
+def _backtrack(evaluate, rows, step, theta, stores) -> np.ndarray:
+    """Halve each row's step until its candidate lowers the row's value.
+
+    The candidate of row ``rows[k]`` is theta + t step[k] clipped to the box;
+    one ``evaluate(candidates, rows)`` call per halving round evaluates every
+    row still searching.  It returns per-row arrays, the value first and the
+    finite mask third: a finite candidate that lowers the value held in
+    ``stores[0]`` is accepted in place into theta and ``stores``, which hold
+    its other arrays in order.  Returns the rows that found none in 30 halvings.
+    """
+    t = np.ones(len(rows))
+    searching = np.ones(len(rows), dtype=bool)
+    for _ in range(30):
+        j = np.flatnonzero(searching)
+        if j.size == 0:
+            break
+        r = rows[j]
+        cand = (theta[r] + t[j, None] * step[j]).clip(-PARAM_BOX, PARAM_BOX)
+        value, second, finite, *rest = evaluate(cand, r)
+        ok = finite & (value < stores[0][r])
+        acc = r[ok]
+        theta[acc] = cand[ok]
+        for store, new in zip(stores, (value, second, *rest)):
+            store[acc] = new[ok]
+        searching[j[ok]] = False
+        t[j[~ok]] *= 0.5
+    return rows[searching]
+
+
+def minimize_in_box(evaluate, hessians, Theta0) -> tuple[np.ndarray, ...]:
+    """Bertsekas' projected Newton method on a batch of objectives over the box, one per row.
+
+    ``evaluate(Theta, rows)`` gives, for the rows ``rows`` at the points
+    Theta, per-row arrays (f, grad, finite, *state): a point that is not
+    finite is never accepted.  ``hessians(rows, state)`` gives those rows' Hessians
+    and positive semi-definite Gauss-Newton Hessians for
+    ``projected_newton_step``.  Each row starts at its row of Theta0 clipped
+    to the box, and stops there if its largest projected-gradient entry
+    |theta_j - clip(theta_j - grad_j)|, in L-BFGS-B's arithmetic, is at most
+    1e-8.  Otherwise each iteration takes ``projected_newton_step`` and halves
+    it until f decreases.  A row stops with status 0 when its step predicts a
+    decrease -grad.step of at most 1e-15 max(1, |f|); with status 2 when its
+    start is not finite, its step cannot be solved or 30 halvings find no
+    decrease; with status 1 after NEWTON_MAX_ITER accepted steps.
+
+    Returns the end points, the start's finite mask, the end gradients, and
+    per row the status, the accepted steps (nit) and the evaluations (nfev).
+    """
+    theta = np.asarray(Theta0, dtype=float).clip(-PARAM_BOX, PARAM_BOX)
+    nit, nfev = np.zeros((2, len(theta)), dtype=int)
+
+    def counted(Theta, rows):
+        nfev[rows] += 1
+        return evaluate(Theta, rows)
+
+    f, grad, finite, *state = counted(theta, np.arange(len(theta)))
+    status = np.where(finite, 0, 2)
+    projected = np.where(grad < 0, np.maximum(theta - PARAM_BOX, grad),
+                         np.minimum(theta + PARAM_BOX, grad))
+    active = finite & ~(np.abs(projected).max(axis=1) <= 1e-8)  # a nan is not stationary
+    for _ in range(NEWTON_MAX_ITER):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        hess, gauss_newton = hessians(rows, state)
+        step, solved = projected_newton_step(theta[rows], grad[rows], hess, gauss_newton)
+        with np.errstate(over="ignore"):  # past 1e154 the product overflows: the row stops
+            decrease = -(grad[rows] * step).sum(axis=1)
+        moving = solved & (decrease > 1e-15 * np.maximum(1.0, np.abs(f[rows])))
+        status[rows[~solved]] = 2
+        active[rows[~moving]] = False
+        stuck = _backtrack(counted, rows[moving], step[moving], theta, (f, grad, *state))
+        status[stuck] = 2
+        active[stuck] = False
+        nit += active  # the rows still active accepted a step
+    status[active] = 1
+    return theta, finite, grad, status, nit, nfev
+
+
+def _least_squares_objective(model, S):
+    """``minimize_in_box``'s callbacks for f = 0.5 ||mu(theta) - s||^2, one row of S per row.
+
+    With r = mu - s, the gradient is g = I r, the Hessian I^2 + T.r and the
+    Gauss-Newton Hessian I^2, from one ``model.mean_fisher_and_skew`` call.
+    """
+
+    def evaluate(Theta, rows):
+        mu, fisher, skew, finite = model.mean_fisher_and_skew(Theta)
+        resid = mu - S[rows]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row is inf or nan
+            f = 0.5 * np.linalg.norm(resid, axis=1) ** 2
+            return f, (fisher @ resid[..., None])[..., 0], finite, resid, fisher, skew
+
+    def hessians(rows, state):
+        resid, fisher, skew = (a[rows] for a in state)
+        gauss_newton = fisher @ fisher
+        return gauss_newton + np.einsum("kabc,kc->kab", skew, resid), gauss_newton
+
+    return evaluate, hessians
 
 
 class GaussianMeanModel(ExpFamModel):
@@ -438,37 +530,6 @@ class _RegressionModel(ExpFamModel):
     def suff_stats(self, data: Dataset) -> np.ndarray:
         return data.x * data.y[:, None]
 
-    def _backtrack(self, kernel, S, rows, step, theta, resid, rnorm, moments) -> np.ndarray:
-        """Halve each row's step until its candidate lowers the residual norm.
-
-        The candidate of row ``rows[k]`` is theta + t step[k] clipped to the
-        box; one ``kernel`` call per halving round evaluates every row still
-        searching.  A candidate with a finite mean and a smaller residual is
-        accepted in place into theta, resid, rnorm and the per-row arrays
-        ``moments`` (the kernel's outputs between the mean and the finite
-        mask).  Returns the rows that found none in 30 halvings.
-        """
-        t = np.ones(len(rows))
-        searching = np.ones(len(rows), dtype=bool)
-        for _ in range(30):
-            j = np.flatnonzero(searching)
-            if j.size == 0:
-                break
-            r = rows[j]
-            cand = np.clip(theta[r] + t[j, None] * step[j], -PARAM_BOX, PARAM_BOX)
-            mu, *per_row, finite = kernel(cand)
-            cand_resid = mu - S[r]
-            with np.errstate(over="ignore"):  # an overflowing norm is inf: rejected
-                cand_norm = np.linalg.norm(cand_resid, axis=1)
-            ok = finite & (cand_norm < rnorm[r])
-            acc = r[ok]
-            theta[acc], resid[acc], rnorm[acc] = cand[ok], cand_resid[ok], cand_norm[ok]
-            for store, new in zip(moments, per_row):
-                store[acc] = new[ok]
-            searching[j[ok]] = False
-            t[j[~ok]] *= 0.5
-        return rows[searching]
-
     def newton_batch(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Damped Newton for every row of S in one loop, each row started at theta = 0.
 
@@ -485,13 +546,18 @@ class _RegressionModel(ExpFamModel):
         """
         S = np.atleast_2d(np.asarray(S, dtype=float))
         b, d = S.shape
+
+        def evaluate(Theta, rows):
+            mu, fisher, finite = self.mean_and_fisher(Theta)
+            resid = mu - S[rows]
+            with np.errstate(over="ignore"):  # an overflowing norm is inf
+                return np.linalg.norm(resid, axis=1), resid, finite, fisher
+
         theta = np.zeros((b, d))
         tol = 1e-8 * np.maximum(1.0, _row_norms(S))
-        mu0, fisher0, _ = self.mean_and_fisher(theta[:1])
-        resid = mu0 - S
+        # every row starts at theta = 0, so one kernel row serves them all
+        rnorm, resid, _, fisher0 = evaluate(theta[:1], np.arange(b))
         fishers = np.repeat(fisher0, b, axis=0)
-        with np.errstate(over="ignore"):  # an overflowing norm is inf: the row stays active
-            rnorm = np.linalg.norm(resid, axis=1)
         active = rnorm > tol
         ridge = 1e-12 * np.eye(d)
         for _ in range(NEWTON_MAX_ITER):
@@ -508,8 +574,7 @@ class _RegressionModel(ExpFamModel):
                 moving &= ~blocked.any(axis=1) | (slope < 0)
             active[rows[~moving]] = False
             rows, step = rows[moving], step[moving]
-            stuck = self._backtrack(self.mean_and_fisher, S, rows, step,
-                                    theta, resid, rnorm, (fishers,))
+            stuck = _backtrack(evaluate, rows, step, theta, (rnorm, resid, fishers))
             active[stuck] = False
             active &= rnorm > tol
         return theta, rnorm <= tol
@@ -531,51 +596,20 @@ class _RegressionModel(ExpFamModel):
     def _inverse_mean_map_fallback(
         self, S: np.ndarray, Theta0: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Projected Newton on 0.5 ||mu(theta) - s||^2 over the box, every row of S at once.
-
-        Bertsekas (SIAM J. Control Optim. 1982): with r = mu - s, the gradient
-        is g = I r and the Hessian H = I^2 + T . r, both from the I and T of
-        one ``mean_fisher_and_skew`` call: all the loop keeps of each row.
-        Each row takes ``projected_newton_step`` on H, with the Gauss-Newton
-        I^2 where the free block of H is not positive definite.  A row stops
-        when its step predicts a decrease -g.step of at most 1e-15 max(1, f),
-        the relative tolerance L-BFGS-B was given here; when 30 halvings find
-        no smaller residual; or after NEWTON_MAX_ITER iterations.
+        """``minimize_in_box`` on 0.5 ||mu(theta) - s||^2 for every row of S, started at Theta0.
 
         Returns the end points (b, d) and a mask of the rows that diverged:
         those whose mean overflows, or whose projected gradient exceeds
         1e-5 max(1, ||s||).
         """
         S = np.atleast_2d(np.asarray(S, dtype=float))
-        theta = np.clip(np.asarray(Theta0, dtype=float), -PARAM_BOX, PARAM_BOX)
-        mu, fisher, skew, finite = self.mean_fisher_and_skew(theta)
-        resid = mu - S
-        with np.errstate(over="ignore"):
-            rnorm = np.linalg.norm(resid, axis=1)
-        active = finite.copy()
-        for _ in range(NEWTON_MAX_ITER):
-            rows = np.flatnonzero(active)
-            if rows.size == 0:
-                break
-            grad, gauss_newton, hess = _least_squares_derivatives(
-                resid[rows], fisher[rows], skew[rows])
-            step, solved = projected_newton_step(theta[rows], grad, hess, gauss_newton)
-            # a row whose step predicts a decrease of at most 1e-15 max(1, f) has
-            # converged; past 1e154 the product overflows, and such a row ends diverged
-            with np.errstate(over="ignore"):
-                decrease = -(grad * step).sum(axis=1)
-            moving = solved & (decrease > 1e-15 * np.maximum(1.0, 0.5 * rnorm[rows] ** 2))
-            active[rows[~moving]] = False
-            stuck = self._backtrack(self.mean_fisher_and_skew, S, rows[moving], step[moving],
-                                    theta, resid, rnorm, (fisher, skew))
-            active[stuck] = False
+        theta, finite, proj, *_ = minimize_in_box(*_least_squares_objective(self, S), Theta0)
         # at a box optimum the projected gradient vanishes even though the residual
         # may not; a large one fails, and so does an end point whose mean overflows
+        proj[((theta >= PARAM_BOX - 1e-12) & (proj < 0))
+             | ((theta <= -PARAM_BOX + 1e-12) & (proj > 0))] = 0.0
+        tol = 1e-5 * np.maximum(1.0, _row_norms(S))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row is nan: diverged
-            proj = _least_squares_derivatives(resid, fisher, skew)[0]
-            proj[((theta >= PARAM_BOX - 1e-12) & (proj < 0))
-                 | ((theta <= -PARAM_BOX + 1e-12) & (proj > 0))] = 0.0
-            tol = 1e-5 * np.maximum(1.0, _row_norms(S))
             return theta, ~(finite & (np.linalg.norm(proj, axis=1) <= tol))
 
     def _design_for_sampling(self, n: int, rng: np.random.Generator) -> np.ndarray:

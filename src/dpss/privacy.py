@@ -7,7 +7,8 @@ smallest sigma such that
 
 for sensitivity D, found by bisection.  This is tighter than the classical
 sigma = D sqrt(2 ln(1.25/delta)) / eps bound, which is only valid for
-eps <= 1 and serves here as the initial bracket.
+eps <= 1 and serves here as the initial bracket.  Where it overflows, at
+eps below about 5e-308, sigma is its eps -> 0 limit, an upper bound.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import erfinv, log_ndtr, ndtr
 
 from .expfam import MODEL_IDS, ExpFamModel
 
@@ -162,6 +163,10 @@ def classical_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> flo
 def _calibrate_unit(epsilon: float, delta: float) -> float:
     # sigma for unit sensitivity; the general answer scales linearly
     hi = classical_gaussian_sigma(1.0, epsilon, delta)
+    if not math.isfinite(hi):  # eps below about 5e-308
+        # sigma at eps = 0, where erf(1 / (2 sqrt(2) sigma)) = delta: an upper bound, larger
+        # than sigma by a factor of about 1 + eps sigma, which no bisection could resolve
+        return 1.0 / (2.0 * math.sqrt(2.0) * float(erfinv(delta)))
     while verify_agm_condition(hi, 1.0, epsilon) > delta:
         hi *= 2.0  # classical bound only covers eps <= 1
     lo = 1e-12
@@ -175,10 +180,16 @@ def _calibrate_unit(epsilon: float, delta: float) -> float:
 
 
 def calibrate_agm(delta2: float, budget: PrivacyBudget) -> float:
-    """Smallest sigma making the Gaussian mechanism (eps, delta)-DP at sensitivity delta2."""
+    """Smallest sigma making the Gaussian mechanism (eps, delta)-DP at sensitivity delta2.
+
+    Raises ValueError unless the sensitivity and sigma are positive and finite.
+    """
     if not (0 < delta2 < math.inf):  # nan fails both comparisons
         raise ValueError("sensitivity must be positive and finite")
-    return delta2 * _calibrate_unit(budget.epsilon, budget.delta)
+    sigma = delta2 * _calibrate_unit(budget.epsilon, budget.delta)
+    if not math.isfinite(sigma):
+        raise ValueError("sigma is not finite")
+    return sigma
 
 
 def release(

@@ -76,6 +76,55 @@ def test_calibrate_non_finite_sensitivity_exits_2(sensitivity):
     assert res.output.strip() == "invalid_budget"
 
 
+def test_calibrate_sigma_past_the_float_range_exits_2():
+    # sigma is about 4e5 times the sensitivity here; it used to print {"sigma": Infinity}
+    # and exit 0
+    res = invoke("calibrate", "--sensitivity", 1e308, "--epsilon", 1e-300, "--delta", 1e-6)
+    assert res.exit_code == 2
+    assert res.output.strip() == "invalid_budget"
+
+
+def test_calibrate_where_the_classical_bound_overflows_is_finite():
+    # the classical bound, the bisection's first bracket, is inf below eps of about 5e-308,
+    # while the AGM sigma tends to a finite limit as eps -> 0
+    res = invoke("calibrate", "--sensitivity", 1, "--epsilon", 1e-308, "--delta", 1e-6)
+    assert res.exit_code == 0
+    out = json.loads(res.output)
+    assert out["sigma"] == pytest.approx(calibrate_agm(1.0, PrivacyBudget(1e-300, 1e-6)), rel=1e-9)
+    assert out["achieved_delta"] <= 1e-6
+
+
+def huge_bound_release(workdir, B, *extra):
+    (workdir / "huge.json").write_text(json.dumps(
+        {"model_id": "gaussian_mean", "d": 1, "sigma0_sq": 1.0, "clip": {"B": B}}))
+    return invoke("release", "--data", workdir / "data.csv", "--model", workdir / "huge.json",
+                  "--epsilon", 1e-310, "--delta", 1e-6, "--out", workdir / "rel.json", *extra)
+
+
+def test_release_at_an_epsilon_whose_classical_bound_overflows(workdir):
+    # it used to end in "ValueError: s_tilde must be finite" with exit 1
+    res = huge_bound_release(workdir, 1e300)
+    assert res.exit_code == 0
+    rel = ReleasedStatistic.load(workdir / "rel.json")
+    assert rel.sigma == pytest.approx(1e300 * calibrate_agm(1.0, PrivacyBudget(1e-300, 1e-6)),
+                                      rel=1e-9)
+
+
+def test_release_whose_sigma_is_not_finite_exits_2(workdir):
+    res = huge_bound_release(workdir, 1e305)
+    assert res.exit_code == 2
+    assert "invalid_budget" in res.output
+    assert not (workdir / "rel.json").exists()
+
+
+def test_release_whose_noisy_statistic_is_not_finite_exits_3(workdir):
+    # sigma is finite, near the largest float; the seed-1 draw of 2.1 takes the noise past it
+    res = huge_bound_release(workdir, 4.5e302, "--seed", 1)
+    assert res.exit_code == 3
+    assert "error: cannot release: s_tilde must be finite" in res.output
+    assert not (workdir / "rel.json").exists()
+
+
 # ----------------------------------------------------------------- release
 
 def test_release_sigma_zero_hook(workdir):

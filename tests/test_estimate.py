@@ -21,6 +21,7 @@ from dpss.estimate import (
 )
 from dpss.expfam import (
     NEWTON_CHUNK_ELEMS,
+    NEWTON_MAX_ITER,
     PARAM_BOX,
     Dataset,
     GaussianMeanModel,
@@ -143,8 +144,24 @@ def gls_objective(monkeypatch, model, rel):
     monkeypatch.setattr(estimate, "_gls_objective", lambda *a: seen.append(real(*a)) or seen[-1])
     noise_aware_mle(model, rel)
     monkeypatch.undo()
-    fun, = seen
-    return (lambda theta: fun(theta)[:2]), (lambda theta: fun(theta)[2]())
+    (evaluate, hessians), = seen
+    return gls_callbacks(evaluate, hessians)
+
+
+def gls_callbacks(evaluate, hessians):
+    """``_gls_objective``'s one-row callbacks as theta -> (f, gradient) and theta -> Hessians."""
+    one = np.arange(1)
+
+    def fun(theta):
+        f, grad, finite, *_ = evaluate(theta[None], one)
+        assert finite[0]
+        return f[0], grad[0]
+
+    def hess(theta):
+        _, _, _, *state = evaluate(theta[None], one)
+        return tuple(h[0] for h in hessians(one, state))
+
+    return fun, hess
 
 
 def noise_aware_release(model_id, eps, seed):
@@ -208,14 +225,37 @@ def test_noise_aware_agrees_with_the_finite_difference_solve(model_id, eps):
             np.testing.assert_allclose(theta, ref, rtol=0.0, atol=1e-5 * np.abs(ref).max())
 
 
-def test_noise_aware_overflowing_mean_raises(monkeypatch):
+def large_feature_poisson_release():
     X = substream(6, "overflow").uniform(20.0, 60.0, (200, 2))
     model = PoissonModel(X, B_X=100.0, B_Y=1e6)
     rel = make_release(model.grad_log_partition(np.array([0.05, 0.05])), 0.1, n=200,
                        model_id="poisson", B=1e8)
-    fun, _ = gls_objective(monkeypatch, model, rel)
+    return model, rel
+
+
+def test_noise_aware_overflowing_mean_raises():
+    model, rel = large_feature_poisson_release()
     with pytest.raises(MeanOverflowError):
-        fun(np.array([PARAM_BOX, PARAM_BOX]))
+        noise_aware_mle(model, rel, theta_plug=np.array([PARAM_BOX, PARAM_BOX]))
+
+
+def test_noise_aware_step_to_an_overflowing_mean_is_halved(monkeypatch):
+    # from (-0.5, -0.5) the first full step ends on the box face, where exp(x . theta) overflows
+    model, rel = large_feature_poisson_release()
+    finite_masks = []
+    kernel = model._record_moments
+
+    def spy(Theta):
+        moments = kernel(Theta)
+        finite_masks.append(moments[2])
+        return moments
+
+    monkeypatch.setattr(model, "_record_moments", spy)
+    solver = {}
+    theta = noise_aware_mle(model, rel, theta_plug=np.array([-0.5, -0.5]), _solver=solver)
+    assert finite_masks[0].all() and not finite_masks[1].any()
+    assert solver["status"] == 0 and solver["nfev"] > solver["nit"] + 1
+    np.testing.assert_allclose(theta, [0.05, 0.05], rtol=1e-3)
 
 
 def test_noise_aware_report_counts_solver_work():
@@ -288,9 +328,9 @@ def test_noise_aware_agrees_with_the_exact_gradient_lbfgsb_solve(model_id, eps):
 def test_noise_aware_hessian_is_exact_but_for_the_fourth_cumulant(model_id):
     model, rel = noise_aware_release(model_id, 0.3, seed=11)
     plug = plugin_mle(model, rel)
-    fun = estimate._gls_objective(model, rel, plug)
+    fun, hessians = gls_callbacks(*estimate._gls_objective(model, rel, plug))
     theta = plug + substream(11, "hessian-point").uniform(-0.3, 0.3, model.d)
-    full, gauss_newton = fun(theta)[2]()
+    full, gauss_newton = hessians(theta)
     mu, fisher, _, _ = model.mean_fisher_and_skew(theta[None])
     cov = (fisher[0] + estimate._regularizer(rel.sigma) * np.eye(model.d)) / rel.n \
         + rel.sigma**2 * np.eye(model.d)
@@ -312,26 +352,21 @@ def test_noise_aware_hessian_is_exact_but_for_the_fourth_cumulant(model_id):
                                atol=1e-6 * np.abs(central).max())
 
 
-def test_noise_aware_solve_capped_at_200_steps_raises_with_its_iterate(monkeypatch):
+def test_noise_aware_solve_capped_at_newton_max_iter_steps_raises_with_its_iterate(monkeypatch):
     model, rel = noise_aware_release("logistic", 0.1, seed=0)
     start = np.clip(plugin_mle(model, rel) - 0.2, -PARAM_BOX, PARAM_BOX)
     real = estimate._gls_objective
 
     def short_steps(*args):
         # Hessians 1e4 times too large: every step is accepted and too short to converge
-        fun = real(*args)
-
-        def scaled(theta):
-            f, grad, hessians = fun(theta)
-            return f, grad, lambda: tuple(1e4 * h for h in hessians())
-
-        return scaled
+        evaluate, hessians = real(*args)
+        return evaluate, lambda rows, state: tuple(1e4 * h for h in hessians(rows, state))
 
     monkeypatch.setattr(estimate, "_gls_objective", short_steps)
     solver = {}
     with pytest.raises(NoiseAwareDivergedError, match="na_diverged") as info:
         noise_aware_mle(model, rel, theta_plug=start, _solver=solver)
-    assert solver == {"nit": 200, "nfev": 201, "status": 1}
+    assert solver == {"nit": NEWTON_MAX_ITER, "nfev": NEWTON_MAX_ITER + 1, "status": 1}
     assert np.abs(info.value.best_iterate - start).max() > 0
 
 

@@ -25,10 +25,11 @@ from dpss.expfam import (
     SolverDivergedError,
     dataset_from_csv,
     dataset_to_csv,
-    _least_squares_derivatives,
+    _least_squares_objective,
     _row_norms,
     _solve_blocks,
     load_model_config,
+    minimize_in_box,
 )
 
 RNG = np.random.default_rng(511)
@@ -372,6 +373,64 @@ def test_solve_blocks_marks_only_singular_rows():
     np.testing.assert_allclose(x[1], [0.5, 0.25])
 
 
+def test_minimize_in_box_on_a_separable_quadratic():
+    # f = 0.5 sum_j a_j (theta_j - c_j)^2 for each row; a point with |theta_1| >= 5 is not finite
+    a = np.array([[2.0, 4.0], [2.0, 4.0], [2.0, 4.0], [1e-12, 1e-12]])
+    c = np.array([[1.0, -2.0], [15.0, -3.0], [0.0, 0.0], [0.0, 0.0]])
+    calls = []
+
+    def evaluate(Theta, rows):
+        calls.append(rows.tolist())
+        grad = a[rows] * (Theta - c[rows])
+        return 0.5 * (grad * (Theta - c[rows])).sum(axis=1), grad, np.abs(Theta[:, 1]) < 5.0
+
+    def hessians(rows, state):
+        assert state == []
+        hess = a[rows][:, :, None] * np.eye(2)
+        return hess, hess
+
+    # a stationary start; a minimiser outside the box in its first coordinate; a start that
+    # is not finite; and a start whose projected gradient is below 1e-8 on a flat objective,
+    # though a Newton step from it would predict a decrease of 2.5e-11
+    Theta0 = np.array([[1.0, -2.0], [0.0, 0.0], [0.0, 7.0], [5.0, 0.0]])
+    theta, finite, grad, status, nit, nfev = minimize_in_box(evaluate, hessians, Theta0)
+    np.testing.assert_array_equal(theta, [[1.0, -2.0], [PARAM_BOX, -3.0], [0.0, 7.0], [5.0, 0.0]])
+    assert finite.tolist() == [True, True, False, True]
+    np.testing.assert_array_equal(grad[:2], [[0.0, 0.0], [2.0 * (PARAM_BOX - 15.0), 0.0]])
+    assert status.tolist() == [0, 0, 2, 0]
+    assert nit.tolist() == [0, 1, 0, 0] and nfev.tolist() == [1, 2, 1, 1]
+    # the start of every row, then one full step of the second, which is accepted
+    assert calls == [[0, 1, 2, 3], [1]]
+
+
+def test_minimize_in_box_never_accepts_a_point_that_is_not_finite():
+    # f = 0.5 ||theta - c||^2, but no point with theta_1 <= -5 is finite: every full step
+    # to c lands there and is halved, so the row creeps up to the edge and stops on it
+    c = np.array([0.0, -6.0])
+
+    def evaluate(Theta, rows):
+        return 0.5 * ((Theta - c) ** 2).sum(axis=1), Theta - c, Theta[:, 1] > -5.0
+
+    def hessians(rows, state):
+        return (np.tile(np.eye(2), (len(rows), 1, 1)),) * 2
+
+    theta, finite, _, status, nit, nfev = minimize_in_box(evaluate, hessians, np.zeros((1, 2)))
+    assert finite[0] and status[0] == 2 and nfev[0] > nit[0] > 1
+    assert theta[0, 0] == 0.0 and -5.0 < theta[0, 1] < -5.0 + 1e-8
+
+
+def test_minimize_in_box_stops_a_row_whose_step_cannot_be_solved():
+    def evaluate(Theta, rows):
+        return 0.5 * (Theta**2).sum(axis=1), Theta.copy(), np.ones(len(rows), dtype=bool)
+
+    def hessians(rows, state):  # singular Hessians: no Newton step exists
+        return (np.zeros((len(rows), 2, 2)),) * 2
+
+    theta, _, _, status, nit, nfev = minimize_in_box(evaluate, hessians, np.ones((1, 2)))
+    np.testing.assert_array_equal(theta, np.ones((1, 2)))
+    assert (status[0], nit[0], nfev[0]) == (2, 0, 1)
+
+
 def test_newton_batch_singular_fisher_leaves_row_unconverged():
     # two identical large features: the Fisher block is rank one, and at this
     # scale the 1e-12 ridge is lost to rounding, so the solve is singular
@@ -462,10 +521,14 @@ def test_fallback_gradient_is_fisher_times_residual(maker):
         return model.fisher_info(theta) @ (model.grad_log_partition(theta) - s)
 
     Theta = np.random.default_rng(21).uniform(-2.0, 2.0, (5, model.d))
-    mu, fisher_blocks, T, _ = model.mean_fisher_and_skew(Theta)
-    grad, gauss_newton, hess = _least_squares_derivatives(mu - s, fisher_blocks, T)
+    evaluate, hessians = _least_squares_objective(model, np.tile(s, (5, 1)))
+    rows = np.arange(5)
+    value, grad, finite, *state = evaluate(Theta, rows)
+    hess, gauss_newton = hessians(rows, state)
+    assert finite.all()
     for k, theta in enumerate(Theta):
         fisher = model.fisher_info(theta)
+        assert value[k] == pytest.approx(f(theta), rel=1e-12)
         np.testing.assert_allclose(grad[k], g(theta), rtol=1e-12, atol=1e-15)
         # each row of the difference Jacobian of a scalar f is its gradient
         np.testing.assert_allclose(grad[k], _fd_jacobian(f, theta)[0], rtol=1e-5, atol=1e-8)

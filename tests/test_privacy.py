@@ -104,6 +104,21 @@ def test_calibration_rejects_a_sensitivity_that_is_not_positive_and_finite(delta
         calibrate_agm(delta2, PrivacyBudget(1.0, 1e-6))
 
 
+@pytest.mark.parametrize("delta", [1e-6, 1e-300])
+def test_calibration_is_finite_where_the_classical_bound_overflows(delta):
+    # as eps -> 0 the unit sigma tends to 1 / (2 ndtri((1 + delta) / 2)),
+    # about 1 / (delta sqrt(2 pi))
+    assert classical_gaussian_sigma(1.0, 1e-308, delta) == math.inf
+    sigma = calibrate_agm(1.0, PrivacyBudget(1e-308, delta))
+    assert sigma == pytest.approx(1.0 / (delta * math.sqrt(2.0 * math.pi)), rel=1e-6)
+    assert verify_agm_condition(sigma, 1.0, 1e-308) <= delta
+
+
+def test_calibration_rejects_a_sigma_past_the_float_range():
+    with pytest.raises(ValueError, match="sigma is not finite"):
+        calibrate_agm(1e308, PrivacyBudget(1e-300, 1e-6))
+
+
 def test_verify_limits():
     assert verify_agm_condition(1e6, 1.0, 1.0) < 1e-12
     assert verify_agm_condition(0.01, 1.0, 0.1) > 0.5
