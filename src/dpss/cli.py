@@ -118,8 +118,7 @@ def calibrate(sensitivity, epsilon, delta):
 @click.option("--delta", default="auto", help="Numeric delta, or 'auto' for 1/n^2.")
 @click.option("--seed", type=SEED, default=0)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--sigma-override", type=click.FloatRange(min=0.0), default=None, hidden=True)
-def release_cmd(data_path, model_path, epsilon, delta, seed, out_path, sigma_override):
+def release_cmd(data_path, model_path, epsilon, delta, seed, out_path):
     """Clip, aggregate, and release the noisy sufficient statistic."""
     model = _load_model(model_path)
     try:
@@ -136,8 +135,7 @@ def release_cmd(data_path, model_path, epsilon, delta, seed, out_path, sigma_ove
             raise click.UsageError("delta must be a number or 'auto'")
     try:
         budget = PrivacyBudget(epsilon, delta_val)
-        if sigma_override is None:  # a budget whose sigma is not finite is invalid
-            calibrate_agm(l2_sensitivity(model.clip_bounds.B, n), budget)
+        calibrate_agm(l2_sensitivity(model.clip_bounds.B, n), budget)  # sigma must be finite
     except ValueError:
         click.echo("invalid_budget", err=True)
         sys.exit(2)
@@ -145,15 +143,7 @@ def release_cmd(data_path, model_path, epsilon, delta, seed, out_path, sigma_ove
     s_bar = model.mean_suff_stat(clipped)
     try:
         with np.errstate(over="ignore"):  # noise past the float range is reported below
-            rel = release(
-                s_bar,
-                model,
-                n,
-                budget,
-                substream(seed, "release"),
-                sigma_override=sigma_override,
-                seed_tag=str(seed),
-            )
+            rel = release(s_bar, model, n, budget, substream(seed, "release"), seed_tag=str(seed))
     except ValueError as exc:  # the noisy statistic is not finite
         _data_error(f"cannot release: {exc}")
     with _writing(out_path):

@@ -111,10 +111,13 @@ def plugin_mle(model: ExpFamModel, rel: ReleasedStatistic) -> np.ndarray:
 def _gls_objective(model: ExpFamModel, rel: ReleasedStatistic, plug: np.ndarray):
     """The objective f of ``noise_aware_mle`` as ``minimize_in_box``'s (evaluate, hessians).
 
-    One row: ``evaluate`` makes one ``model.mean_fisher_and_skew`` call, which
-    gives f and its exact gradient; a mean that overflows is not finite.
-    ``hessians`` then gives, from the same call, the Hessian of f without its
-    fourth-cumulant term,
+    One row: ``evaluate`` makes one ``model.mean_fisher_and_skew`` call whose
+    ``direction`` is v = C(I)^{-1} (s - mu), so the kernel returns v and T[v]
+    with mu and I; they give f and its exact gradient, with T[v, v] = T[v] v.
+    A mean that overflows is not finite, and its v, nan where the solve
+    fails, is not used.
+    ``hessians`` then gives, from the same call, the Hessian of f without
+    its fourth-cumulant term,
         2 M C^{-1} M - 2 T[v] + 0.2 sigma^2 1,  M = I + T[v] / n,
     and the positive-definite Gauss-Newton Hessian 2 I C^{-1} I + 0.2 sigma^2 1.
     """
@@ -126,20 +129,24 @@ def _gls_objective(model: ExpFamModel, rel: ReleasedStatistic, plug: np.ndarray)
     def covariance(fisher):
         return (fisher + lam * eye) / n + sigma**2 * eye
 
+    def direction(rows, mu, fisher):
+        try:
+            return np.linalg.solve(covariance(fisher[0]), s - mu[0])[None]
+        except np.linalg.LinAlgError:  # a mean or Fisher block past the float range
+            return np.full((1, d), np.nan)
+
     def evaluate(Theta, rows):
-        mu, fisher, skew, finite = model.mean_fisher_and_skew(Theta)
+        mu, fisher, v, skew_v, finite = model.mean_fisher_and_skew(Theta, direction)
         if not finite[0]:
-            return np.full(1, np.inf), np.zeros((1, d)), finite, fisher, skew, np.zeros((1, d))
-        r = s - mu[0]
-        v = np.linalg.solve(covariance(fisher[0]), r)
+            return np.full(1, np.inf), np.zeros((1, d)), finite, fisher, skew_v
+        r, v = s - mu[0], v[0]
         diff = Theta[0] - plug
-        grad = -2.0 * (fisher[0] @ v) - skew[0] @ v @ v / n + 0.2 * sigma**2 * diff
+        grad = -2.0 * (fisher[0] @ v) - skew_v[0] @ v / n + 0.2 * sigma**2 * diff
         f = float(r @ v) + 0.1 * sigma**2 * float(diff @ diff)
-        return np.full(1, f), grad[None], finite, fisher, skew, v[None]
+        return np.full(1, f), grad[None], finite, fisher, skew_v
 
     def hessians(rows, state):
-        fisher, skew, v = (a[rows[0]] for a in state)
-        skew_v = skew @ v
+        fisher, skew_v = (a[rows[0]] for a in state)
         # C^{-1} [I, T[v]]
         solved = np.linalg.solve(covariance(fisher), np.hstack((fisher, skew_v)))
         m = fisher + skew_v / n
@@ -167,11 +174,11 @@ def noise_aware_mle(
     penalty are stabilizers only; they vanish (or are inert) as sigma -> 0.
     With v = C^{-1} r, the gradient is
         -2 I(theta) v - T(theta)[v, v] / n + 0.2 sigma^2 (theta - theta_plug),
-    with T = dI/dtheta (``_gls_objective``).  In the interior the plug-in
-    point is stationary, so most solves stop after one evaluation.  A start
-    whose mean overflows raises MeanOverflowError; a solve that reaches the
-    minimiser's step cap (status 1) raises NoiseAwareDivergedError with its
-    iterate.  A caller that already holds ``plugin_mle(model, rel)`` passes
+    with T = dI/dtheta, of which the kernel returns only T[v]
+    (``_gls_objective``).  In the interior the plug-in point is stationary,
+    so most solves stop after one evaluation.  A start whose mean overflows
+    raises MeanOverflowError; a solve that reaches the minimiser's step cap
+    (status 1) raises NoiseAwareDivergedError with its iterate.  A caller that already holds ``plugin_mle(model, rel)`` passes
     it as ``theta_plug`` to skip solving it again.
 
     ``estimate_report`` passes a dict as ``_solver``, which receives the
@@ -219,14 +226,19 @@ def dp_variance(
     return var
 
 
-def wald_ci(theta_hat: np.ndarray, variance: np.ndarray, alpha: float) -> list[tuple[float, float]]:
-    """Per-coordinate theta_j +/- z_{1-alpha/2} sqrt(Var_jj)."""
+def _wald(variance: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """The variance diagonal and z_{1-alpha/2}; alpha must lie in (0, 1), the diagonal be >= 0."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     diag = np.diag(np.atleast_2d(variance))
     if np.any(diag < 0):
         raise InvalidVarianceError("invalid_variance")
-    z = ndtri(1.0 - alpha / 2.0)
+    return diag, ndtri(1.0 - alpha / 2.0)
+
+
+def wald_ci(theta_hat: np.ndarray, variance: np.ndarray, alpha: float) -> list[tuple[float, float]]:
+    """Per-coordinate theta_j +/- z_{1-alpha/2} sqrt(Var_jj)."""
+    diag, z = _wald(variance, alpha)
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     half = z * np.sqrt(diag)
     return [(float(t - h), float(t + h)) for t, h in zip(theta_hat, half)]
@@ -239,12 +251,7 @@ def wald_test(
     alpha: float,
 ) -> list[dict]:
     """Two-sided z-test per coordinate of H0: theta_j = theta0_j."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    diag = np.diag(np.atleast_2d(variance))
-    if np.any(diag < 0):
-        raise InvalidVarianceError("invalid_variance")
-    zcrit = ndtri(1.0 - alpha / 2.0)
+    diag, zcrit = _wald(variance, alpha)
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     out = []

@@ -22,8 +22,11 @@ come from one per-record kernel over X.  It runs on blocks of
 NEWTON_CHUNK_ELEMS // N rows of parameters, so that its (rows, N)
 temporaries stay in cache however many rows a solver holds, and returns
 per-row contractions only: ``mean_and_fisher`` the mean and the Fisher
-block, ``mean_fisher_and_skew`` also the third-cumulant tensor
-T = X'[w3 x x x] / N.  The Gaussian mean is the one-row design x = 1 with
+block, ``mean_fisher_and_skew`` also the third-cumulant tensor contracted
+with one vector u per row, T[u] = X' diag(w3 * X u) X / N, the derivative of
+the Fisher block along u.  A ``direction(rows, mu, fisher)`` callback gives
+each block's u from that block's mean and Fisher block, so the solvers
+never build T itself.  The Gaussian mean is the one-row design x = 1 with
 a(eta) = sigma0^2 eta^2 / 2.  For the regressions only sum(y_i * x_i)
 carries private information; X is used after the release.
 """
@@ -33,7 +36,6 @@ from __future__ import annotations
 import abc
 import ctypes
 import functools
-import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -180,16 +182,6 @@ class ExpFamModel(abc.ABC):
             np.multiply(self.design[:, i[k]], self.design[:, j[k]], out=outer[:, k])
         return i, j, outer
 
-    @functools.cached_property
-    def _design_triples(self) -> np.ndarray:
-        """The products x_a x_b x_c of each design row for the triples of ``_triples``: (., n)."""
-        (a, b, c), _, _ = _triples(self.d)
-        columns = np.ascontiguousarray(self.design.T)  # the rows of X', not strided columns
-        products = columns[a]
-        products *= columns[b]  # one temporary of the products' size at a time
-        products *= columns[c]
-        return products
-
     @abc.abstractmethod
     def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The kernel's per-record means P and variances W, shape (b, n), and finite mask."""
@@ -211,22 +203,27 @@ class ExpFamModel(abc.ABC):
         shape (b, d, d); and a (b,) mask that is False for rows whose mean
         would overflow.
         """
-        return self._blocked_moments(Theta, skew=False)
+        return self._blocked_moments(Theta)
 
-    def mean_fisher_and_skew(self, Theta: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``mean_and_fisher``'s mu, I and mask, with T = X'[w3 x x x] / n between them.
+    def mean_fisher_and_skew(self, Theta: np.ndarray, direction) -> tuple[np.ndarray, ...]:
+        """``mean_and_fisher``'s mu, I and mask, with each row's u and T[u] between them.
 
-        T, shape (b, d, d, d), is dI/dtheta (w3 = dW/d(eta)): one more GEMM per block.
+        T[u] = X' diag(w3 * X u) X / n, shape (b, d, d), is the derivative of
+        I along u (w3 = dW/d(eta)): the Fisher block's GEMM with the weights
+        w3 * X u.  ``direction(rows, mu, fisher)`` is called once per block,
+        with the block's slice of Theta's rows and their mu and I, and returns
+        their u, shape (rows, d).  A row whose mean overflowed may get any u,
+        and its T[u] may be inf or nan; the mask marks it.
         """
-        return self._blocked_moments(Theta, skew=True)
+        return self._blocked_moments(Theta, direction)
 
-    def _blocked_moments(self, Theta: np.ndarray, skew: bool) -> tuple[np.ndarray, ...]:
-        """mu, I, T if ``skew``, and the finite mask, in blocks of ``_block_rows`` rows."""
+    def _blocked_moments(self, Theta: np.ndarray, direction=None) -> tuple[np.ndarray, ...]:
+        """mu, I, with a ``direction`` also U and T[U], and the finite mask, in blocks."""
         n, block, b, d = len(self.design), self._block_rows, len(Theta), self.d
         i, j, outer = self._design_outer
-        (first, _, _), pair, index = _triples(d)
         mu, fisher, finite = np.empty((b, d)), np.empty((b, d, d)), np.empty(b, dtype=bool)
-        tensor = np.empty((b, d, d, d)) if skew else None
+        if direction is not None:
+            U, skew = np.empty((b, d)), np.empty((b, d, d))
         # weights near exp(MAX_LOG_RATE) can take a Fisher block past the float
         # range: it is inf, and its row's mean is near 1e300
         with np.errstate(over="ignore"):
@@ -235,16 +232,15 @@ class ExpFamModel(abc.ABC):
                 P, W, finite[rows] = self._record_moments(Theta[rows])
                 mu[rows] = P @ self.design / n
                 fisher[rows, i, j] = fisher[rows, j, i] = W @ outer / n
-                if skew:
-                    W3 = self._third_cumulants(P, W)
-                    if len(W3) == 1:  # one row: weigh the pair products, build no triple products
-                        unique = ((W3[:, None] * self.design.T) @ outer)[:, first, pair]
-                    else:
-                        unique = W3 @ self._design_triples.T
-                    tensor[rows] = (unique / n)[:, index]  # T from its unique entries
-                    del W3
+                if direction is not None:
+                    U[rows] = direction(rows, mu[rows], fisher[rows])
+                    with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf: an overflowed row
+                        W3u = U[rows] @ self.design.T
+                        W3u *= self._third_cumulants(P, W)
+                        skew[rows, i, j] = skew[rows, j, i] = W3u @ outer / n
+                    del W3u
                 del P, W  # so that the next block's kernel does not hold two blocks at once
-        return (mu, fisher, tensor, finite) if skew else (mu, fisher, finite)
+        return (mu, fisher, finite) if direction is None else (mu, fisher, U, skew, finite)
 
     def _mean_and_fisher_at(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mu, fisher, finite = self.mean_and_fisher(np.asarray(theta, dtype=float)[None])
@@ -285,17 +281,6 @@ class ExpFamModel(abc.ABC):
         if diverged[0]:
             raise SolverDivergedError("solver_diverged", theta[0])
         return theta[0]
-
-
-@functools.cache
-def _triples(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The triples a <= b <= c below d as rows (a, b, c), the position of each (b, c) among
-    the pairs of ``np.triu_indices(d)``, and the (d, d, d) index of each sorted triple."""
-    triples = list(itertools.combinations_with_replacement(range(d), 3))
-    pairs = list(itertools.combinations_with_replacement(range(d), 2))
-    index = [triples.index(tuple(sorted(t))) for t in itertools.product(range(d), repeat=3)]
-    return (np.array(triples).T, np.array([pairs.index(t[1:]) for t in triples]),
-            np.reshape(index, (d, d, d)))
 
 
 def _solve_blocks(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -438,21 +423,23 @@ def minimize_in_box(evaluate, hessians, Theta0) -> tuple[np.ndarray, ...]:
 def _least_squares_objective(model, S):
     """``minimize_in_box``'s callbacks for f = 0.5 ||mu(theta) - s||^2, one row of S per row.
 
-    With r = mu - s, the gradient is g = I r, the Hessian I^2 + T.r and the
-    Gauss-Newton Hessian I^2, from one ``model.mean_fisher_and_skew`` call.
+    With r = mu - s, the gradient is g = I r, the Hessian I^2 + T[r] and the
+    Gauss-Newton Hessian I^2, from one ``model.mean_fisher_and_skew`` call
+    whose ``direction`` is each block's residual r.
     """
 
     def evaluate(Theta, rows):
-        mu, fisher, skew, finite = model.mean_fisher_and_skew(Theta)
-        resid = mu - S[rows]
+        s = S[rows]
+        mu, fisher, resid, skew, finite = model.mean_fisher_and_skew(
+            Theta, lambda block, mu, fisher: mu - s[block])
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row is inf or nan
             f = 0.5 * np.linalg.norm(resid, axis=1) ** 2
-            return f, (fisher @ resid[..., None])[..., 0], finite, resid, fisher, skew
+            return f, (fisher @ resid[..., None])[..., 0], finite, fisher, skew
 
     def hessians(rows, state):
-        resid, fisher, skew = (a[rows] for a in state)
+        fisher, skew = (a[rows] for a in state)
         gauss_newton = fisher @ fisher
-        return gauss_newton + np.einsum("kabc,kc->kab", skew, resid), gauss_newton
+        return gauss_newton + skew, gauss_newton
 
     return evaluate, hessians
 

@@ -238,12 +238,11 @@ def _replications(cfg, idx, model_id, theta, n, eps, B=None):
     replication's data at a time.
     """
     budget = PrivacyBudget(eps, delta_for(n)) if eps is not None else None
-    sigma_override = 0.0 if eps is None else None
     for r in range(cfg.replications):
         rng = substream(cfg.master_seed, cfg.experiment_id, idx, r)
         model, raw = make_model_and_data(model_id, theta, n, rng, B=B)
         s_bar = model.mean_suff_stat(model.clip(raw))
-        yield model, raw, release(s_bar, model, n, budget, rng, sigma_override=sigma_override), rng
+        yield model, raw, release(s_bar, model, n, budget, rng), rng
 
 
 def _plugin_theta(model, rel, earlier) -> np.ndarray:

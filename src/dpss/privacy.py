@@ -198,24 +198,20 @@ def release(
     n: int,
     budget: PrivacyBudget | None,
     rng: np.random.Generator,
-    sigma_override: float | None = None,
     seed_tag: str | None = None,
 ) -> ReleasedStatistic:
     """One-shot Gaussian release of the mean sufficient statistic.
 
-    ``sigma_override`` is a testing hook (e.g. 0.0 as an epsilon = infinity
-    sentinel, whose budget is None); normal callers let the AGM
-    calibration pick sigma from the budget.
+    sigma is the AGM calibration for the budget.  ``budget=None`` is the
+    noise-free sentinel (epsilon = infinity): sigma = 0, and the d normals
+    are still drawn, so the rng advances as for a noisy release.
     """
     s_bar = np.asarray(s_bar, dtype=float)
     B = model.clip_bounds.B
     # the L2 norm, by np.linalg.norm's own formula without its call overhead
     if math.sqrt(np.vdot(s_bar, s_bar)) > B * (1.0 + 1e-12):
         raise SensitivityViolatedError("sensitivity_violated")
-    if sigma_override is not None:
-        sigma = float(sigma_override)
-    else:
-        sigma = calibrate_agm(l2_sensitivity(B, n), budget)
+    sigma = 0.0 if budget is None else calibrate_agm(l2_sensitivity(B, n), budget)
     z = sigma * rng.standard_normal(model.d)
     return ReleasedStatistic(
         s_tilde=s_bar + z,

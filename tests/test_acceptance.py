@@ -291,8 +291,7 @@ def test_criterion_09_property_suites():
     # sigma=0 triple equality
     model = GaussianMeanModel(1.0, B=6.0)
     data = model.clip(model.sample(np.array([0.8]), 500, substream(MASTER_SEED, "triple")))
-    rel = release(model.mean_suff_stat(data), model, 500, PrivacyBudget(1.0, 4e-6),
-                  substream(MASTER_SEED, "triple", 1), sigma_override=0.0)
+    rel = release(model.mean_suff_stat(data), model, 500, None, substream(MASTER_SEED, "triple", 1))
     plug = estimate.plugin_mle(model, rel)
     na = estimate.noise_aware_mle(model, rel)
     clean = estimate.nonprivate_mle(model, data, 0.05).theta_hat

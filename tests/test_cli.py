@@ -127,13 +127,14 @@ def test_release_whose_noisy_statistic_is_not_finite_exits_3(workdir):
 
 # ----------------------------------------------------------------- release
 
-def test_release_sigma_zero_hook(workdir):
+def test_release_takes_no_sigma_override(workdir):
+    # an artifact with a budget but no noise would be a false privacy claim
     res = invoke("release", "--data", workdir / "data.csv", "--model", workdir / "model.json",
                  "--epsilon", 1.0, "--seed", 3, "--out", workdir / "rel.json",
                  "--sigma-override", 0.0)
-    assert res.exit_code == 0
-    rel = ReleasedStatistic.load(workdir / "rel.json")
-    assert rel.s_tilde[0] == 0.0
+    assert res.exit_code == 2
+    assert "--sigma-override" in res.output
+    assert not (workdir / "rel.json").exists()
 
 
 def test_release_negative_seed_exits_2(workdir):
@@ -174,12 +175,6 @@ def test_release_to_a_missing_directory_exits_3(workdir):
                  "--epsilon", 1.0, "--out", workdir / "nodir" / "rel.json")
     assert res.exit_code == 3
     assert "error: cannot write" in res.output
-
-
-def test_release_negative_sigma_override_exits_2(workdir):
-    res = invoke("release", "--data", workdir / "data.csv", "--model", workdir / "model.json",
-                 "--epsilon", 1.0, "--out", workdir / "rel.json", "--sigma-override", -1.0)
-    assert res.exit_code == 2
 
 
 def test_malformed_model_config_exits_3(workdir):

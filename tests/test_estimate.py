@@ -74,8 +74,7 @@ def test_plugin_consistency_sigma_zero_large_n(model_id):
         model = PoissonModel(rng.uniform(0.2, 1.5, (2000, 1)), B_X=3.0, B_Y=50.0)
         theta0 = np.array([0.5])
     data = model.clip(model.sample(theta0, n, rng))
-    rel = release(model.mean_suff_stat(data), model, n, PrivacyBudget(1.0, 1e-6), rng,
-                  sigma_override=0.0)
+    rel = release(model.mean_suff_stat(data), model, n, None, rng)
     np.testing.assert_allclose(plugin_mle(model, rel), theta0, atol=0.01)
 
 
@@ -239,6 +238,18 @@ def test_noise_aware_overflowing_mean_raises():
         noise_aware_mle(model, rel, theta_plug=np.array([PARAM_BOX, PARAM_BOX]))
 
 
+def test_noise_aware_direction_of_an_overflowed_row_with_a_singular_covariance_does_not_raise():
+    # equal features of 40: on the box face the mean overflows and C(I) is exactly
+    # singular, so the kernel's direction callback cannot solve C v = r there
+    model = PoissonModel(np.full((5, 2), 40.0), B_X=100.0, B_Y=1e6)
+    rel = make_release([1.0, 1.0], 0.1, n=5, model_id="poisson", B=1e8)
+    evaluate, _ = estimate._gls_objective(model, rel, np.zeros(2))
+    f, _, finite, *_ = evaluate(np.full((1, 2), PARAM_BOX), np.arange(1))
+    assert f[0] == np.inf and not finite[0]
+    with pytest.raises(MeanOverflowError):
+        noise_aware_mle(model, rel, theta_plug=np.full(2, PARAM_BOX))
+
+
 def test_noise_aware_step_to_an_overflowing_mean_is_halved(monkeypatch):
     # from (-0.5, -0.5) the first full step ends on the box face, where exp(x . theta) overflows
     model, rel = large_feature_poisson_release()
@@ -290,12 +301,15 @@ def lbfgsb_noise_aware(model, rel):
     lam = max(1e-6, 0.01 * sigma**2)
     eye = np.eye(d)
 
-    def objective_and_gradient(theta):
-        mu, fisher, skew, finite = model.mean_fisher_and_skew(theta[None])
+    def direction(rows, mu, fisher):  # v = C^{-1} r
         r = rel.s_tilde - mu[0]
-        v = np.linalg.solve((fisher[0] + lam * eye) / n + sigma**2 * eye, r)
+        return np.linalg.solve((fisher[0] + lam * eye) / n + sigma**2 * eye, r)[None]
+
+    def objective_and_gradient(theta):
+        mu, fisher, v, skew_v, _ = model.mean_fisher_and_skew(theta[None], direction)
+        r, v = rel.s_tilde - mu[0], v[0]
         diff = theta - plug
-        grad = -2.0 * (fisher[0] @ v) - skew[0] @ v @ v / n + 0.2 * sigma**2 * diff
+        grad = -2.0 * (fisher[0] @ v) - skew_v[0] @ v / n + 0.2 * sigma**2 * diff  # T[v, v]
         return float(r @ v) + 0.1 * sigma**2 * float(diff @ diff), grad
 
     res = minimize(objective_and_gradient, plug, jac=True, method="L-BFGS-B",
@@ -331,7 +345,7 @@ def test_noise_aware_hessian_is_exact_but_for_the_fourth_cumulant(model_id):
     fun, hessians = gls_callbacks(*estimate._gls_objective(model, rel, plug))
     theta = plug + substream(11, "hessian-point").uniform(-0.3, 0.3, model.d)
     full, gauss_newton = hessians(theta)
-    mu, fisher, _, _ = model.mean_fisher_and_skew(theta[None])
+    mu, fisher, _ = model.mean_and_fisher(theta[None])
     cov = (fisher[0] + estimate._regularizer(rel.sigma) * np.eye(model.d)) / rel.n \
         + rel.sigma**2 * np.eye(model.d)
     v = np.linalg.solve(cov, rel.s_tilde - mu[0])
@@ -344,7 +358,7 @@ def test_noise_aware_hessian_is_exact_but_for_the_fourth_cumulant(model_id):
                         for e in np.eye(model.d)])
 
     def skew_vv(t):
-        return model.mean_fisher_and_skew(t[None])[2][0] @ v @ v
+        return model.mean_fisher_and_skew(t[None], lambda *_: v[None])[3][0] @ v
 
     quartic = np.array([(skew_vv(theta + h * e) - skew_vv(theta - h * e)) / (2 * h)
                         for e in np.eye(model.d)]) / rel.n
@@ -475,8 +489,7 @@ def test_bootstrap_matches_wald_width_sigma_zero():
     rng = substream(90, "bw")
     n = 10**6
     data = model.clip(model.sample(np.array([0.4]), n, rng))
-    rel = release(model.mean_suff_stat(data), model, n, PrivacyBudget(1.0, 1e-6), rng,
-                  sigma_override=0.0)
+    rel = release(model.mean_suff_stat(data), model, n, None, rng)
     boot = parametric_bootstrap(model, rel, BootstrapConfig(2000, 0.05), rng)
     th = plugin_mle(model, rel)
     (lo, hi), = wald_ci(th, dp_variance(model, th, rel), 0.05)
@@ -848,8 +861,7 @@ def test_sigma_zero_triple_equality():
         (PoissonModel(rng.uniform(0.2, 1.5, (500, 1)), B_X=3.0, B_Y=60.0), np.array([0.5])),
     ]:
         data = model.clip(model.sample(theta0, 500, rng))
-        rel = release(model.mean_suff_stat(data), model, 500,
-                      PrivacyBudget(1.0, 1e-6), rng, sigma_override=0.0)
+        rel = release(model.mean_suff_stat(data), model, 500, None, rng)
         plug = plugin_mle(model, rel)
         na = noise_aware_mle(model, rel)
         clean = nonprivate_mle(model, data, 0.05).theta_hat

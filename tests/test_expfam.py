@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import subprocess
@@ -442,21 +441,27 @@ def test_newton_batch_singular_fisher_leaves_row_unconverged():
     np.testing.assert_array_equal(theta, 0.0)
 
 
+def along(U):
+    """A ``direction`` callback that gives each block its rows of U."""
+    return lambda rows, mu, fisher: U[rows]
+
+
 @pytest.mark.parametrize("maker", [lambda: GaussianMeanModel(2.3), random_logistic, random_poisson])
 def test_mean_fisher_and_skew_extends_mean_and_fisher(maker):
     model = maker()
     rng = np.random.default_rng(9)
     Theta, u = rng.uniform(-1.0, 1.0, (4, model.d)), rng.standard_normal(model.d)
-    mu, fisher, T, finite = model.mean_fisher_and_skew(Theta)
+    mu, fisher, U, skew, finite = model.mean_fisher_and_skew(Theta, along(np.tile(u, (4, 1))))
     for got, want in zip((mu, fisher, finite), model.mean_and_fisher(Theta)):
         np.testing.assert_array_equal(got, want)
-    # T = dI/dtheta: the derivative of I along u is T . u
+    np.testing.assert_array_equal(U, np.tile(u, (4, 1)))
+    # T = dI/dtheta: the derivative of I along u is T[u]
     h = 1e-6
-    plus, minus = (model.mean_fisher_and_skew(Theta + t * u)[1] for t in (h, -h))
+    plus, minus = (model.mean_and_fisher(Theta + t * u)[1] for t in (h, -h))
     dI = (plus - minus) / (2 * h)
-    np.testing.assert_allclose(dI, T @ u, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(dI, skew, rtol=1e-6, atol=1e-9)
     if model.model_id == "gaussian_mean":  # a(eta) is quadratic
-        assert not T.any()
+        assert not skew.any()
 
 
 @pytest.mark.parametrize("maker, n", [
@@ -470,22 +475,38 @@ def test_skew_tensor_is_the_direct_third_cumulant_contraction(maker, n):
     # b rows that do not divide into whole blocks of NEWTON_CHUNK_ELEMS // n
     model = maker(n)
     rng = np.random.default_rng(23)
-    Theta = rng.uniform(-1.0, 1.0, (2 * model._block_rows + 1, model.d))
-    U = rng.standard_normal((len(Theta), model.d))
-    T = model.mean_fisher_and_skew(Theta)[2]
+    b, block = 2 * model._block_rows + 1, model._block_rows
+    Theta = rng.uniform(-1.0, 1.0, (b, model.d))
+    U = rng.standard_normal((b, model.d))
+    calls = []
+
+    def direction(rows, mu, fisher):
+        calls.append((range(b)[rows], mu.copy(), fisher.copy()))
+        return U[rows]
+
+    mu, fisher, _, skew, _ = model.mean_fisher_and_skew(Theta, direction)
+    # one call per block, with the block's rows and their mean and Fisher blocks
+    assert [r for r, _, _ in calls] == [range(lo, min(lo + block, b)) for lo in range(0, b, block)]
+    for rows, block_mu, block_fisher in calls:
+        np.testing.assert_array_equal(block_mu, mu[rows.start:rows.stop])
+        np.testing.assert_array_equal(block_fisher, fisher[rows.start:rows.stop])
     X = model.design
     P, W, _ = model._record_moments(Theta)
     W3u = model._third_cumulants(P, W) * (U @ X.T)
     direct = np.einsum("ki,ia,ib->kab", W3u, X, X) / len(X)  # X' diag(w3 * X u) X / n
-    np.testing.assert_allclose(np.einsum("kabc,kc->kab", T, U), direct, rtol=0.0, atol=1e-12)
-    for k in (0, len(Theta) - 1):  # a one-row call weighs the pair products instead
-        T_row = model.mean_fisher_and_skew(Theta[k:k + 1])[2]
-        np.testing.assert_allclose(T_row[0], T[k], rtol=0.0, atol=1e-12)
-        T = np.concatenate([T, T_row])
-    for perm in itertools.permutations((1, 2, 3)):
-        np.testing.assert_array_equal(T, T.transpose((0,) + perm))
+    np.testing.assert_allclose(skew, direct, rtol=0.0, atol=1e-12)
+    for k in (0, b - 1):  # a one-row call gives the blocked row
+        row = model.mean_fisher_and_skew(Theta[k:k + 1], along(U[k:k + 1]))[3]
+        np.testing.assert_allclose(row[0], skew[k], rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(skew, skew.transpose(0, 2, 1))
+    # T itself, T[p, c, a, b] = T[e_c][a, b] at point p, is symmetric in all three
+    # indices: with the (a, b) symmetry above, one cyclic shift covers the rest
+    basis = np.tile(np.eye(model.d), (3, 1))
+    T = model.mean_fisher_and_skew(np.repeat(Theta[[0, block, b - 1]], model.d, axis=0),
+                                   along(basis))[3].reshape(3, model.d, model.d, model.d)
+    np.testing.assert_allclose(T, T.transpose(0, 2, 3, 1), rtol=1e-12, atol=1e-15)
     if model.model_id == "gaussian_mean":
-        assert not T.any()
+        assert not skew.any()
 
 
 @pytest.mark.parametrize("sigma0_sq", [1.0, 2.3, 0.3, 1e-6])
@@ -541,7 +562,8 @@ def spy_kernel(monkeypatch, model):
     kernel_rows = []
     kernel = model.mean_fisher_and_skew
     monkeypatch.setattr(model, "mean_fisher_and_skew",
-                        lambda Theta: kernel_rows.append(len(Theta)) or kernel(Theta))
+                        lambda Theta, direction: kernel_rows.append(len(Theta))
+                        or kernel(Theta, direction))
     monkeypatch.setattr(model, "mean_and_fisher", lambda Theta: pytest.fail("second kernel"))
     return kernel_rows
 

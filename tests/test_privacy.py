@@ -143,17 +143,18 @@ def test_release_rejects_unclipped_statistic():
 
 
 def test_release_sigma_zero_hook_is_exact():
-    rel = gaussian_release(s=0.25, sigma_override=0.0)
+    model = GaussianMeanModel(1.0, B=1.0)
+    rel = release(np.array([0.25]), model, 100, None, substream(0, "rel"))
     assert rel.s_tilde[0] == 0.25
     assert rel.sigma == 0.0
 
 
 def test_only_a_noise_free_release_may_lack_a_budget():
     model = GaussianMeanModel(1.0, B=1.0)
-    rel = release(np.array([0.25]), model, 100, None, substream(1, "rel"), sigma_override=0.0)
+    rel = release(np.array([0.25]), model, 100, None, substream(1, "rel"))
     assert (rel.s_tilde[0], rel.budget) == (0.25, None)
     with pytest.raises(ValueError, match="budget"):
-        release(np.array([0.25]), model, 100, None, substream(1, "rel"), sigma_override=0.1)
+        ReleasedStatistic(np.array([0.25]), 0.1, 100, 1, 1.0, None, model.model_id)
 
 
 def test_release_deterministic_given_seed():
