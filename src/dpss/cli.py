@@ -25,10 +25,10 @@ from .expfam import (
     load_model_config,
 )
 from .privacy import (
+    InvalidBudgetError,
     PrivacyBudget,
     ReleasedStatistic,
     calibrate_agm,
-    l2_sensitivity,
     release,
     verify_agm_condition,
 )
@@ -78,15 +78,16 @@ def _load_model(path):
 
 
 def _load_release(path, model):
-    """The release at ``path``, which must have been made for ``model``."""
+    """The release at ``path``, which must have been made for ``model`` and its clip bound."""
     try:
         rel = ReleasedStatistic.load(path)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         _data_error(f"cannot load release: {exc}")
-    if rel.model_id != model.model_id or rel.d != model.d:
+    B = model.clip_bounds.B
+    if (rel.model_id, rel.d, rel.B) != (model.model_id, model.d, B):
         _data_error(
-            f"release ({rel.model_id}, d={rel.d}) does not match "
-            f"model ({model.model_id}, d={model.d})"
+            f"release ({rel.model_id}, d={rel.d}, B={rel.B}) does not match "
+            f"model ({model.model_id}, d={model.d}, B={B})"
         )
     return rel
 
@@ -104,7 +105,7 @@ def calibrate(sensitivity, epsilon, delta):
     """Print the calibrated noise scale and the delta it achieves."""
     try:
         sigma = calibrate_agm(sensitivity, PrivacyBudget(epsilon, delta))
-    except ValueError:
+    except InvalidBudgetError:
         click.echo("invalid_budget", err=True)
         sys.exit(2)
     achieved = verify_agm_condition(sigma, sensitivity, epsilon)
@@ -125,9 +126,8 @@ def release_cmd(data_path, model_path, epsilon, delta, seed, out_path):
         data = dataset_from_csv(data_path, model)
     except (OSError, ValueError) as exc:
         _data_error(f"cannot read data: {exc}")
-    n = data.n
     if delta == "auto":
-        delta_val = harness.delta_for(n)
+        delta_val = harness.delta_for(data.n)
     else:
         try:
             delta_val = float(delta)
@@ -135,23 +135,16 @@ def release_cmd(data_path, model_path, epsilon, delta, seed, out_path):
             raise click.UsageError("delta must be a number or 'auto'")
     try:
         budget = PrivacyBudget(epsilon, delta_val)
-        calibrate_agm(l2_sensitivity(model.clip_bounds.B, n), budget)  # sigma must be finite
-    except ValueError:
+        with np.errstate(over="ignore"):  # noise past the float range is reported below
+            rel = release(data, model, budget, substream(seed, "release"), seed_tag=str(seed))
+    except InvalidBudgetError:  # the budget, or a sigma that is not finite
         click.echo("invalid_budget", err=True)
         sys.exit(2)
-    clipped = model.clip(data)
-    s_bar = model.mean_suff_stat(clipped)
-    try:
-        with np.errstate(over="ignore"):  # noise past the float range is reported below
-            rel = release(s_bar, model, n, budget, substream(seed, "release"), seed_tag=str(seed))
     except ValueError as exc:  # the noisy statistic is not finite
         _data_error(f"cannot release: {exc}")
     with _writing(out_path):
         rel.save(out_path)
-    click.echo(
-        f"n={n} d={model.d} B={model.clip_bounds.B} sigma={rel.sigma}",
-        err=True,
-    )
+    click.echo(f"n={rel.n} d={rel.d} B={rel.B} sigma={rel.sigma}", err=True)
 
 
 @main.command("estimate")

@@ -257,10 +257,7 @@ def wald_test(
     out = []
     for t, t0, v in zip(theta_hat, theta0, diag):
         diff = abs(t - t0)
-        if v == 0.0:
-            score = 0.0 if diff == 0.0 else np.inf
-        else:
-            score = diff / np.sqrt(v)
+        score = diff / np.sqrt(v) if v != 0.0 else (0.0 if diff == 0.0 else np.inf)
         out.append({"reject": bool(score > zcrit), "p_value": float(2.0 * ndtr(-score))})
     return out
 

@@ -37,6 +37,7 @@ import abc
 import ctypes
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -231,7 +232,11 @@ class ExpFamModel(abc.ABC):
                 rows = slice(lo, lo + block)
                 P, W, finite[rows] = self._record_moments(Theta[rows])
                 mu[rows] = P @ self.design / n
-                fisher[rows, i, j] = fisher[rows, j, i] = W @ outer / n
+                F = W @ outer / n
+                fisher[rows, i, j] = fisher[rows, j, i] = F
+                # a Fisher block past the float range; the sum is finite only if every entry is
+                if not math.isfinite(F.sum()):
+                    finite[rows] &= np.isfinite(F).all(axis=1)
                 if direction is not None:
                     U[rows] = direction(rows, mu[rows], fisher[rows])
                     with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf: an overflowed row

@@ -6,8 +6,8 @@ power study, and the synthetic-data evaluation.
 
 Every study is a grid of cells run by one replication pipeline,
 ``_replications``: replication r of cell c draws the substream
-(master_seed, experiment_id, c, r), makes the model and raw data, clips,
-and makes the one noisy release.  Everything after the release is
+(master_seed, experiment_id, c, r), makes the model and raw data, and
+releases their clipped mean once, with noise.  Everything after the release is
 post-processing: the estimators the studies compare come from one
 registry, ``METHODS``, and each study only reduces their reports to its
 rows.  Tables are bit-identical regardless of thread count;
@@ -154,22 +154,14 @@ class MetricsTable:
     rows: list[dict]
 
     def to_csv(self, path: str | Path) -> None:
-        cols: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
+        cols = list(dict.fromkeys(key for row in self.rows for key in row))  # in first-seen order
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=cols)
             writer.writeheader()
             writer.writerows(self.rows)
 
     def select(self, **conditions) -> list[dict]:
-        out = []
-        for row in self.rows:
-            if all(row.get(k) == v for k, v in conditions.items()):
-                out.append(row)
-        return out
+        return [row for row in self.rows if all(row.get(k) == v for k, v in conditions.items())]
 
     def value(self, column: str, **conditions) -> float:
         rows = self.select(**conditions)
@@ -233,16 +225,16 @@ def make_model_and_data(
 def _replications(cfg, idx, model_id, theta, n, eps, B=None):
     """Yield (model, raw, rel, rng) for each replication of cell ``idx``.
 
-    ``eps=None`` is the no-noise sentinel (epsilon = infinity): the release
-    then adds zero noise and records no budget.  Lazy, so a cell holds one
-    replication's data at a time.
+    ``rel`` is the release of the n unclipped records ``raw``.  ``eps=None``
+    is the no-noise sentinel (epsilon = infinity): the release then adds zero
+    noise and records no budget.  Lazy, so a cell holds one replication's
+    data at a time.
     """
     budget = PrivacyBudget(eps, delta_for(n)) if eps is not None else None
     for r in range(cfg.replications):
         rng = substream(cfg.master_seed, cfg.experiment_id, idx, r)
         model, raw = make_model_and_data(model_id, theta, n, rng, B=B)
-        s_bar = model.mean_suff_stat(model.clip(raw))
-        yield model, raw, release(s_bar, model, n, budget, rng), rng
+        yield model, raw, release(raw, model, budget, rng), rng
 
 
 def _plugin_theta(model, rel, earlier) -> np.ndarray:
@@ -444,18 +436,13 @@ def run_scaling_study(cfg: ExperimentConfig) -> MetricsTable:
 
 
 def crossover_points(table: MetricsTable) -> dict:
-    """First grid n per epsilon at which privacy variance <= sampling variance."""
-    out = {}
+    """First grid n per epsilon at which privacy variance <= sampling variance, or None."""
     by_eps: dict[float, list[dict]] = {}
     for row in table.rows:
         by_eps.setdefault(row["epsilon"], []).append(row)
-    for eps, rows in by_eps.items():
-        out[eps] = None
-        for row in sorted(rows, key=lambda r: r["n"]):
-            if not row["privacy_dominated"]:
-                out[eps] = row["n"]
-                break
-    return out
+    return {eps: next((row["n"] for row in sorted(rows, key=lambda r: r["n"])
+                       if not row["privacy_dominated"]), None)
+            for eps, rows in by_eps.items()}
 
 
 def privacy_slope(table: MetricsTable, eps: float) -> float:

@@ -1,14 +1,15 @@
 """Sensitivity accounting and the one-shot Gaussian release.
 
-The noise scale is the exact analytic-Gaussian-mechanism calibration: the
+``release`` takes the records: it clips each to the model's bound B, then
+averages and counts them, so the sensitivity is D = 2B/n by construction.
+sigma is the analytic Gaussian mechanism's (Balle and Wang, ICML 2018): the
 smallest sigma such that
 
-    Phi(D/(2 sigma) - eps sigma / D) - e^eps Phi(-D/(2 sigma) - eps sigma / D) <= delta
+    Phi(D/(2 sigma) - eps sigma / D) - e^eps Phi(-D/(2 sigma) - eps sigma / D) <= delta,
 
-for sensitivity D, found by bisection.  This is tighter than the classical
-sigma = D sqrt(2 ln(1.25/delta)) / eps bound, which is only valid for
-eps <= 1 and serves here as the initial bracket.  Where it overflows, at
-eps below about 5e-308, sigma is its eps -> 0 limit, an upper bound.
+found by bisection and certified.  The classical bound sigma = D sqrt(2
+ln(1.25/delta)) / eps, valid only for eps <= 1, is the initial bracket; where
+it overflows, at eps below about 5e-308, sigma is its eps -> 0 limit.
 """
 
 from __future__ import annotations
@@ -16,17 +17,17 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.special import erfinv, log_ndtr, ndtr
 
-from .expfam import MODEL_IDS, ExpFamModel
+from .expfam import MODEL_IDS, Dataset, ExpFamModel
 
 
-class SensitivityViolatedError(ValueError):
-    """The statistic handed to release exceeds the declared clip bound."""
+class InvalidBudgetError(ValueError):
+    """A budget, sensitivity or calibrated sigma that no release can use."""
 
 
 @dataclass(frozen=True)
@@ -36,9 +37,9 @@ class PrivacyBudget:
 
     def __post_init__(self):
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError("invalid_budget: epsilon must be positive and finite")
+            raise InvalidBudgetError("invalid_budget: epsilon must be positive and finite")
         if not (0.0 < self.delta < 1.0):
-            raise ValueError("invalid_budget: delta must lie in (0, 1)")
+            raise InvalidBudgetError("invalid_budget: delta must lie in (0, 1)")
 
 
 @dataclass
@@ -78,13 +79,14 @@ class ReleasedStatistic:
             raise ValueError(f"unknown model_id {self.model_id!r}")
 
     def to_json(self) -> str:
+        """The artifact; a noise-free release writes null for epsilon and delta."""
         payload = {
             "model_id": self.model_id,
             "d": self.d,
             "n": self.n,
             "B": self.B,
-            "epsilon": self.budget.epsilon,
-            "delta": self.budget.delta,
+            "epsilon": None if self.budget is None else self.budget.epsilon,
+            "delta": None if self.budget is None else self.budget.delta,
             "sigma": self.sigma,
             "s_tilde": list(self.s_tilde),
         }
@@ -104,14 +106,17 @@ class ReleasedStatistic:
         for key, kind in _RELEASE_FIELDS.items():
             if isinstance(obj[key], bool) or not isinstance(obj[key], kind):
                 raise ValueError(f"release field {key!r} has the wrong type")
+        if (obj["epsilon"] is None) != (obj["delta"] is None):
+            raise ValueError("release epsilon and delta must be null together")
         try:
+            budget = None if obj["epsilon"] is None else PrivacyBudget(obj["epsilon"], obj["delta"])
             return cls(
                 s_tilde=np.array(obj["s_tilde"], dtype=float),
                 sigma=obj["sigma"],
                 n=obj["n"],
                 d=obj["d"],
                 B=obj["B"],
-                budget=PrivacyBudget(obj["epsilon"], obj["delta"]),
+                budget=budget,
                 model_id=obj["model_id"],
                 seed_tag=obj.get("seed_tag"),
             )
@@ -126,14 +131,14 @@ class ReleasedStatistic:
         return cls.from_json(Path(path).read_text())
 
 
-# required fields of a release artifact and their JSON types
+# required fields of a release artifact and their JSON types (no budget: both null)
 _RELEASE_FIELDS = {
     "model_id": str,
     "d": int,
     "n": int,
     "B": (int, float),
-    "epsilon": (int, float),
-    "delta": (int, float),
+    "epsilon": (int, float, type(None)),
+    "delta": (int, float, type(None)),
     "sigma": (int, float),
     "s_tilde": list,
 }
@@ -159,6 +164,34 @@ def classical_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> flo
     return delta2 * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
+def _certified_delta(sigma: float, epsilon: float) -> float:
+    """``verify_agm_condition`` at unit sensitivity, without its cancellation at small eps sigma.
+
+    With h = 1/(2 sigma), m = eps sigma it is [Phi(h - m) - Phi(-h - m)] - expm1(eps) Phi(-h - m).
+    Where h max(1, m) < 0.01 the two Phi nearly cancel: their difference, the normal mass of
+    [m - h, m + h], is then 2 h phi(m) times its Taylor series about m (next term < 1e-14).
+    """
+    h, m = 0.5 / sigma, epsilon * sigma
+    if h * max(1.0, m) >= 1e-2:
+        return verify_agm_condition(sigma, 1.0, epsilon)
+    m2, h2 = m * m, h * h
+    series = 1.0 + (m2 - 1.0) * h2 / 6.0 + (m2 * m2 - 6.0 * m2 + 3.0) * h2 * h2 / 120.0
+    mass = 2.0 * h * math.exp(-0.5 * m2) / math.sqrt(2.0 * math.pi) * series
+    # expm1(eps) Phi(-h - m) in log space
+    return mass - math.exp(epsilon + math.log(-math.expm1(-epsilon)) + log_ndtr(-h - m))
+
+
+def _bisect(achieved, lo: float, hi: float, delta: float) -> float:
+    """The least sigma in (lo, hi] with achieved(sigma) <= delta, to a relative 1e-12."""
+    while (hi - lo) > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if achieved(mid) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @functools.lru_cache(maxsize=4096)
 def _calibrate_unit(epsilon: float, delta: float) -> float:
     # sigma for unit sensitivity; the general answer scales linearly
@@ -169,57 +202,41 @@ def _calibrate_unit(epsilon: float, delta: float) -> float:
         return 1.0 / (2.0 * math.sqrt(2.0) * float(erfinv(delta)))
     while verify_agm_condition(hi, 1.0, epsilon) > delta:
         hi *= 2.0  # classical bound only covers eps <= 1
-    lo = 1e-12
-    while (hi - lo) > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if verify_agm_condition(mid, 1.0, epsilon) <= delta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    hi = _bisect(lambda s: verify_agm_condition(s, 1.0, epsilon), 1e-12, hi, delta)
+    # certify: at eps below about 0.02 the rounding of verify_agm_condition can exceed
+    # a small delta (eps = 1e-10, delta = 1e-14 achieved 1.000016 delta); elsewhere
+    # _certified_delta is verify_agm_condition, so sigma stays as bisected
+    lo = hi
+    while _certified_delta(hi, epsilon) > delta:
+        lo, hi = hi, 2.0 * hi
+    return _bisect(lambda s: _certified_delta(s, epsilon), lo, hi, delta)
 
 
 def calibrate_agm(delta2: float, budget: PrivacyBudget) -> float:
     """Smallest sigma making the Gaussian mechanism (eps, delta)-DP at sensitivity delta2.
 
-    Raises ValueError unless the sensitivity and sigma are positive and finite.
+    Raises InvalidBudgetError unless the sensitivity and sigma are positive and finite.
     """
     if not (0 < delta2 < math.inf):  # nan fails both comparisons
-        raise ValueError("sensitivity must be positive and finite")
+        raise InvalidBudgetError("invalid_budget: sensitivity must be positive and finite")
     sigma = delta2 * _calibrate_unit(budget.epsilon, budget.delta)
     if not math.isfinite(sigma):
-        raise ValueError("sigma is not finite")
+        raise InvalidBudgetError("invalid_budget: sigma is not finite")
     return sigma
 
 
-def release(
-    s_bar: np.ndarray,
-    model: ExpFamModel,
-    n: int,
-    budget: PrivacyBudget | None,
-    rng: np.random.Generator,
-    seed_tag: str | None = None,
-) -> ReleasedStatistic:
-    """One-shot Gaussian release of the mean sufficient statistic.
+def release(data: Dataset, model: ExpFamModel, budget: PrivacyBudget | None,
+            rng: np.random.Generator, seed_tag: str | None = None) -> ReleasedStatistic:
+    """One-shot Gaussian release of the clipped mean sufficient statistic of ``data``.
 
-    sigma is the AGM calibration for the budget.  ``budget=None`` is the
-    noise-free sentinel (epsilon = infinity): sigma = 0, and the d normals
-    are still drawn, so the rng advances as for a noisy release.
+    Every record is clipped to the model's bound B and n is the number of
+    records, so one record moves the mean by at most D = 2B/n; sigma is the
+    AGM calibration of D for the budget.  ``budget=None`` is the noise-free
+    sentinel (epsilon = infinity): sigma = 0, and the d normals are still
+    drawn, so the rng advances as for a noisy release.
     """
-    s_bar = np.asarray(s_bar, dtype=float)
-    B = model.clip_bounds.B
-    # the L2 norm, by np.linalg.norm's own formula without its call overhead
-    if math.sqrt(np.vdot(s_bar, s_bar)) > B * (1.0 + 1e-12):
-        raise SensitivityViolatedError("sensitivity_violated")
+    s_bar = model.mean_suff_stat(model.clip(data))
+    B, n = model.clip_bounds.B, data.n
     sigma = 0.0 if budget is None else calibrate_agm(l2_sensitivity(B, n), budget)
     z = sigma * rng.standard_normal(model.d)
-    return ReleasedStatistic(
-        s_tilde=s_bar + z,
-        sigma=sigma,
-        n=n,
-        d=model.d,
-        B=B,
-        budget=budget,
-        model_id=model.model_id,
-        seed_tag=seed_tag,
-    )
+    return ReleasedStatistic(s_bar + z, sigma, n, model.d, B, budget, model.model_id, seed_tag)

@@ -291,7 +291,7 @@ def test_criterion_09_property_suites():
     # sigma=0 triple equality
     model = GaussianMeanModel(1.0, B=6.0)
     data = model.clip(model.sample(np.array([0.8]), 500, substream(MASTER_SEED, "triple")))
-    rel = release(model.mean_suff_stat(data), model, 500, None, substream(MASTER_SEED, "triple", 1))
+    rel = release(data, model, None, substream(MASTER_SEED, "triple", 1))
     plug = estimate.plugin_mle(model, rel)
     na = estimate.noise_aware_mle(model, rel)
     clean = estimate.nonprivate_mle(model, data, 0.05).theta_hat
@@ -327,9 +327,7 @@ def test_criterion_10_bundled_csv_end_to_end():
         idx = rng.choice(len(arr), size=n, replace=False)
         X, y = arr[idx, :-1], arr[idx, -1]
         model = LogisticModel(X, B_X=meta["B_X"])
-        clipped = model.clip(Dataset(X, y))
-        rel = release(model.mean_suff_stat(clipped), model, n,
-                      PrivacyBudget(1.0, 1.0 / n**2), rng)
+        rel = release(Dataset(X, y), model, PrivacyBudget(1.0, 1.0 / n**2), rng)
         report = estimate.estimate_report(model, rel, "plugin", 0.05)
         covers.append(np.mean([lo <= t <= hi for (lo, hi), t in zip(report.cis, theta0)]))
     cov = float(np.mean(covers))

@@ -419,6 +419,48 @@ def test_release_model_mismatch_exits_3(workdir, command, kind):
     assert "does not match model" in res.output
 
 
+def clip_bound_configs(workdir):
+    """Logistic data with a release made under B_X = 1, and configs with B_X = 1 and 5."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((200, 2))
+    y = (rng.random(200) < 1.0 / (1.0 + np.exp(-(X @ [1.0, -1.0])))).astype(float)
+    np.savetxt(workdir / "design.csv", X, delimiter=",")
+    np.savetxt(workdir / "data.csv", np.column_stack([X, y]), delimiter=",")
+    for B_X in (1, 5):
+        (workdir / f"logit{B_X}.json").write_text(json.dumps(
+            {"model_id": "logistic", "d": 2, "clip": {"B_X": B_X}, "design_csv": "design.csv"}))
+    assert invoke("release", "--data", workdir / "data.csv", "--model", workdir / "logit1.json",
+                  "--epsilon", 1.0, "--out", workdir / "rel.json").exit_code == 0
+
+
+@pytest.mark.parametrize("command", list(MISMATCH_COMMANDS))
+def test_release_under_another_clip_bound_exits_3(workdir, command):
+    # a release made with B_X = 1 used to be estimated under B_X = 5 as if its noise
+    # and its clipped statistic belonged to that bound
+    clip_bound_configs(workdir)
+    args = [workdir / a if str(a).endswith((".csv", ".json")) else a
+            for a in MISMATCH_COMMANDS[command]]
+    own = invoke(*args, "--release", workdir / "rel.json", "--model", workdir / "logit1.json")
+    assert own.exit_code == 0
+    res = invoke(*args, "--release", workdir / "rel.json", "--model", workdir / "logit5.json")
+    assert res.exit_code == 3
+    assert "B=1.0) does not match model (logistic, d=2, B=5.0)" in res.output
+
+
+def test_noise_free_release_artifact(workdir):
+    rel = ReleasedStatistic(np.array([0.3]), 0.0, 1000, 1, 5.0, None, "gaussian_mean")
+    rel.save(workdir / "rel.json")
+    res = invoke("estimate", "--release", workdir / "rel.json", "--model", workdir / "model.json")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["theta_hat"] == [0.3]
+    # noise without a budget is a false privacy claim
+    obj = dict(json.loads(rel.to_json()), sigma=0.1)
+    (workdir / "rel.json").write_text(json.dumps(obj))
+    res = invoke("estimate", "--release", workdir / "rel.json", "--model", workdir / "model.json")
+    assert res.exit_code == 3
+    assert "a release with noise needs a privacy budget" in res.output
+
+
 # -------------------------------------------------------------------- synth
 
 def test_synth_zero_rows_exits_2(workdir):

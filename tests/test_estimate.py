@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -73,8 +74,7 @@ def test_plugin_consistency_sigma_zero_large_n(model_id):
     else:
         model = PoissonModel(rng.uniform(0.2, 1.5, (2000, 1)), B_X=3.0, B_Y=50.0)
         theta0 = np.array([0.5])
-    data = model.clip(model.sample(theta0, n, rng))
-    rel = release(model.mean_suff_stat(data), model, n, None, rng)
+    rel = release(model.sample(theta0, n, rng), model, None, rng)
     np.testing.assert_allclose(plugin_mle(model, rel), theta0, atol=0.01)
 
 
@@ -108,8 +108,7 @@ def test_noise_aware_first_order_equivalence_monte_carlo():
         X = rng.standard_normal((n, 5))
         model = LogisticModel(X, B_X=3.0)
         y = (rng.random(n) < 1 / (1 + np.exp(-(X @ theta0)))).astype(float)
-        data = model.clip(Dataset(X, y))
-        rel = release(model.mean_suff_stat(data), model, n, budget, rng)
+        rel = release(Dataset(X, y), model, budget, rng)
         gap = np.linalg.norm(noise_aware_mle(model, rel) - plugin_mle(model, rel))
         if gap <= 0.5 * (n**-0.5 + rel.sigma):
             ok += 1
@@ -236,6 +235,17 @@ def test_noise_aware_overflowing_mean_raises():
     model, rel = large_feature_poisson_release()
     with pytest.raises(MeanOverflowError):
         noise_aware_mle(model, rel, theta_plug=np.array([PARAM_BOX, PARAM_BOX]))
+
+
+def test_noise_aware_start_with_an_overflowing_fisher_block_raises():
+    # the mean at x theta = 699 is finite but its Fisher block is not; the objective's
+    # matmul with it used to emit "invalid value encountered in matmul"
+    model = PoissonModel(np.full((5, 1), 300.0), B_X=1e3, B_Y=1e6)
+    rel = make_release([1.0], 0.1, n=5, model_id="poisson", B=1e9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MeanOverflowError):
+            noise_aware_mle(model, rel, theta_plug=np.array([699.0 / 300.0]))
 
 
 def test_noise_aware_direction_of_an_overflowed_row_with_a_singular_covariance_does_not_raise():
@@ -488,8 +498,7 @@ def test_bootstrap_matches_wald_width_sigma_zero():
     model = GaussianMeanModel(1.0, B=8.0)
     rng = substream(90, "bw")
     n = 10**6
-    data = model.clip(model.sample(np.array([0.4]), n, rng))
-    rel = release(model.mean_suff_stat(data), model, n, None, rng)
+    rel = release(model.sample(np.array([0.4]), n, rng), model, None, rng)
     boot = parametric_bootstrap(model, rel, BootstrapConfig(2000, 0.05), rng)
     th = plugin_mle(model, rel)
     (lo, hi), = wald_ci(th, dp_variance(model, th, rel), 0.05)
@@ -504,8 +513,7 @@ def test_bootstrap_wald_consilience_with_noise():
     rng = substream(17, "consilience")
     widths_b, widths_w = [], []
     for _ in range(30):
-        data = model.clip(model.sample(np.array([1.0]), n, rng))
-        rel = release(model.mean_suff_stat(data), model, n, budget, rng)
+        rel = release(model.sample(np.array([1.0]), n, rng), model, budget, rng)
         boot = parametric_bootstrap(model, rel, BootstrapConfig(300, 0.05), rng)
         th = plugin_mle(model, rel)
         (lo, hi), = wald_ci(th, dp_variance(model, th, rel), 0.05)
@@ -556,8 +564,7 @@ def capture_solved_draws(monkeypatch):
 def simulated_release(model_id, n, eps, seed):
     rng = substream(seed, "batched-bootstrap", model_id)
     model, raw = make_model_and_data(model_id, default_theta0(model_id), n, rng)
-    rel = release(model.mean_suff_stat(model.clip(raw)), model, n,
-                  PrivacyBudget(eps, 1.0 / n**2), rng)
+    rel = release(raw, model, PrivacyBudget(eps, 1.0 / n**2), rng)
     return model, rel
 
 
@@ -861,7 +868,7 @@ def test_sigma_zero_triple_equality():
         (PoissonModel(rng.uniform(0.2, 1.5, (500, 1)), B_X=3.0, B_Y=60.0), np.array([0.5])),
     ]:
         data = model.clip(model.sample(theta0, 500, rng))
-        rel = release(model.mean_suff_stat(data), model, 500, None, rng)
+        rel = release(data, model, None, rng)
         plug = plugin_mle(model, rel)
         na = noise_aware_mle(model, rel)
         clean = nonprivate_mle(model, data, 0.05).theta_hat

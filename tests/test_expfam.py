@@ -168,6 +168,17 @@ def test_poisson_overflow_error():
         model.grad_log_partition(np.array([800.0]))
 
 
+def test_a_fisher_block_past_the_float_range_is_masked():
+    # x theta = 699 stays under MAX_LOG_RATE, so the mean, about 1e306, is finite, but
+    # the Fisher block 300^2 e^699 is not; the mask used to read True there
+    model = PoissonModel(np.full((5, 1), 300.0), B_X=1e3, B_Y=1e6)
+    mu, fisher, finite = model.mean_and_fisher(np.array([[699.0 / 300.0], [2.0]]))
+    assert np.isfinite(mu).all() and fisher[0, 0, 0] == np.inf
+    assert finite.tolist() == [False, True]
+    with pytest.raises(MeanOverflowError):
+        model.fisher_info(np.array([699.0 / 300.0]))
+
+
 def _fd_jacobian(f, theta, h=1e-5):
     d = len(theta)
     J = np.empty((d, d))
