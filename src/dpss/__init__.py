@@ -30,6 +30,6 @@ from .estimate import (
     wald_ci,
     wald_test,
 )
-from .synthgen import SynthConfig, generate_synthetic, naive_analysis, noise_aware_synth_analysis
+from .synthgen import generate_synthetic, naive_analysis, noise_aware_synth_analysis
 from .harness import ExperimentConfig, MetricsTable, run_experiment
 from .rng import substream

@@ -180,20 +180,16 @@ def bootstrap(release_path, model_path, b_boot, alpha, seed):
 @main.command()
 @click.option("--release", "release_path", type=click.Path(), required=True)
 @click.option("--model", "model_path", type=click.Path(), required=True)
-@click.option("--n-syn", type=int, required=True)
+@click.option("--n-syn", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=SEED, default=0)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def synth(release_path, model_path, n_syn, seed, out_path):
     """Generate parametric synthetic data from the plug-in estimate."""
-    if n_syn < 1:
-        raise click.UsageError("--n-syn must be at least 1")
     model = _load_model(model_path)
     rel = _load_release(release_path, model)
     with _solver_errors():
         theta = estimate.plugin_mle(model, rel)
-    data = synthgen.generate_synthetic(
-        model, theta, synthgen.SynthConfig(n_syn), substream(seed, "synth")
-    )
+    data = synthgen.generate_synthetic(model, theta, n_syn, substream(seed, "synth"))
     sidecar = {
         "source_theta": [float(t) for t in theta],
         "n_syn": n_syn,

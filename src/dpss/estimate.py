@@ -327,11 +327,18 @@ def parametric_bootstrap(
     )
 
 
-def nonprivate_mle(model: ExpFamModel, data: Dataset, alpha: float) -> EstimateReport:
-    """Oracle baseline: classical MLE with inverse-Fisher/n Wald intervals."""
+def records_mle(model: ExpFamModel, data: Dataset) -> tuple[ExpFamModel, np.ndarray]:
+    """``model`` over the records' own rows as given, and the MLE of their mean statistic."""
     m = model.with_design(data.x)
-    s_bar = m.mean_suff_stat(data)
-    theta_hat = m.inverse_mean_map(s_bar)
+    return m, m.inverse_mean_map(m.mean_suff_stat(data))
+
+
+def nonprivate_mle(model: ExpFamModel, data: Dataset, alpha: float) -> EstimateReport:
+    """Oracle baseline: the classical MLE of the raw records, with inverse-Fisher/n Wald intervals.
+
+    Nothing is clipped: ``records_mle`` takes the records over their own rows.
+    """
+    m, theta_hat = records_mle(model, data)
     try:
         variance = np.linalg.inv(m.fisher_info(theta_hat)) / data.n
     except np.linalg.LinAlgError as exc:

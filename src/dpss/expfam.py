@@ -34,12 +34,13 @@ carries private information; X is used after the release.
 from __future__ import annotations
 
 import abc
+import copy
 import ctypes
 import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +127,6 @@ class Dataset:
 
     x: np.ndarray
     y: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -266,7 +266,7 @@ class ExpFamModel(abc.ABC):
         """Draw n i.i.d. records at theta.  Draws are not clipped."""
 
     def with_design(self, design: np.ndarray) -> "ExpFamModel":
-        """Model bound to a different public design (no-op for gaussian)."""
+        """This model over the records' rows ``design``; the Gaussian mean has none: itself."""
         return self
 
     # -- inverse mean map ----------------------------------------------
@@ -466,7 +466,7 @@ class GaussianMeanModel(ExpFamModel):
         B = self.clip_bounds.B
         # the array method skips np.clip's wrapper, which costs more than the
         # clip itself at Monte Carlo sizes; the same holds in inverse_mean_map
-        return Dataset(data.x.clip(-B, B), meta=dict(data.meta))
+        return Dataset(data.x.clip(-B, B))
 
     def suff_stats(self, data: Dataset) -> np.ndarray:
         return data.x.reshape(-1, 1)
@@ -604,6 +604,13 @@ class _RegressionModel(ExpFamModel):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row is nan: diverged
             return theta, ~(finite & (np.linalg.norm(proj, axis=1) <= tol))
 
+    def with_design(self, design: np.ndarray) -> "_RegressionModel":
+        """A copy of this model over the rows ``design`` as given: rows past B_X stay unclipped."""
+        model = copy.copy(self)
+        model.__dict__.pop("_design_outer", None)  # cached products of the old rows
+        model.design = np.atleast_2d(np.asarray(design, dtype=float))
+        return model
+
     def _design_for_sampling(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # reuse the design when sizes match; otherwise resample rows uniformly
         if n == len(self.design):
@@ -622,7 +629,7 @@ class LogisticModel(_RegressionModel):
         super().__init__(design)
 
     def clip(self, data: Dataset) -> Dataset:
-        return Dataset(self._clip_features(data.x), data.y, meta=dict(data.meta))
+        return Dataset(self._clip_features(data.x), data.y)
 
     def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # expit's formula 1 / (1 + exp(-eta)), in place on numpy's vectorised
@@ -644,9 +651,6 @@ class LogisticModel(_RegressionModel):
         y = (rng.random(n) < p).astype(float)
         return Dataset(X.copy(), y)
 
-    def with_design(self, design: np.ndarray) -> "LogisticModel":
-        return LogisticModel(design, B_X=self.clip_bounds.B_X)
-
 
 class PoissonModel(_RegressionModel):
     """Poisson regression with log link; counts capped at B_Y by clipping."""
@@ -658,11 +662,7 @@ class PoissonModel(_RegressionModel):
         super().__init__(design)
 
     def clip(self, data: Dataset) -> Dataset:
-        return Dataset(
-            self._clip_features(data.x),
-            np.minimum(data.y, self.clip_bounds.B_Y),
-            meta=dict(data.meta),
-        )
+        return Dataset(self._clip_features(data.x), np.minimum(data.y, self.clip_bounds.B_Y))
 
     def _rates(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         eta = X @ np.asarray(theta, dtype=float)
@@ -685,9 +685,6 @@ class PoissonModel(_RegressionModel):
         X = self._design_for_sampling(n, rng)
         lam = self._rates(theta, X)
         return Dataset(X.copy(), rng.poisson(lam).astype(float))
-
-    def with_design(self, design: np.ndarray) -> "PoissonModel":
-        return PoissonModel(design, B_X=self.clip_bounds.B_X, B_Y=self.clip_bounds.B_Y)
 
 
 MODEL_IDS = tuple(cls.model_id for cls in (GaussianMeanModel, LogisticModel, PoissonModel))

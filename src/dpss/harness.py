@@ -84,7 +84,6 @@ class ExperimentConfig:
     n_grid: list = field(default_factory=lambda: [100, 500, 1000, 5000])
     epsilon_grid: list = field(default_factory=lambda: [0.1, 0.5, 1.0, 5.0, 10.0])
     B_grid: list | None = None
-    delta_rule: str = "one_over_n_sq"
     replications: int = 1000
     master_seed: int = 20240817
     theta0: list | None = None
@@ -105,8 +104,6 @@ class ExperimentConfig:
         methods = list(self.methods or ())
         if any(m not in METHODS for m in methods) or len(set(methods)) < len(methods):
             raise ValueError(f"methods must be distinct names from {list(METHODS)}: {methods}")
-        if self.delta_rule != "one_over_n_sq":
-            raise ValueError("only the delta = 1/n^2 rule is supported")
         if not _is_int(self.replications) or self.replications < 2:
             raise ValueError("need at least 2 replications")
         if not self.n_grid or not self.epsilon_grid:
@@ -246,7 +243,7 @@ def _plugin_theta(model, rel, earlier) -> np.ndarray:
 def _naive_synth(model, raw, rel, rng, cfg, earlier):
     # synthetic data from the plug-in estimate
     plug = _plugin_theta(model, rel, earlier)
-    syn = synthgen.generate_synthetic(model, plug, synthgen.SynthConfig(rel.n), rng)
+    syn = synthgen.generate_synthetic(model, plug, rel.n, rng)
     return synthgen.naive_analysis(model, syn, cfg.alpha)
 
 
@@ -497,7 +494,7 @@ def run_power_study(cfg: ExperimentConfig) -> MetricsTable:
 
 def _synth_reports(model, raw, rel, rng, cfg, n_syn):
     direct = METHODS["plugin_wald"](model, raw, rel, rng, cfg, {})
-    syn = synthgen.generate_synthetic(model, direct.theta_hat, synthgen.SynthConfig(n_syn), rng)
+    syn = synthgen.generate_synthetic(model, direct.theta_hat, n_syn, rng)
     return {
         "direct": direct,
         "noise_aware_synth": synthgen.noise_aware_synth_analysis(model, syn, rel, cfg.alpha),

@@ -7,9 +7,12 @@ smallest sigma such that
 
     Phi(D/(2 sigma) - eps sigma / D) - e^eps Phi(-D/(2 sigma) - eps sigma / D) <= delta,
 
-found by bisection and certified.  The classical bound sigma = D sqrt(2
-ln(1.25/delta)) / eps, valid only for eps <= 1, is the initial bracket; where
-it overflows, at eps below about 5e-308, sigma is its eps -> 0 limit.
+found by one bisection on ``verify_agm_condition``, the achieved delta, which
+keeps its accuracy at tiny eps where the two Phi nearly cancel; so the sigma
+found meets the condition and is tight there too.  The classical bound sigma =
+D sqrt(2 ln(1.25/delta)) / eps, valid only for eps <= 1, is the initial
+bracket; where it overflows, at eps below about 5e-308, sigma is its eps -> 0
+limit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfinv, log_ndtr, ndtr
+from scipy.special import erfcx, erfinv, log_ndtr, ndtr
 
 from .expfam import MODEL_IDS, Dataset, ExpFamModel
 
@@ -152,44 +155,32 @@ def l2_sensitivity(B: float, n: int) -> float:
 
 
 def verify_agm_condition(sigma: float, delta2: float, epsilon: float) -> float:
-    """Achieved delta of the Gaussian mechanism at noise scale sigma."""
-    a = delta2 / (2.0 * sigma)
-    b = epsilon * sigma / delta2
-    # e^eps * Phi(-a - b) in log space to dodge overflow at large eps
-    return float(ndtr(a - b) - math.exp(epsilon + log_ndtr(-a - b)))
+    """Achieved delta of the Gaussian mechanism at noise scale sigma.
+
+    With h = delta2 / (2 sigma) and m = eps sigma / delta2 it is
+    [Phi(h - m) - Phi(-h - m)] - expm1(eps) Phi(-h - m).  Where h max(1, m) < 0.01
+    (which needs eps < 0.02) the two Phi nearly cancel: their difference, the normal
+    mass of [m - h, m + h], is then 2 h phi(m) times its Taylor series about m (next
+    term < 1e-14), and Phi(-h - m) = phi(m) sqrt(pi/2) erfcx((h + m)/sqrt(2)) e^(-h(m + h/2)),
+    so the two terms are subtracted as multiples of phi(m).  Elsewhere it is
+    Phi(h - m) - e^eps Phi(-h - m) as written.
+    """
+    h = delta2 / (2.0 * sigma)
+    m = epsilon * sigma / delta2
+    if h * max(1.0, m) >= 1e-2:
+        # e^eps * Phi(-h - m) in log space to dodge overflow at large eps
+        return float(ndtr(h - m) - math.exp(epsilon + log_ndtr(-h - m)))
+    m2, h2 = m * m, h * h
+    series = 1.0 + (m2 - 1.0) * h2 / 6.0 + (m2 * m2 - 6.0 * m2 + 3.0) * h2 * h2 / 120.0
+    tail = math.sqrt(0.5 * math.pi) * float(erfcx((h + m) / math.sqrt(2.0)))
+    tail *= math.exp(-h * (m + 0.5 * h))
+    phi = math.exp(-0.5 * m2) / math.sqrt(2.0 * math.pi)
+    return phi * (2.0 * h * series - math.expm1(epsilon) * tail)
 
 
 def classical_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
     """The sqrt(2 ln(1.25/delta))/eps bound; valid for eps <= 1, used as a bracket."""
     return delta2 * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
-
-
-def _certified_delta(sigma: float, epsilon: float) -> float:
-    """``verify_agm_condition`` at unit sensitivity, without its cancellation at small eps sigma.
-
-    With h = 1/(2 sigma), m = eps sigma it is [Phi(h - m) - Phi(-h - m)] - expm1(eps) Phi(-h - m).
-    Where h max(1, m) < 0.01 the two Phi nearly cancel: their difference, the normal mass of
-    [m - h, m + h], is then 2 h phi(m) times its Taylor series about m (next term < 1e-14).
-    """
-    h, m = 0.5 / sigma, epsilon * sigma
-    if h * max(1.0, m) >= 1e-2:
-        return verify_agm_condition(sigma, 1.0, epsilon)
-    m2, h2 = m * m, h * h
-    series = 1.0 + (m2 - 1.0) * h2 / 6.0 + (m2 * m2 - 6.0 * m2 + 3.0) * h2 * h2 / 120.0
-    mass = 2.0 * h * math.exp(-0.5 * m2) / math.sqrt(2.0 * math.pi) * series
-    # expm1(eps) Phi(-h - m) in log space
-    return mass - math.exp(epsilon + math.log(-math.expm1(-epsilon)) + log_ndtr(-h - m))
-
-
-def _bisect(achieved, lo: float, hi: float, delta: float) -> float:
-    """The least sigma in (lo, hi] with achieved(sigma) <= delta, to a relative 1e-12."""
-    while (hi - lo) > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if achieved(mid) <= delta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 @functools.lru_cache(maxsize=4096)
@@ -202,14 +193,15 @@ def _calibrate_unit(epsilon: float, delta: float) -> float:
         return 1.0 / (2.0 * math.sqrt(2.0) * float(erfinv(delta)))
     while verify_agm_condition(hi, 1.0, epsilon) > delta:
         hi *= 2.0  # classical bound only covers eps <= 1
-    hi = _bisect(lambda s: verify_agm_condition(s, 1.0, epsilon), 1e-12, hi, delta)
-    # certify: at eps below about 0.02 the rounding of verify_agm_condition can exceed
-    # a small delta (eps = 1e-10, delta = 1e-14 achieved 1.000016 delta); elsewhere
-    # _certified_delta is verify_agm_condition, so sigma stays as bisected
-    lo = hi
-    while _certified_delta(hi, epsilon) > delta:
-        lo, hi = hi, 2.0 * hi
-    return _bisect(lambda s: _certified_delta(s, epsilon), lo, hi, delta)
+    # bisect to the least sigma that meets the condition, to a relative 1e-12
+    lo = 1e-12
+    while (hi - lo) > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if verify_agm_condition(mid, 1.0, epsilon) <= delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def calibrate_agm(delta2: float, budget: PrivacyBudget) -> float:

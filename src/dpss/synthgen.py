@@ -1,49 +1,32 @@
 """Parametric synthetic data from a DP estimate, and its two analysis modes.
 
 Synthetic generation consumes only the (post-processed) DP estimate, so
-the synthetic records inherit the release's privacy guarantee.  The two
-analysis modes bracket the question the pipeline answers: naive analysis
-treats the synthetic records as real and ignores privacy noise entirely,
-while noise-aware analysis adds back the privacy and original-sampling
-variance the synthetic data cannot carry.
+the synthetic records inherit the release's privacy guarantee.  Both modes
+take the MLE of the clipped synthetic records (``estimate.records_mle``):
+naive analysis treats them as real and ignores privacy noise entirely, while
+noise-aware analysis adds back the privacy and original-sampling variance
+the synthetic data cannot carry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .estimate import EstimateReport, dp_variance, wald_ci
+from .estimate import EstimateReport, dp_variance, nonprivate_mle, records_mle, wald_ci
 from .expfam import Dataset, ExpFamModel
 from .privacy import ReleasedStatistic
-
-
-@dataclass
-class SynthConfig:
-    n_syn: int
-
-    def __post_init__(self):
-        if self.n_syn < 1:
-            raise ValueError("n_syn must be at least 1")
 
 
 def generate_synthetic(
     model: ExpFamModel,
     theta: np.ndarray,
-    cfg: SynthConfig,
+    n_syn: int,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Sample n_syn records from the model at theta, recording provenance."""
-    data = model.sample(theta, cfg.n_syn, rng)
-    data.meta.update(
-        {
-            "source_theta": [float(t) for t in np.atleast_1d(theta)],
-            "n_syn": cfg.n_syn,
-            "model_id": model.model_id,
-        }
-    )
-    return data
+    """Sample n_syn records from the model at theta; ValueError unless n_syn >= 1."""
+    if n_syn < 1:
+        raise ValueError("n_syn must be at least 1")
+    return model.sample(theta, n_syn, rng)
 
 
 def naive_analysis(model: ExpFamModel, d_syn: Dataset, alpha: float) -> EstimateReport:
@@ -52,8 +35,6 @@ def naive_analysis(model: ExpFamModel, d_syn: Dataset, alpha: float) -> Estimate
     The variance uses n_syn and nothing else; this is the miscalibrated
     baseline the noise-aware mode corrects.
     """
-    from .estimate import nonprivate_mle
-
     clipped = model.clip(d_syn)
     report = nonprivate_mle(model, clipped, alpha)
     report.method = "naive_synth"
@@ -75,8 +56,7 @@ def noise_aware_synth_analysis(
     direct DP variance.
     """
     clipped = model.clip(d_syn)
-    m = model.with_design(clipped.x)
-    theta_hat = m.inverse_mean_map(m.mean_suff_stat(clipped))
+    m, theta_hat = records_mle(model, clipped)
     var = dp_variance(m, theta_hat, rel, n_syn=clipped.n)
     return EstimateReport(
         theta_hat=theta_hat,

@@ -603,6 +603,8 @@ def test_experiment_run_under_a_regular_file_exits_3(workdir, monkeypatch):
                                          ("ratios", [0]),
                                          ("master_seed", -1),
                                          ("theta0", [1, 2]),
+                                         # delta is always 1/n^2: the field is gone
+                                         ("delta_rule", "one_over_n_sq"),
                                          # rates past numpy's Poisson sampler
                                          (("model_id", "theta0"), ("poisson", [800]))])
 def test_experiment_run_unknown_name_exits_3(workdir, field, value):

@@ -859,6 +859,19 @@ def test_nonprivate_large_n_consistency():
     assert abs(report.theta_hat[0] - 0.9) < 0.01
 
 
+def test_nonprivate_is_the_mle_of_the_raw_records():
+    # rows past B_X count in full: the MLE under a bound that never binds, bit for bit
+    model, raw = make_model_and_data("logistic", default_theta0("logistic"), 2000,
+                                     substream(32, "raw-oracle"))
+    assert (np.linalg.norm(raw.x, axis=1) > model.clip_bounds.B_X).any()
+    report = nonprivate_mle(model, raw, 0.05)
+    unbound = LogisticModel(raw.x, B_X=1e9)
+    theta = unbound.inverse_mean_map(unbound.mean_suff_stat(raw))
+    np.testing.assert_array_equal(report.theta_hat, theta)
+    variance = np.linalg.inv(unbound.fisher_info(theta)) / raw.n
+    np.testing.assert_array_equal(report.variance, 0.5 * (variance + variance.T))
+
+
 def test_sigma_zero_triple_equality():
     """With no noise, plugin, noise-aware, and the classical MLE agree."""
     rng = substream(31, "triple")

@@ -42,7 +42,7 @@ def tiny_sweep_config(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="delta_rule"):  # delta is always 1/n^2
         ExperimentConfig("coverage_sweep", delta_rule="fixed")
     with pytest.raises(ValueError):
         ExperimentConfig("coverage_sweep", replications=1)
@@ -188,11 +188,22 @@ def test_noise_aware_reuses_the_plugin_estimate(monkeypatch):
     assert len(calls) == 9
 
 
-def test_every_cell_reports_mc_se_and_delta_rule():
+def test_every_cell_reports_mc_se():
     table = run_coverage_sweep(tiny_sweep_config())
     for row in table.rows:
         assert "mc_se" in row
         assert 0.0 <= row["coverage"] <= 1.0
+
+
+def test_nonprivate_oracle_covers_on_records_past_the_clip_bound():
+    # about 10.7% of the logistic rows exceed B_X = 3; the oracle is the classical MLE of
+    # the raw records over their own rows, so it covers at the nominal level (an oracle
+    # that re-clipped the rows covered 0.822 here)
+    cfg = ExperimentConfig("coverage_sweep", model_id="logistic", n_grid=[10000],
+                           epsilon_grid=[1.0], replications=200, master_seed=31,
+                           methods=["nonprivate"])
+    (row,) = run_coverage_sweep(cfg).rows
+    assert row["coverage"] >= 0.95 - 3 * row["mc_se"]
 
 
 def test_variance_validation_sentinel_column():

@@ -5,12 +5,7 @@ from dpss.estimate import dp_variance, nonprivate_mle
 from dpss.expfam import GaussianMeanModel, LogisticModel
 from dpss.privacy import PrivacyBudget, ReleasedStatistic
 from dpss.rng import substream
-from dpss.synthgen import (
-    SynthConfig,
-    generate_synthetic,
-    naive_analysis,
-    noise_aware_synth_analysis,
-)
+from dpss.synthgen import generate_synthetic, naive_analysis, noise_aware_synth_analysis
 
 
 def make_release(s_tilde, sigma, n=1000, model_id="gaussian_mean", B=5.0):
@@ -20,27 +15,20 @@ def make_release(s_tilde, sigma, n=1000, model_id="gaussian_mean", B=5.0):
 
 
 def test_config_rejects_nonpositive_n_syn():
-    with pytest.raises(ValueError):
-        SynthConfig(0)
+    with pytest.raises(ValueError, match="n_syn"):
+        generate_synthetic(GaussianMeanModel(1.0), np.array([0.3]), 0, substream(1, "syn"))
 
 
 def test_generation_reproducible():
     model = GaussianMeanModel(1.0)
-    a = generate_synthetic(model, np.array([0.3]), SynthConfig(50), substream(1, "syn"))
-    b = generate_synthetic(model, np.array([0.3]), SynthConfig(50), substream(1, "syn"))
+    a = generate_synthetic(model, np.array([0.3]), 50, substream(1, "syn"))
+    b = generate_synthetic(model, np.array([0.3]), 50, substream(1, "syn"))
     np.testing.assert_array_equal(a.x, b.x)
-
-
-def test_generation_records_provenance():
-    model = GaussianMeanModel(1.0)
-    data = generate_synthetic(model, np.array([0.3]), SynthConfig(10), substream(2, "syn"))
-    assert data.meta["source_theta"] == [0.3]
-    assert data.meta["n_syn"] == 10
 
 
 def test_synthetic_mean_lln():
     model = GaussianMeanModel(1.0)
-    data = generate_synthetic(model, np.array([0.7]), SynthConfig(10**6), substream(3, "lln"))
+    data = generate_synthetic(model, np.array([0.7]), 10**6, substream(3, "lln"))
     s_bar = model.mean_suff_stat(model.clip(data))
     assert s_bar[0] == pytest.approx(0.7, abs=0.005)
 
@@ -48,7 +36,7 @@ def test_synthetic_mean_lln():
 def test_naive_analysis_uses_synthetic_sample_size():
     model = GaussianMeanModel(1.0)
     n_syn = 4000
-    syn = generate_synthetic(model, np.array([0.5]), SynthConfig(n_syn), substream(4, "naive"))
+    syn = generate_synthetic(model, np.array([0.5]), n_syn, substream(4, "naive"))
     report = naive_analysis(model, syn, 0.05)
     assert report.method == "naive_synth"
     # variance is the classical 1/n_syn (unit Fisher), blind to privacy noise
@@ -57,7 +45,7 @@ def test_naive_analysis_uses_synthetic_sample_size():
 
 def test_naive_analysis_clips_before_estimating():
     model = GaussianMeanModel(1.0, B=0.5)
-    syn = generate_synthetic(model, np.array([2.0]), SynthConfig(500), substream(5, "clip"))
+    syn = generate_synthetic(model, np.array([2.0]), 500, substream(5, "clip"))
     report = naive_analysis(model, syn, 0.05)
     assert abs(report.theta_hat[0]) <= 0.5 + 1e-12
 
@@ -68,7 +56,7 @@ def test_noise_aware_variance_is_three_term_sum():
     theta = np.array([0.4, -0.2, 0.3])
     rel = make_release(model.grad_log_partition(theta), sigma=0.05,
                        model_id="logistic", B=3.0)
-    syn = generate_synthetic(model, theta, SynthConfig(800), rng)
+    syn = generate_synthetic(model, theta, 800, rng)
     report = noise_aware_synth_analysis(model, syn, rel, 0.05)
     th_syn = np.asarray(report.theta_hat)
     base = dp_variance(model, th_syn, rel)
@@ -83,7 +71,7 @@ def test_noise_aware_variance_collapses_for_huge_n_syn():
     model = GaussianMeanModel(1.0)
     rel = make_release([0.3], sigma=0.1)
     rng = substream(7, "collapse")
-    syn = generate_synthetic(model, np.array([0.3]), SynthConfig(200_000), rng)
+    syn = generate_synthetic(model, np.array([0.3]), 200_000, rng)
     report = noise_aware_synth_analysis(model, syn, rel, 0.05)
     direct = dp_variance(model, np.asarray(report.theta_hat), rel)
     np.testing.assert_allclose(np.asarray(report.variance), direct, rtol=1e-2)
@@ -95,7 +83,7 @@ def test_noise_aware_variance_collapses_for_huge_n_syn():
 
 def test_naive_matches_nonprivate_on_same_data():
     model = GaussianMeanModel(1.0)
-    syn = generate_synthetic(model, np.array([0.2]), SynthConfig(300), substream(8, "eq"))
+    syn = generate_synthetic(model, np.array([0.2]), 300, substream(8, "eq"))
     naive = naive_analysis(model, syn, 0.05)
     clean = nonprivate_mle(model, model.clip(syn), 0.05)
     np.testing.assert_array_equal(naive.theta_hat, clean.theta_hat)
