@@ -603,10 +603,10 @@ def test_experiment_run_under_a_regular_file_exits_3(workdir, monkeypatch):
                                          ("ratios", [0]),
                                          ("master_seed", -1),
                                          ("theta0", [1, 2]),
-                                         # delta is always 1/n^2: the field is gone
-                                         ("delta_rule", "one_over_n_sq"),
                                          # rates past numpy's Poisson sampler
-                                         (("model_id", "theta0"), ("poisson", [800]))])
+                                         (("model_id", "theta0"), ("poisson", [800])),
+                                         # delta is always 1/n^2: the field is gone
+                                         ("delta_rule", "one_over_n_sq")])
 def test_experiment_run_unknown_name_exits_3(workdir, field, value):
     cfg = {"experiment_id": "coverage_sweep", "n_grid": [100], "epsilon_grid": [1.0],
            "replications": 2, "methods": ["plugin_wald", "bootstrap"]}
