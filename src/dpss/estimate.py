@@ -59,6 +59,12 @@ class EstimateReport:
     method: str
     diagnostics: dict = field(default_factory=dict)
 
+    @classmethod
+    def wald(cls, theta_hat, variance, alpha: float, method: str,
+             diagnostics: dict) -> "EstimateReport":
+        """The report whose ``cis`` are the Wald intervals ``wald_ci(theta_hat, variance, alpha)``."""
+        return cls(theta_hat, variance, wald_ci(theta_hat, variance, alpha), alpha, method, diagnostics)
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -344,14 +350,7 @@ def nonprivate_mle(model: ExpFamModel, data: Dataset, alpha: float) -> EstimateR
     except np.linalg.LinAlgError as exc:
         raise FisherSingularError("fisher_singular") from exc
     variance = 0.5 * (variance + variance.T)
-    return EstimateReport(
-        theta_hat=theta_hat,
-        variance=variance,
-        cis=wald_ci(theta_hat, variance, alpha),
-        alpha=alpha,
-        method="nonprivate_mle",
-        diagnostics={"n": data.n},
-    )
+    return EstimateReport.wald(theta_hat, variance, alpha, "nonprivate_mle", {"n": data.n})
 
 
 def estimate_report(
@@ -375,17 +374,10 @@ def estimate_report(
     else:
         raise ValueError(f"unknown method {method!r}")
     variance = dp_variance(model, theta_hat, rel)
-    return EstimateReport(
-        theta_hat=theta_hat,
-        variance=variance,
-        cis=wald_ci(theta_hat, variance, alpha),
-        alpha=alpha,
-        method=tag,
-        diagnostics={
-            "lambda": _regularizer(rel.sigma),
-            "sigma": rel.sigma,
-            # the estimate sits on a face of the |theta_j| <= PARAM_BOX box
-            "at_box": bool(np.abs(theta_hat).max() >= PARAM_BOX),
-            **solver,
-        },
-    )
+    return EstimateReport.wald(theta_hat, variance, alpha, tag, {
+        "lambda": _regularizer(rel.sigma),
+        "sigma": rel.sigma,
+        # the estimate sits on a face of the |theta_j| <= PARAM_BOX box
+        "at_box": bool(np.abs(theta_hat).max() >= PARAM_BOX),
+        **solver,
+    })

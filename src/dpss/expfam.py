@@ -629,7 +629,8 @@ class LogisticModel(_RegressionModel):
         super().__init__(design)
 
     def clip(self, data: Dataset) -> Dataset:
-        return Dataset(self._clip_features(data.x), data.y)
+        """Rows past B_X rescaled onto it and labels clipped to [0, 1], so ||y x|| <= B_X."""
+        return Dataset(self._clip_features(data.x), data.y.clip(0.0, 1.0))
 
     def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # expit's formula 1 / (1 + exp(-eta)), in place on numpy's vectorised
@@ -662,7 +663,8 @@ class PoissonModel(_RegressionModel):
         super().__init__(design)
 
     def clip(self, data: Dataset) -> Dataset:
-        return Dataset(self._clip_features(data.x), np.minimum(data.y, self.clip_bounds.B_Y))
+        """Rows past B_X rescaled onto it and counts clipped to [0, B_Y], so ||y x|| <= B_X B_Y."""
+        return Dataset(self._clip_features(data.x), data.y.clip(0.0, self.clip_bounds.B_Y))
 
     def _rates(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         eta = X @ np.asarray(theta, dtype=float)
@@ -738,7 +740,8 @@ def _positive(obj: dict, key: str, default: float | None = None) -> float:
 def dataset_from_csv(path: str | Path, model: ExpFamModel) -> Dataset:
     """Read a dataset CSV: one column x (gaussian) or d features then y.
 
-    A nan or inf entry raises ValueError; clipping would hide an inf.
+    A nan or inf entry, a logistic label other than 0 or 1, or a negative
+    Poisson count raises ValueError: clipping would hide each of them.
     """
     arr = np.loadtxt(path, delimiter=",", ndmin=2)
     if arr.size == 0:
@@ -751,7 +754,12 @@ def dataset_from_csv(path: str | Path, model: ExpFamModel) -> Dataset:
         return Dataset(arr[:, 0])
     if arr.shape[1] != model.d + 1:
         raise ValueError(f"expected {model.d} feature columns plus y")
-    return Dataset(arr[:, :-1], arr[:, -1])
+    y = arr[:, -1]
+    if model.model_id == "logistic" and not ((y == 0.0) | (y == 1.0)).all():
+        raise ValueError("logistic labels must be 0 or 1")
+    if model.model_id == "poisson" and (y < 0.0).any():
+        raise ValueError("poisson counts must be non-negative")
+    return Dataset(arr[:, :-1], y)
 
 
 def dataset_to_csv(data: Dataset, path: str | Path) -> None:

@@ -4,8 +4,10 @@ Reproduces the simulation studies at configurable scale: variance
 validation, coverage sweeps, the clipping study, the scaling law, the
 power study, and the synthetic-data evaluation.
 
-Every study is a grid of cells run by one replication pipeline,
-``_replications``: replication r of cell c draws the substream
+Every study is one entry of ``STUDIES``: the function that makes a cell's
+rows, the grids whose product are its cells, and the model it is fixed to,
+if any.  Each cell runs one replication pipeline, ``_replications``:
+replication r of cell c draws the substream
 (master_seed, experiment_id, c, r), makes the model and raw data, and
 releases their clipped mean once, with noise.  Everything after the release is
 post-processing: the estimators the studies compare come from one
@@ -57,12 +59,6 @@ DEFAULT_METHODS = ("nonprivate", "plugin_wald", "noise_aware_wald", "bootstrap",
 POWER_METHODS = ("plugin_wald", "nonprivate", "naive_synth")
 # clipping-study row label -> method
 CLIPPING_METHODS = {"plugin": "plugin_wald", "noise_aware": "noise_aware_wald"}
-# studies that run one fixed model; a config that names another is rejected
-STUDY_MODELS = {
-    "variance_validation": "gaussian_mean",
-    "scaling_study": "gaussian_mean",
-    "clipping_study": "logistic",
-}
 
 
 def _is_int(value) -> bool:
@@ -94,13 +90,17 @@ class ExperimentConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.experiment_id not in RUNNERS:
+        if self.experiment_id not in STUDIES:
             raise ValueError(f"unknown experiment_id {self.experiment_id!r}")
         if self.model_id not in MODEL_IDS:
             raise ValueError(f"unknown model_id {self.model_id!r}")
-        study_model = STUDY_MODELS.get(self.experiment_id, self.model_id)
+        study_model = STUDIES[self.experiment_id][2] or self.model_id
         if self.model_id != study_model:
             raise ValueError(f"{self.experiment_id} runs only model_id {study_model!r}")
+        # None is the study's default; an empty list would silently run it too
+        for name in ("methods", "B_grid", "effect_grid", "ratios"):
+            if getattr(self, name) is not None and len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must be nonempty, or null for the study's default")
         methods = list(self.methods or ())
         if any(m not in METHODS for m in methods) or len(set(methods)) < len(methods):
             raise ValueError(f"methods must be distinct names from {list(METHODS)}: {methods}")
@@ -193,8 +193,10 @@ def make_model_and_data(
     """Fresh raw data (and, for regressions, a fresh design) at theta0.
 
     ``B`` overrides the clip scale: the truncation half-width for the
-    gaussian model, the feature-norm radius for logistic.  Outcomes are
-    generated from the raw (unclipped) covariates; the DP pipeline clips.
+    gaussian model, the feature-norm radius for logistic.  The model's own
+    sampler draws the outcomes over the raw (unclipped) design rows, so they
+    come from the raw covariates; the returned model holds the clipped
+    design, and the DP pipeline clips the records.
     """
     if model_id == "gaussian_mean":
         # the model holds no data, so the default one serves every replication
@@ -203,16 +205,12 @@ def make_model_and_data(
     if model_id == "logistic":
         X = rng.standard_normal((n, len(theta0)))
         model = LogisticModel(X, B_X=B if B is not None else LOGISTIC_B_X)
-        from scipy.special import expit
-
-        y = (rng.random(n) < expit(X @ theta0)).astype(float)
-        return model, Dataset(X, y)
-    if model_id == "poisson":
+    elif model_id == "poisson":
         X = rng.uniform(POISSON_X_RANGE[0], POISSON_X_RANGE[1], (n, len(theta0)))
         model = PoissonModel(X, B_X=POISSON_B_X, B_Y=POISSON_B_Y)
-        y = rng.poisson(np.exp(X @ theta0)).astype(float)
-        return model, Dataset(X, y)
-    raise ValueError(f"unknown model_id {model_id!r}")
+    else:
+        raise ValueError(f"unknown model_id {model_id!r}")
+    return model, model.with_design(X).sample(theta0, n, rng)
 
 
 # ------------------------------------------------------------------ #
@@ -357,10 +355,6 @@ def _variance_cell(cfg, idx, n, eps):
     return [_row(cfg, cfg.model_id, cols, float(theory * np.sqrt(2.0 / (cfg.replications - 1))))]
 
 
-def run_variance_validation(cfg: ExperimentConfig) -> MetricsTable:
-    return _run_cells(cfg, _variance_cell, cfg.n_grid, [*cfg.epsilon_grid, None])
-
-
 # ------------------------------------------------------------------ #
 # Experiment 2: coverage across the privacy spectrum
 # ------------------------------------------------------------------ #
@@ -377,10 +371,6 @@ def _coverage_cell(cfg, idx, n, eps):
              mc_se(acc[m]["coverage"], cfg.replications))
         for m in methods
     ]
-
-
-def run_coverage_sweep(cfg: ExperimentConfig) -> MetricsTable:
-    return _run_cells(cfg, _coverage_cell, cfg.n_grid, cfg.epsilon_grid)
 
 
 # ------------------------------------------------------------------ #
@@ -403,10 +393,6 @@ def _clipping_cell(cfg, idx, B):
     return rows
 
 
-def run_clipping_study(cfg: ExperimentConfig) -> MetricsTable:
-    return _run_cells(cfg, _clipping_cell, cfg.B_grid or [0.5, 1.0, 2.0, 3.0, 5.0, 10.0])
-
-
 # ------------------------------------------------------------------ #
 # Experiment 4: scaling law validation
 # ------------------------------------------------------------------ #
@@ -426,10 +412,6 @@ def _scaling_cell(cfg, idx, n, eps):
         "privacy_dominated": privacy_var > sampling_var,
     }
     return [_row(cfg, cfg.model_id, cols)]
-
-
-def run_scaling_study(cfg: ExperimentConfig) -> MetricsTable:
-    return _run_cells(cfg, _scaling_cell, cfg.n_grid, cfg.epsilon_grid)
 
 
 def crossover_points(table: MetricsTable) -> dict:
@@ -483,11 +465,6 @@ def _power_cell(cfg, idx, eps, effect):
     return rows
 
 
-def run_power_study(cfg: ExperimentConfig) -> MetricsTable:
-    effects = [0.0, *(cfg.effect_grid or [0.1, 0.2, 0.5, 1.0])]
-    return _run_cells(cfg, _power_cell, cfg.epsilon_grid, effects)
-
-
 # ------------------------------------------------------------------ #
 # Experiment 7: synthetic-data inferential evaluation
 # ------------------------------------------------------------------ #
@@ -518,33 +495,36 @@ def _synth_cell(cfg, idx, ratio):
     return rows
 
 
-def run_synth_eval(cfg: ExperimentConfig) -> MetricsTable:
-    return _run_cells(cfg, _synth_cell, cfg.ratios or [1, 5, 10, 50])
-
-
 # ------------------------------------------------------------------ #
 # Dispatch and output
 # ------------------------------------------------------------------ #
 
-RUNNERS = {
-    "variance_validation": run_variance_validation,
-    "coverage_sweep": run_coverage_sweep,
-    "clipping_study": run_clipping_study,
-    "scaling_study": run_scaling_study,
-    "power_study": run_power_study,
-    "synth_eval": run_synth_eval,
+# experiment_id -> (cell function, cfg -> the grids whose product are the cells,
+# the one model_id the study runs or None for any); a grid that a config leaves
+# as None takes the default written here
+STUDIES = {
+    "variance_validation": (_variance_cell, lambda cfg: (cfg.n_grid, [*cfg.epsilon_grid, None]),
+                            "gaussian_mean"),
+    "coverage_sweep": (_coverage_cell, lambda cfg: (cfg.n_grid, cfg.epsilon_grid), None),
+    "clipping_study": (_clipping_cell, lambda cfg: (cfg.B_grid or [0.5, 1.0, 2.0, 3.0, 5.0, 10.0],),
+                       "logistic"),
+    "scaling_study": (_scaling_cell, lambda cfg: (cfg.n_grid, cfg.epsilon_grid), "gaussian_mean"),
+    "power_study": (_power_cell,
+                    lambda cfg: (cfg.epsilon_grid, [0.0, *(cfg.effect_grid or [0.1, 0.2, 0.5, 1.0])]),
+                    None),
+    "synth_eval": (_synth_cell, lambda cfg: (cfg.ratios or [1, 5, 10, 50],), None),
 }
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> MetricsTable:
     try:
-        runner = RUNNERS[cfg.experiment_id]
+        cell, grids, _ = STUDIES[cfg.experiment_id]
     except KeyError:
         raise ValueError(f"unknown experiment_id {cfg.experiment_id!r}") from None
     if out_dir is not None:  # before any replication, so that an unwritable path fails at once
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    table = runner(cfg)
+    table = _run_cells(cfg, cell, *grids(cfg))
     if out_dir is not None:
         table.to_csv(out_dir / f"{cfg.experiment_id}.csv")
         from . import __version__

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimate import EstimateReport, dp_variance, nonprivate_mle, records_mle, wald_ci
+from .estimate import EstimateReport, dp_variance, nonprivate_mle, records_mle
 from .expfam import Dataset, ExpFamModel
 from .privacy import ReleasedStatistic
 
@@ -58,11 +58,5 @@ def noise_aware_synth_analysis(
     clipped = model.clip(d_syn)
     m, theta_hat = records_mle(model, clipped)
     var = dp_variance(m, theta_hat, rel, n_syn=clipped.n)
-    return EstimateReport(
-        theta_hat=theta_hat,
-        variance=var,
-        cis=wald_ci(theta_hat, var, alpha),
-        alpha=alpha,
-        method="noise_aware_synth",
-        diagnostics={"n_syn": clipped.n, "n": rel.n, "sigma": rel.sigma},
-    )
+    return EstimateReport.wald(theta_hat, var, alpha, "noise_aware_synth",
+                               {"n_syn": clipped.n, "n": rel.n, "sigma": rel.sigma})

@@ -20,12 +20,7 @@ from dpss.harness import (
     ExperimentConfig,
     crossover_points,
     privacy_slope,
-    run_clipping_study,
-    run_coverage_sweep,
-    run_power_study,
-    run_scaling_study,
-    run_synth_eval,
-    run_variance_validation,
+    run_experiment,
 )
 from dpss.privacy import PrivacyBudget, calibrate_agm, release, verify_agm_condition
 from dpss.rng import substream
@@ -51,7 +46,7 @@ def cfg_for(experiment_id, **kw):
 
 @pytest.fixture(scope="module")
 def variance_table():
-    return run_variance_validation(cfg_for(
+    return run_experiment(cfg_for(
         "variance_validation", n_grid=[100, 500, 1000, 5000],
         epsilon_grid=[0.1, 0.5, 1.0, 5.0, 10.0], replications=5000,
     ))
@@ -59,7 +54,7 @@ def variance_table():
 
 @pytest.fixture(scope="module")
 def gaussian_sweep():
-    return run_coverage_sweep(cfg_for(
+    return run_experiment(cfg_for(
         "coverage_sweep", model_id="gaussian_mean", n_grid=[1000],
         epsilon_grid=[0.1, 0.5, 1.0, 5.0, 10.0], replications=1000,
         methods=["plugin_wald", "naive_synth"],
@@ -68,7 +63,7 @@ def gaussian_sweep():
 
 @pytest.fixture(scope="module")
 def bootstrap_sweep():
-    return run_coverage_sweep(cfg_for(
+    return run_experiment(cfg_for(
         "coverage_sweep", model_id="gaussian_mean", n_grid=[1000],
         epsilon_grid=[0.5, 1.0], replications=1000, methods=["bootstrap"],
     ))
@@ -78,7 +73,7 @@ def bootstrap_sweep():
 def model_sweeps():
     tables = {}
     for model_id in ("gaussian_mean", "logistic", "poisson"):
-        tables[model_id] = run_coverage_sweep(cfg_for(
+        tables[model_id] = run_experiment(cfg_for(
             "coverage_sweep", model_id=model_id, n_grid=[1000],
             epsilon_grid=[0.1, 0.5, 1.0], replications=500,
             methods=["plugin_wald", "naive_synth"],
@@ -88,7 +83,7 @@ def model_sweeps():
 
 @pytest.fixture(scope="module")
 def clipping_table():
-    return run_clipping_study(cfg_for(
+    return run_experiment(cfg_for(
         "clipping_study", model_id="logistic", n_grid=[1000], epsilon_grid=[1.0],
         B_grid=[0.5, 1.0, 2.0, 3.0, 5.0, 10.0], replications=500,
     ))
@@ -96,7 +91,7 @@ def clipping_table():
 
 @pytest.fixture(scope="module")
 def scaling_table():
-    return run_scaling_study(cfg_for(
+    return run_experiment(cfg_for(
         "scaling_study", n_grid=[100, 500, 1000, 5000, 10000, 50000, 100000],
         epsilon_grid=[0.5, 1.0, 2.0, 5.0], replications=600,
     ))
@@ -104,7 +99,7 @@ def scaling_table():
 
 @pytest.fixture(scope="module")
 def power_table():
-    return run_power_study(cfg_for(
+    return run_experiment(cfg_for(
         "power_study", n_grid=[1000], epsilon_grid=[1.0], effect_grid=[0.1, 0.2],
         replications=2000, methods=["plugin_wald", "nonprivate", "naive_synth"],
     ))
@@ -112,7 +107,7 @@ def power_table():
 
 @pytest.fixture(scope="module")
 def synth_table():
-    return run_synth_eval(cfg_for(
+    return run_experiment(cfg_for(
         "synth_eval", n_grid=[1000], epsilon_grid=[1.0], ratios=[1, 5, 10, 50],
         replications=1000,
     ))
@@ -170,7 +165,7 @@ def test_criterion_03_calibrated_vs_naive_separation(model_sweeps):
 
 
 def test_criterion_04_poisson_low_eps_undercoverage():
-    table = run_coverage_sweep(cfg_for(
+    table = run_experiment(cfg_for(
         "coverage_sweep", model_id="poisson", n_grid=[500], epsilon_grid=[0.1],
         replications=1000, methods=["plugin_wald"],
     ))
@@ -303,9 +298,9 @@ def test_criterion_09_property_suites():
     saved = os.environ["DPSS_THREADS"]
     try:
         os.environ["DPSS_THREADS"] = "1"
-        serial = run_coverage_sweep(cfg)
+        serial = run_experiment(cfg)
         os.environ["DPSS_THREADS"] = "4"
-        threaded = run_coverage_sweep(cfg)
+        threaded = run_experiment(cfg)
     finally:
         os.environ["DPSS_THREADS"] = saved
     if serial.rows != threaded.rows:

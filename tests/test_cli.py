@@ -204,6 +204,14 @@ NON_FINITE_DATA = {
 }
 
 
+# data CSVs whose outcome lies outside the support, with the error each gives
+OUT_OF_SUPPORT_DATA = {
+    "logistic": [("1.0,0.0,1\n-0.5,0.0,1000\n", "logistic labels must be 0 or 1"),
+                 ("1.0,0.0,0.5\n-0.5,0.0,0\n", "logistic labels must be 0 or 1")],
+    "poisson": [("1.0,0.0,-1e6\n-0.5,0.0,0\n", "poisson counts must be non-negative")],
+}
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("model_id", list(NON_FINITE_DATA))
 def test_release_non_finite_data_exits_3(workdir, model_id, bad):
@@ -216,6 +224,14 @@ def test_release_non_finite_data_exits_3(workdir, model_id, bad):
     assert res.exit_code == 3
     assert "error: cannot read data: data must be finite" in res.output
     assert not (workdir / "rel.json").exists()  # an inf is not clipped into a release
+    # nor is an outcome outside the model's support
+    for rows, message in OUT_OF_SUPPORT_DATA.get(model_id, []):
+        (workdir / "bad.csv").write_text(rows)
+        res = invoke("release", "--data", workdir / "bad.csv", "--model", workdir / "m.json",
+                     "--epsilon", 1.0, "--out", workdir / "rel.json")
+        assert res.exit_code == 3
+        assert f"error: cannot read data: {message}" in res.output
+        assert not (workdir / "rel.json").exists()
 
 
 # ---------------------------------------------------------------- estimate
@@ -606,7 +622,12 @@ def test_experiment_run_under_a_regular_file_exits_3(workdir, monkeypatch):
                                          # rates past numpy's Poisson sampler
                                          (("model_id", "theta0"), ("poisson", [800])),
                                          # delta is always 1/n^2: the field is gone
-                                         ("delta_rule", "one_over_n_sq")])
+                                         ("delta_rule", "one_over_n_sq"),
+                                         # None runs the study's default; [] is an error
+                                         ("methods", []),
+                                         ("B_grid", []),
+                                         ("effect_grid", []),
+                                         ("ratios", [])])
 def test_experiment_run_unknown_name_exits_3(workdir, field, value):
     cfg = {"experiment_id": "coverage_sweep", "n_grid": [100], "epsilon_grid": [1.0],
            "replications": 2, "methods": ["plugin_wald", "bootstrap"]}

@@ -83,8 +83,10 @@ def test_clip_idempotent_and_bounded(maker):
         X = 5.0 * rng.standard_normal((200, model.d))
         if model.model_id == "logistic":
             y = rng.integers(0, 2, 200).astype(float)
+            y[:3] = [-3.0, 0.5, 1000.0]  # labels outside {0, 1}
         else:
             y = rng.integers(0, 40, 200).astype(float)
+            y[:2] = [-1e6, -1.0]  # negative counts
         data = Dataset(X, y)
     once = model.clip(data)
     twice = model.clip(once)

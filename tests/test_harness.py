@@ -6,8 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from dpss import harness
+from dpss.expfam import Dataset, LogisticModel, PoissonModel
 from dpss.harness import (
     ExperimentConfig,
     MetricsTable,
@@ -17,12 +19,7 @@ from dpss.harness import (
     make_model_and_data,
     mc_se,
     privacy_slope,
-    run_clipping_study,
-    run_coverage_sweep,
     run_experiment,
-    run_power_study,
-    run_scaling_study,
-    run_variance_validation,
 )
 from dpss.rng import substream
 
@@ -58,7 +55,9 @@ def test_config_validation():
                          ("epsilon_grid", [math.inf]), ("B_grid", [-1]), ("B_grid", [math.nan]),
                          ("effect_grid", [math.nan]), ("ratios", [0]), ("ratios", [0.004]),
                          ("master_seed", -1), ("master_seed", 1.5), ("replications", 2.5),
-                         ("theta0", []), ("theta0", [math.nan]), ("theta0", [1, 2])]:
+                         ("theta0", []), ("theta0", [math.nan]), ("theta0", [1, 2]),
+                         # None runs the study's default; an empty list is an error
+                         ("methods", []), ("B_grid", []), ("effect_grid", []), ("ratios", [])]:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{"experiment_id": "coverage_sweep", "n_grid": [100], field: value})
     # a regression model takes a theta0 of any width
@@ -77,6 +76,37 @@ def test_poisson_theta0_limit_is_the_samplers():
     make_model_and_data("poisson", np.array([29.0]), 2000, rng)
     with pytest.raises(ValueError, match="lam value too large"):
         make_model_and_data("poisson", np.array([30.0]), 2000, rng)
+
+
+def _inline_draws(model_id, theta0, n, rng, B=None):
+    """The regression draws as make_model_and_data wrote them out before sampling through the models."""
+    if model_id == "logistic":
+        X = rng.standard_normal((n, len(theta0)))
+        model = LogisticModel(X, B_X=B if B is not None else harness.LOGISTIC_B_X)
+        y = (rng.random(n) < expit(X @ theta0)).astype(float)
+    else:
+        X = rng.uniform(harness.POISSON_X_RANGE[0], harness.POISSON_X_RANGE[1], (n, len(theta0)))
+        model = PoissonModel(X, B_X=harness.POISSON_B_X, B_Y=harness.POISSON_B_Y)
+        y = rng.poisson(np.exp(X @ theta0)).astype(float)
+    return model, Dataset(X, y)
+
+
+@pytest.mark.parametrize("n", [7, 100, 1000])
+@pytest.mark.parametrize("model_id, theta0, B", [
+    ("logistic", harness.LOGISTIC_THETA0, None),
+    ("logistic", harness.CLIPPING_THETA0, 0.5),
+    ("poisson", harness.POISSON_THETA0, None),
+    ("poisson", np.array([0.5, -0.3, 0.2]), None),
+], ids=["logistic", "logistic-B", "poisson-d1", "poisson-d3"])
+def test_make_model_and_data_matches_the_inline_draws(model_id, theta0, B, n):
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    model, raw = make_model_and_data(model_id, theta0, n, rng, B=B)
+    ref_model, ref = _inline_draws(model_id, theta0, n, ref_rng, B)
+    # bit for bit: the outcomes come from the raw rows, and the model holds the clipped ones
+    for got, want in [(raw.x, ref.x), (raw.y, ref.y), (model.design, ref_model.design)]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert model.clip_bounds == ref_model.clip_bounds
+    assert rng.random(4).tobytes() == ref_rng.random(4).tobytes()  # the same generator state
 
 
 @pytest.mark.parametrize("experiment_id, model_id", [
@@ -144,17 +174,17 @@ def test_substreams_are_disjoint_and_order_free():
 
 def test_sweep_deterministic_across_runs():
     cfg = tiny_sweep_config()
-    t1 = run_coverage_sweep(cfg)
-    t2 = run_coverage_sweep(cfg)
+    t1 = run_experiment(cfg)
+    t2 = run_experiment(cfg)
     assert t1.rows == t2.rows
 
 
 def test_sweep_bit_identical_across_thread_counts():
     cfg = tiny_sweep_config(n_grid=[100, 200])
     with mock.patch.dict(os.environ, {"DPSS_THREADS": "1"}):
-        serial = run_coverage_sweep(cfg)
+        serial = run_experiment(cfg)
     with mock.patch.dict(os.environ, {"DPSS_THREADS": "3"}):
-        threaded = run_coverage_sweep(cfg)
+        threaded = run_experiment(cfg)
     assert serial.rows == threaded.rows
 
 
@@ -166,7 +196,7 @@ def test_bootstrap_reuses_the_plugin_estimate(monkeypatch):
     monkeypatch.setenv("DPSS_THREADS", "1")
     cfg = tiny_sweep_config(model_id="logistic", replications=3, b_boot=20,
                             methods=["plugin_wald", "bootstrap"])
-    run_coverage_sweep(cfg)
+    run_experiment(cfg)
     assert len(calls) == 3  # one plug-in solve per replication, not one per method
 
 
@@ -178,18 +208,18 @@ def test_noise_aware_reuses_the_plugin_estimate(monkeypatch):
     monkeypatch.setenv("DPSS_THREADS", "1")
     cfg = tiny_sweep_config(model_id="logistic", replications=3,
                             methods=["plugin_wald", "noise_aware_wald"])
-    reused = run_coverage_sweep(cfg)
+    reused = run_experiment(cfg)
     assert len(calls) == 3  # one plug-in solve per replication, not one per method
     # the same rows as a noise-aware solve that finds its own plug-in start
     monkeypatch.setitem(harness.METHODS, "noise_aware_wald",
                         lambda model, raw, rel, rng, cfg, earlier: harness.estimate.estimate_report(
                             model, rel, "noise_aware", cfg.alpha))
-    assert run_coverage_sweep(cfg).rows == reused.rows
+    assert run_experiment(cfg).rows == reused.rows
     assert len(calls) == 9
 
 
 def test_every_cell_reports_mc_se():
-    table = run_coverage_sweep(tiny_sweep_config())
+    table = run_experiment(tiny_sweep_config())
     for row in table.rows:
         assert "mc_se" in row
         assert 0.0 <= row["coverage"] <= 1.0
@@ -202,7 +232,7 @@ def test_nonprivate_oracle_covers_on_records_past_the_clip_bound():
     cfg = ExperimentConfig("coverage_sweep", model_id="logistic", n_grid=[10000],
                            epsilon_grid=[1.0], replications=200, master_seed=31,
                            methods=["nonprivate"])
-    (row,) = run_coverage_sweep(cfg).rows
+    (row,) = run_experiment(cfg).rows
     assert row["coverage"] >= 0.95 - 3 * row["mc_se"]
 
 
@@ -211,7 +241,7 @@ def test_variance_validation_sentinel_column():
         "variance_validation", n_grid=[200], epsilon_grid=[1.0],
         replications=400, master_seed=5,
     )
-    table = run_variance_validation(cfg)
+    table = run_experiment(cfg)
     sentinel = table.select(epsilon=float("inf"))
     assert len(sentinel) == 1
     row = sentinel[0]
@@ -240,7 +270,7 @@ def test_scaling_study_small():
         "scaling_study", n_grid=[100, 1000], epsilon_grid=[5.0],
         replications=50, master_seed=6,
     )
-    table = run_scaling_study(cfg)
+    table = run_experiment(cfg)
     assert crossover_points(table)[5.0] == 100
     for row in table.rows:
         assert row["mse"] >= 0.0
@@ -248,7 +278,7 @@ def test_scaling_study_small():
 
 def test_desk_scale_ordering_naive_below_plugin():
     cfg = tiny_sweep_config(n_grid=[1000], epsilon_grid=[0.5], replications=200)
-    table = run_coverage_sweep(cfg)
+    table = run_experiment(cfg)
     naive = table.value("coverage", method="naive_synth")
     plugin = table.value("coverage", method="plugin_wald")
     assert naive < plugin - 0.10
@@ -259,7 +289,7 @@ def test_clipping_study_noise_aware_tracks_plugin():
         "clipping_study", model_id="logistic", n_grid=[1000],
         epsilon_grid=[1.0], B_grid=[3.0], replications=20, master_seed=7,
     )
-    table = run_clipping_study(cfg)
+    table = run_experiment(cfg)
     plug = table.value("bias_abs", method="plugin")
     na = table.value("bias_abs", method="noise_aware")
     assert na == pytest.approx(plug, abs=1e-6)
@@ -271,7 +301,7 @@ def test_power_study_includes_null_cell():
         effect_grid=[0.5], replications=40, master_seed=8,
         methods=["plugin_wald", "nonprivate"],
     )
-    table = run_power_study(cfg)
+    table = run_experiment(cfg)
     effects = sorted({row["delta_effect"] for row in table.rows})
     assert effects == [0.0, 0.5]
     # a half-sigma shift at n=500 is essentially always detected
