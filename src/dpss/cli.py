@@ -240,7 +240,10 @@ def experiment_run(config_path, out_dir):
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         _data_error(f"cannot load experiment config: {exc}")
     with _solver_errors(), _writing(out_dir):
-        harness.run_experiment(cfg, out_dir)
+        try:
+            harness.run_experiment(cfg, out_dir)
+        except ValueError as exc:  # a DPSS_THREADS that is not a positive integer
+            _data_error(str(exc))
     click.echo(f"wrote {out_dir}/{cfg.experiment_id}.csv", err=True)
 
 

@@ -34,12 +34,17 @@ carries private information; X is used after the release.
 from __future__ import annotations
 
 import abc
+import contextlib
 import copy
 import ctypes
 import functools
+import hashlib
+import io
 import json
 import math
+import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -701,7 +706,8 @@ def load_model_config(path: str | Path) -> ExpFamModel:
 
     Schema: {model_id, d, sigma0_sq?, clip: {B | B_X, B_Y}, design_csv?}.
     ``design_csv`` is resolved relative to the config file and holds
-    headerless rows of d decimal floats.  A malformed config raises
+    headerless rows of d decimal floats; it is parsed once per content and
+    then read from the cache of ``_read_design``.  A malformed config raises
     ValueError naming the field; an unreadable file raises OSError.
     """
     path = Path(path)
@@ -719,7 +725,7 @@ def load_model_config(path: str | Path) -> ExpFamModel:
     d = cfg.get("d")
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
-    design = np.loadtxt(path.parent / cfg["design_csv"], delimiter=",", ndmin=2)
+    design = _read_design(path.parent / cfg["design_csv"])
     if design.shape[1] != d:
         raise ValueError("design column count disagrees with d")
     if len(design) == 0 or not np.isfinite(design).all():
@@ -727,6 +733,54 @@ def load_model_config(path: str | Path) -> ExpFamModel:
     if model_id == "logistic":
         return LogisticModel(design, B_X=_positive(clip, "B_X"))
     return PoissonModel(design, B_X=_positive(clip, "B_X"), B_Y=_positive(clip, "B_Y"))
+
+
+def _read_design(path: Path) -> np.ndarray:
+    """The public design CSV at path as np.loadtxt parses it, parsed once per content.
+
+    The parsed array is kept at $XDG_CACHE_HOME/dpss/<sha256 of the CSV's
+    bytes>.npy (~/.cache/dpss without that variable), so an edited CSV
+    misses.  The bytes are read once, then hashed and, on a miss, parsed,
+    so the file cannot change in between.  An entry is written to a
+    unique temporary file and renamed into place, so a concurrent reader
+    never sees half of one.  An entry that cannot be read or is not a 2-D
+    float64 array, and a cache that cannot be written, fall back to the
+    parse.  Only the public design is cached, never private records.
+    """
+    raw = path.read_bytes()
+    if not raw or raw.isspace():  # checked here, as np.loadtxt only warns of an empty file
+        raise ValueError("design_csv must hold at least one row, all finite")
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.expanduser("~/.cache")
+    entry = Path(root, "dpss", hashlib.sha256(raw).hexdigest() + ".npy")
+    try:
+        design = np.load(entry, allow_pickle=False)
+        if design.dtype == np.float64 and design.ndim == 2:
+            return design
+    except (OSError, ValueError, EOFError):
+        pass
+    design = _parse_csv(raw)
+    with contextlib.suppress(OSError):
+        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.save(fh, design)
+            os.replace(tmp, entry)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+    return design
+
+
+def _parse_csv(raw: bytes) -> np.ndarray:
+    """The CSV file of bytes raw as np.loadtxt(path, delimiter=",", ndmin=2) parses it.
+
+    Decoded as open() decodes a path, a block at a time, so that no copy of
+    the whole text is made.
+    """
+    return np.loadtxt(io.TextIOWrapper(io.BytesIO(raw)), delimiter=",", ndmin=2)
 
 
 def _positive(obj: dict, key: str, default: float | None = None) -> float:
@@ -740,10 +794,15 @@ def _positive(obj: dict, key: str, default: float | None = None) -> float:
 def dataset_from_csv(path: str | Path, model: ExpFamModel) -> Dataset:
     """Read a dataset CSV: one column x (gaussian) or d features then y.
 
-    A nan or inf entry, a logistic label other than 0 or 1, or a negative
-    Poisson count raises ValueError: clipping would hide each of them.
+    A file with no rows raises EmptyDatasetError.  A nan or inf entry, a
+    logistic label other than 0 or 1, or a negative Poisson count raises
+    ValueError: clipping would hide each of them.  The records are private,
+    so unlike the design they are parsed on every read and never cached.
     """
-    arr = np.loadtxt(path, delimiter=",", ndmin=2)
+    raw = Path(path).read_bytes()
+    if not raw or raw.isspace():  # checked here, as np.loadtxt only warns of an empty file
+        raise EmptyDatasetError("empty_dataset")
+    arr = _parse_csv(raw)
     if arr.size == 0:
         raise EmptyDatasetError("empty_dataset")
     if not np.isfinite(arr).all():

@@ -13,7 +13,7 @@ releases their clipped mean once, with noise.  Everything after the release is
 post-processing: the estimators the studies compare come from one
 registry, ``METHODS``, and each study only reduces their reports to its
 rows.  Tables are bit-identical regardless of thread count;
-DPSS_THREADS > 1 fans the cells out over processes.
+DPSS_THREADS > 1 fans the cells out over processes, at most one per cell.
 """
 
 from __future__ import annotations
@@ -25,11 +25,13 @@ import json
 import math
 import numbers
 import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import estimate, synthgen
 from .expfam import MODEL_IDS, Dataset, ExpFamModel, GaussianMeanModel, LogisticModel, PoissonModel
@@ -321,17 +323,28 @@ def _gaussian_estimates(cfg, idx, n, eps):
     return theta0, estimates, rel.sigma
 
 
-def _run_cells(cfg, cell_fn, *grids) -> MetricsTable:
-    """Rows of cell_fn(cfg, idx, *cell) for the cells of the product of the grids."""
+def _run_cells(cfg, cell_fn, *grids) -> tuple[MetricsTable, int]:
+    """Rows of cell_fn(cfg, idx, *cell) for the cells of the product of the grids,
+    and the number of processes that ran them: DPSS_THREADS, but at most one per cell.
+
+    A DPSS_THREADS that is not a positive integer raises ValueError.
+    """
     cells = list(itertools.product(*grids))
     args = ([cfg] * len(cells), range(len(cells)), *zip(*cells))
-    threads = int(os.environ.get("DPSS_THREADS", "1"))
-    if threads > 1 and len(cells) > 1:
+    value = os.environ.get("DPSS_THREADS", "1")
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"DPSS_THREADS must be a positive integer, got {value!r}")
+    threads = min(threads, len(cells))  # cells map in order, so the rows do not depend on it
+    if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(cell_fn, *args))
     else:
         results = list(map(cell_fn, *args))
-    return MetricsTable(cfg.experiment_id, [row for rows in results for row in rows])
+    return MetricsTable(cfg.experiment_id, [row for rows in results for row in rows]), threads
 
 
 # ------------------------------------------------------------------ #
@@ -517,6 +530,15 @@ STUDIES = {
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> MetricsTable:
+    """Run the study cfg names and return its metrics table.
+
+    With out_dir, also write <experiment_id>.csv and manifest.json there: the
+    config and its SHA-256, the master seed, the dpss version, the number of
+    processes that ran the cells (DPSS_THREADS, capped at one per cell) and
+    the Python, numpy and scipy versions.  The table does not depend on the
+    thread count.  An unknown experiment_id or a DPSS_THREADS that is not a
+    positive integer raises ValueError.
+    """
     try:
         cell, grids, _ = STUDIES[cfg.experiment_id]
     except KeyError:
@@ -524,7 +546,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     if out_dir is not None:  # before any replication, so that an unwritable path fails at once
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-    table = _run_cells(cfg, cell, *grids(cfg))
+    table, threads = _run_cells(cfg, cell, *grids(cfg))
     if out_dir is not None:
         table.to_csv(out_dir / f"{cfg.experiment_id}.csv")
         from . import __version__
@@ -536,6 +558,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             "config_sha256": hashlib.sha256(cfg_json.encode()).hexdigest(),
             "master_seed": cfg.master_seed,
             "version": __version__,
+            "DPSS_THREADS": threads,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
         }
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return table

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -567,6 +568,47 @@ def test_analyze_missing_data_exits_3(workdir):
     assert res.exit_code == 3
 
 
+LOGISTIC_CONFIG = {"model_id": "logistic", "d": 2, "clip": {"B_X": 3.0},
+                   "design_csv": "design.csv"}
+
+
+@pytest.mark.parametrize("command, empty, message", [
+    ("release", "design.csv", "cannot load model config: design_csv must hold at least one row"),
+    ("release", "data.csv", "cannot read data: empty_dataset"),
+    ("analyze", "data.csv", "cannot read data: empty_dataset"),
+])
+def test_an_empty_csv_exits_3_without_a_warning(workdir, command, empty, message):
+    (workdir / "m.json").write_text(json.dumps(LOGISTIC_CONFIG))
+    (workdir / "design.csv").write_text("1.0,0.0\n-0.5,0.5\n")
+    (workdir / "data.csv").write_text("1.0,0.0,1\n-0.5,0.5,0\n")
+    (workdir / empty).write_text("")
+    args = {"release": ["--epsilon", 1.0, "--out", workdir / "rel.json"],
+            "analyze": ["--mode", "naive"]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns of a file with no data
+        res = invoke(command, "--data", workdir / "data.csv", "--model", workdir / "m.json", *args)
+    assert res.exit_code == 3
+    assert f"error: {message}" in res.output
+
+
+def test_release_caches_the_design_but_never_the_data(workdir, design_cache_home):
+    (workdir / "m.json").write_text(json.dumps(LOGISTIC_CONFIG))
+    (workdir / "design.csv").write_text("1.0,0.0\n-0.5,0.5\n")
+    (workdir / "data.csv").write_text("1.0,0.0,1\n-0.5,0.5,0\n")
+    res = invoke("release", "--data", workdir / "data.csv", "--model", workdir / "m.json",
+                 "--epsilon", 1.0, "--seed", 3, "--out", workdir / "rel.json")
+    assert res.exit_code == 0
+    entries = sorted((design_cache_home / "dpss").iterdir())
+    digest = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+              for name in ("design.csv", "data.csv")}
+    # privacy wall: the one entry is the public design; no copy of the records is kept
+    assert [e.name for e in entries] == [digest["design.csv"] + ".npy"]
+    data = np.loadtxt(workdir / "data.csv", delimiter=",")
+    for entry in entries:
+        assert hashlib.sha256(entry.read_bytes()).hexdigest() != digest["data.csv"]
+        assert np.load(entry, allow_pickle=False).shape != data.shape
+
+
 # --------------------------------------------------------------- experiment
 
 def test_experiment_run_end_to_end(workdir):
@@ -604,6 +646,18 @@ def test_experiment_run_under_a_regular_file_exits_3(workdir, monkeypatch):
     assert invoke("experiment", "run", "--config", workdir / "cfg.json",
                   "--out", workdir / "out").exit_code == 0
     assert replications
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+def test_experiment_run_with_bad_threads_exits_3(workdir, monkeypatch, threads):
+    cfg = {"experiment_id": "coverage_sweep", "model_id": "gaussian_mean", "n_grid": [100],
+           "epsilon_grid": [1.0], "replications": 2, "methods": ["plugin_wald"]}
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    monkeypatch.setenv("DPSS_THREADS", threads)
+    res = invoke("experiment", "run", "--config", workdir / "cfg.json", "--out", workdir / "out")
+    assert res.exit_code == 3
+    assert f"error: DPSS_THREADS must be a positive integer, got {threads!r}" in res.output
+    assert not (workdir / "out" / "coverage_sweep.csv").exists()
 
 
 @pytest.mark.parametrize("field,value", [("experiment_id", "nonsense"),

@@ -1,8 +1,14 @@
+import hashlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -832,6 +838,194 @@ def test_dataset_csv_round_trip(tmp_path):
     back = dataset_from_csv(tmp_path / "d.csv", model)
     np.testing.assert_array_equal(back.x, data.x)
     np.testing.assert_array_equal(back.y, data.y)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\n"], ids=["empty", "newline", "blank"])
+def test_an_empty_dataset_csv_raises_without_a_warning(tmp_path, text):
+    (tmp_path / "d.csv").write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns of a file with no data
+        with pytest.raises(EmptyDatasetError, match="empty_dataset"):
+            dataset_from_csv(tmp_path / "d.csv", random_logistic(d=2, n=4))
+
+
+# ------------------------------------------------------------ design cache
+
+BUNDLED_CSV = Path(dpss.expfam.__file__).parent / "data" / "logistic_10k.csv"
+
+
+def write_design_config(folder, design_text, d=2):
+    """A logistic config whose design_csv holds design_text; returns the config path."""
+    (folder / "design.csv").write_text(design_text)
+    (folder / "m.json").write_text(json.dumps(
+        {"model_id": "logistic", "d": d, "clip": {"B_X": 3.0}, "design_csv": "design.csv"}))
+    return folder / "m.json"
+
+
+def cache_entry(cache_home, csv_path):
+    return cache_home / "dpss" / (hashlib.sha256(csv_path.read_bytes()).hexdigest() + ".npy")
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("design_text, d", [
+    ("".join(",".join(line.split(",")[:5]) + "\n" for line in BUNDLED_CSV.read_text().splitlines()),
+     5),
+    ("0.1,-0\n5e-324,1.2345678901234567e150\n0.333333333333333314829616256247,-2.5e-310\n", 2),
+    ("1,2\r\n3,4\r\n", 2),
+    ("1,2\r3,4\r", 2),
+], ids=["bundled_10k_design", "extremes", "crlf", "cr"])
+def test_a_cached_design_equals_loadtxt_bit_for_bit(tmp_path, design_cache_home, monkeypatch,
+                                                    design_text, d):
+    config = write_design_config(tmp_path, design_text, d)
+    want = np.loadtxt(tmp_path / "design.csv", delimiter=",", ndmin=2)
+    miss = dpss.expfam._read_design(tmp_path / "design.csv")
+    assert_same_bits(miss, want)
+    entry = cache_entry(design_cache_home, tmp_path / "design.csv")
+    assert sorted((design_cache_home / "dpss").iterdir()) == [entry]
+    # the second load reads the entry: it parses nothing and writes no new entry
+    monkeypatch.setattr(dpss.expfam.np, "loadtxt", None)
+    assert_same_bits(dpss.expfam._read_design(tmp_path / "design.csv"), want)
+    assert load_model_config(config).d == d
+    assert sorted((design_cache_home / "dpss").iterdir()) == [entry]
+
+
+def test_an_edited_design_misses_the_cache(tmp_path, design_cache_home):
+    config = write_design_config(tmp_path, "1.0,0.0\n-0.5,0.5\n")
+    first = load_model_config(config).design
+    (tmp_path / "design.csv").write_text("1.0,0.0\n-0.5,0.25\n")
+    second = load_model_config(config).design
+    assert second[1, 1] != first[1, 1]
+    np.testing.assert_array_equal(
+        second, load_model_config_without_cache(config, tmp_path / "uncached").design)
+    assert len(list((design_cache_home / "dpss").iterdir())) == 2
+
+
+def load_model_config_without_cache(config, cache_home):
+    """The model built from a fresh, empty cache directory: a parse of the CSV."""
+    with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(cache_home)}):
+        return load_model_config(config)
+
+
+@pytest.mark.parametrize("entry_bytes", [
+    lambda good: good[: len(good) // 2],
+    lambda good: good[:3],
+    lambda good: b"",
+    lambda good: b"garbage, not an array",
+    lambda good: npy_bytes(np.array([[1, 2], [3, 4]], dtype=np.int64)),
+    lambda good: npy_bytes(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)),
+    lambda good: npy_bytes(np.array([1.0, 2.0, 3.0, 4.0])),
+    lambda good: npy_bytes(np.array([[(1.0, 2.0)]], dtype=[("a", "f8"), ("b", "f8")])),
+], ids=["truncated", "header_only", "empty", "garbage", "int64", "float32", "one_d", "record"])
+def test_a_bad_cache_entry_falls_back_to_the_parse(tmp_path, design_cache_home, entry_bytes):
+    config = write_design_config(tmp_path, "1.0,0.0\n-0.5,0.5\n")
+    want = np.loadtxt(tmp_path / "design.csv", delimiter=",", ndmin=2)
+    dpss.expfam._read_design(tmp_path / "design.csv")
+    entry = cache_entry(design_cache_home, tmp_path / "design.csv")
+    entry.write_bytes(entry_bytes(entry.read_bytes()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_bits(dpss.expfam._read_design(tmp_path / "design.csv"), want)
+        np.testing.assert_array_equal(load_model_config(config).design,
+                                      load_model_config_without_cache(config, tmp_path / "c").design)
+    # the parse rewrote the entry
+    assert_same_bits(np.load(entry, allow_pickle=False), want)
+    assert sorted(p.name for p in (design_cache_home / "dpss").iterdir()) == [entry.name]
+
+
+def npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+def test_an_unwritable_cache_still_loads(tmp_path, monkeypatch):
+    config = write_design_config(tmp_path, "1.0,0.0\n-0.5,0.5\n")
+    # a regular file where the cache directory should be: no entry can be made
+    (tmp_path / "not_a_dir").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "not_a_dir"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            model = load_model_config(config)
+            np.testing.assert_array_equal(model.design,
+                                          load_model_config_without_cache(config, tmp_path / "c").design)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "design.csv", "m.json", "not_a_dir"]
+
+
+def test_a_relative_cache_home_is_ignored(tmp_path, monkeypatch):
+    config = write_design_config(tmp_path, "1.0,0.0\n-0.5,0.5\n")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+    monkeypatch.chdir(tmp_path)
+    load_model_config(config)
+    assert not (tmp_path / "relative").exists()
+    assert cache_entry(tmp_path / "home" / ".cache", tmp_path / "design.csv").exists()
+
+
+@pytest.mark.parametrize("design_text, d, message", [
+    ("1.0,nan\n-0.5,0.5\n", 2, "all finite"),
+    ("1.0,inf\n-0.5,0.5\n", 2, "all finite"),
+    ("1.0,0.0\n-0.5,0.5\n", 3, "column count"),
+])
+def test_the_design_checks_run_on_a_cache_hit(tmp_path, design_cache_home, monkeypatch,
+                                              design_text, d, message):
+    config = write_design_config(tmp_path, design_text, d)
+    with pytest.raises(ValueError, match=message):
+        load_model_config(config)
+    assert cache_entry(design_cache_home, tmp_path / "design.csv").exists()
+    monkeypatch.setattr(dpss.expfam.np, "loadtxt", None)  # the second load is a hit
+    with pytest.raises(ValueError, match=message):
+        load_model_config(config)
+
+
+def test_concurrent_loads_of_a_cold_cache_all_read_the_design(tmp_path, design_cache_home):
+    rows = np.random.default_rng(8).standard_normal((200, 3))
+    np.savetxt(tmp_path / "design.csv", rows, delimiter=",", fmt="%.17g")
+    want = np.loadtxt(tmp_path / "design.csv", delimiter=",", ndmin=2)
+    entry = cache_entry(design_cache_home, tmp_path / "design.csv")
+
+    def load_many(worker):
+        for i in range(25):
+            if (worker + i) % 3 == 0:  # empty the cache under the other loads
+                entry.unlink(missing_ok=True)
+            got = dpss.expfam._read_design(tmp_path / "design.csv")
+            if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+                return False
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(load_many, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 8
+    # every entry was renamed into place; no temporary file is left behind
+    assert [p.name for p in (design_cache_home / "dpss").iterdir()] in ([], [entry.name])
+
+
+def test_a_planted_non_finite_entry_is_still_rejected(tmp_path, design_cache_home):
+    config = write_design_config(tmp_path, "1.0,0.0\n-0.5,0.5\n")
+    entry = cache_entry(design_cache_home, tmp_path / "design.csv")
+    entry.parent.mkdir(parents=True)
+    np.save(entry, np.array([[1.0, np.nan], [-0.5, 0.5]]))
+    with pytest.raises(ValueError, match="all finite"):
+        load_model_config(config)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\n"], ids=["empty", "newline", "blank"])
+def test_an_empty_design_raises_without_a_warning(tmp_path, design_cache_home, text):
+    config = write_design_config(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns of a file with no data
+        with pytest.raises(ValueError, match="design_csv must hold at least one row, all finite"):
+            load_model_config(config)
+    assert not (design_cache_home / "dpss").exists()
 
 
 CHUNK_TEMPORARY_CHURN = """

@@ -308,15 +308,66 @@ def test_power_study_includes_null_cell():
     assert table.value("rejection_rate", method="nonprivate", delta_effect=0.5) > 0.9
 
 
-def test_run_experiment_writes_outputs(tmp_path):
+def test_run_experiment_writes_outputs(tmp_path, monkeypatch):
+    monkeypatch.setenv("DPSS_THREADS", "4")
     cfg = tiny_sweep_config()
     run_experiment(cfg, tmp_path)
     assert (tmp_path / "coverage_sweep.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["master_seed"] == 99
     import hashlib
+    import platform
+
+    import scipy
 
     assert manifest["config_sha256"] == hashlib.sha256(cfg.to_json().encode()).hexdigest()
+    # the software and the pool that made the table; one cell runs in this process
+    assert manifest["DPSS_THREADS"] == 1
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that maps in this process and records its size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_the_pool_never_outgrows_its_cells(tmp_path, monkeypatch):
+    # a huge thread count, but the recording stand-in starts no process
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setenv("DPSS_THREADS", str(10**6))
+    cfg = tiny_sweep_config(n_grid=[100, 200], epsilon_grid=[1.0], replications=3)
+    pooled = run_experiment(cfg, tmp_path)
+    assert RecordingPool.sizes == [2]  # one worker per cell
+    assert json.loads((tmp_path / "manifest.json").read_text())["DPSS_THREADS"] == 2
+    monkeypatch.setenv("DPSS_THREADS", "1")
+    assert run_experiment(cfg).rows == pooled.rows
+    assert RecordingPool.sizes == [2]  # one thread needs no pool
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_threads_that_are_not_a_positive_integer_raise(monkeypatch, value):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setenv("DPSS_THREADS", value)
+    with pytest.raises(ValueError, match="DPSS_THREADS must be a positive integer"):
+        run_experiment(tiny_sweep_config())
+    assert RecordingPool.sizes == []
 
 
 def test_run_experiment_unknown_id():
