@@ -1,7 +1,7 @@
 """Command-line surface for the release-then-infer pipeline.
 
 Exit codes: 0 success, 2 usage/validation error, 3 data or I/O error or
-a numerical failure of an estimator (reported as ``error: <code>``).
+a numerical failure (an ``expfam.NumericalError``, reported as ``error: <code>``).
 Only ``release`` reads raw data together with a privacy budget; every
 other subcommand operates on released artifacts.
 """
@@ -17,13 +17,7 @@ import click
 import numpy as np
 
 from . import estimate, harness, synthgen
-from .expfam import (
-    MeanOverflowError,
-    SolverDivergedError,
-    dataset_from_csv,
-    dataset_to_csv,
-    load_model_config,
-)
+from .expfam import NumericalError, dataset_from_csv, dataset_to_csv, load_model_config
 from .privacy import (
     InvalidBudgetError,
     PrivacyBudget,
@@ -40,26 +34,10 @@ def _data_error(message: str):
     sys.exit(3)
 
 
-# numerical failures of the estimators, reported as "error: <code>" with exit 3
-SOLVER_ERRORS = (
-    SolverDivergedError,
-    MeanOverflowError,
-    estimate.NoiseAwareDivergedError,
-    estimate.FisherSingularError,
-    estimate.BootstrapUnstableError,
-)
 # significance level, open interval (0, 1)
 ALPHA = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 # numpy seeds its generators from non-negative integers only
 SEED = click.IntRange(min=0)
-
-
-@contextlib.contextmanager
-def _solver_errors():
-    try:
-        yield
-    except SOLVER_ERRORS as exc:
-        _data_error(str(exc))
 
 
 @contextlib.contextmanager
@@ -92,7 +70,17 @@ def _load_release(path, model):
     return rel
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: a numerical failure in any command exits 3 as ``error: <code>``."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NumericalError as exc:
+            _data_error(str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """DP sufficient-statistic release and noise-calibrated inference."""
 
@@ -156,8 +144,7 @@ def estimate_cmd(release_path, model_path, method, alpha):
     """Estimate from a released statistic; report JSON on stdout."""
     model = _load_model(model_path)
     rel = _load_release(release_path, model)
-    with _solver_errors():
-        report = estimate.estimate_report(model, rel, method, alpha)
+    report = estimate.estimate_report(model, rel, method, alpha)
     click.echo(report.to_json())
 
 
@@ -172,8 +159,7 @@ def bootstrap(release_path, model_path, b_boot, alpha, seed):
     model = _load_model(model_path)
     rel = _load_release(release_path, model)
     cfg = estimate.BootstrapConfig(b_boot, alpha)
-    with _solver_errors():
-        report = estimate.parametric_bootstrap(model, rel, cfg, substream(seed, "bootstrap"))
+    report = estimate.parametric_bootstrap(model, rel, cfg, substream(seed, "bootstrap"))
     click.echo(report.to_json())
 
 
@@ -187,8 +173,7 @@ def synth(release_path, model_path, n_syn, seed, out_path):
     """Generate parametric synthetic data from the plug-in estimate."""
     model = _load_model(model_path)
     rel = _load_release(release_path, model)
-    with _solver_errors():
-        theta = estimate.plugin_mle(model, rel)
+    theta = estimate.plugin_mle(model, rel)
     data = synthgen.generate_synthetic(model, theta, n_syn, substream(seed, "synth"))
     sidecar = {
         "source_theta": [float(t) for t in theta],
@@ -217,11 +202,10 @@ def analyze(data_path, model_path, mode, release_path, alpha):
     except (OSError, ValueError) as exc:
         _data_error(f"cannot read data: {exc}")
     rel = _load_release(release_path, model) if mode == "noise_aware" else None
-    with _solver_errors():
-        if rel is None:
-            report = synthgen.naive_analysis(model, data, alpha)
-        else:
-            report = synthgen.noise_aware_synth_analysis(model, data, rel, alpha)
+    if rel is None:
+        report = synthgen.naive_analysis(model, data, alpha)
+    else:
+        report = synthgen.noise_aware_synth_analysis(model, data, rel, alpha)
     click.echo(report.to_json())
 
 
@@ -239,7 +223,7 @@ def experiment_run(config_path, out_dir):
         cfg = harness.ExperimentConfig.from_json(Path(config_path).read_text())
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         _data_error(f"cannot load experiment config: {exc}")
-    with _solver_errors(), _writing(out_dir):
+    with _writing(out_dir):
         try:
             harness.run_experiment(cfg, out_dir)
         except ValueError as exc:  # a DPSS_THREADS that is not a positive integer

@@ -19,6 +19,7 @@ from .expfam import (
     Dataset,
     ExpFamModel,
     MeanOverflowError,
+    NumericalError,
     SolverDivergedError,
     minimize_in_box,
 )
@@ -27,27 +28,16 @@ from .privacy import ReleasedStatistic
 VARIANCE_DIAG_CAP = 1e6  # divided by n when applied
 
 
-class FisherSingularError(np.linalg.LinAlgError):
-    """Fisher information is singular even after regularization."""
+class FisherSingularError(NumericalError, np.linalg.LinAlgError):
+    """"fisher_singular": the Fisher information is singular even after regularization."""
 
 
-class InvalidVarianceError(ValueError):
-    """Variance matrix has a negative diagonal entry."""
+class InvalidVarianceError(NumericalError, ValueError):
+    """"invalid_variance": a variance matrix has a negative diagonal entry."""
 
 
-class NoiseAwareDivergedError(RuntimeError):
-    """Noise-aware optimizer failed; carries the best iterate."""
-
-    def __init__(self, message, best_iterate):
-        super().__init__(message)
-        self.best_iterate = np.asarray(best_iterate, dtype=float)
-
-    def __reduce__(self):  # picklable, so a harness worker process can raise it
-        return type(self), (str(self), self.best_iterate)
-
-
-class BootstrapUnstableError(RuntimeError):
-    """Too many bootstrap inner solves failed."""
+class BootstrapUnstableError(NumericalError, RuntimeError):
+    """"bootstrap_unstable": too many bootstrap inner solves failed."""
 
 
 @dataclass
@@ -184,7 +174,8 @@ def noise_aware_mle(
     (``_gls_objective``).  In the interior the plug-in point is stationary,
     so most solves stop after one evaluation.  A start whose mean overflows
     raises MeanOverflowError; a solve that reaches the minimiser's step cap
-    (status 1) raises NoiseAwareDivergedError with its iterate.  A caller that already holds ``plugin_mle(model, rel)`` passes
+    (status 1) raises SolverDivergedError("na_diverged") with its last
+    iterate.  A caller that already holds ``plugin_mle(model, rel)`` passes
     it as ``theta_plug`` to skip solving it again.
 
     ``estimate_report`` passes a dict as ``_solver``, which receives the
@@ -199,7 +190,7 @@ def noise_aware_mle(
     if _solver is not None:
         _solver.update(nit=int(nit[0]), nfev=int(nfev[0]), status=int(status[0]))
     if status[0] == 1:
-        raise NoiseAwareDivergedError("na_diverged", theta[0])
+        raise SolverDivergedError("na_diverged", theta[0])
     return theta[0]
 
 
@@ -212,8 +203,10 @@ def dp_variance(
     """Variance of the DP estimator: inverse-Fisher/n plus the privacy inflation.
 
     Uses I_hat = I(theta_hat) + lam I, returns I_hat^{-1}/n + sigma^2 I_hat^{-2},
-    with diagonal entries capped at 1e6/n.  An estimate made from n_syn
-    synthetic records adds their Monte Carlo error I_hat^{-1}/n_syn.
+    with diagonal entries capped at 1e6/n.  A capped entry's row and column
+    are scaled by sqrt(cap / v_ii), so the result stays a covariance with
+    the same correlations.  An estimate made from n_syn synthetic records
+    adds their Monte Carlo error I_hat^{-1}/n_syn.
     """
     lam = _regularizer(rel.sigma)
     ihat = model.fisher_info(theta_hat) + lam * np.eye(model.d)
@@ -228,7 +221,10 @@ def dp_variance(
         var = var + iinv / n_syn
     var = 0.5 * (var + var.T)
     cap = VARIANCE_DIAG_CAP / rel.n
-    np.fill_diagonal(var, np.minimum(np.diag(var), cap))
+    diag = np.diag(var)
+    scale = np.sqrt(cap / np.maximum(diag, cap))  # exactly 1 where the entry is not capped
+    var = var * np.outer(scale, scale)  # s_i s_j == s_j s_i, so var stays symmetric
+    np.fill_diagonal(var, np.minimum(diag, cap))
     return var
 
 

@@ -43,6 +43,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -57,6 +58,8 @@ NEWTON_MAX_ITER = 100  # iterations of the inverse mean map's Newton loop and of
 # rows x design rows per block of the per-record kernel, so that each
 # (rows, design rows) temporary stays within 0.5 MB
 NEWTON_CHUNK_ELEMS = 2**16
+# the largest rate numpy's Generator.poisson accepts (its POISSON_LAM_MAX)
+POISSON_RATE_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
 def _keep_solver_temporaries_on_the_heap() -> None:
@@ -89,12 +92,19 @@ class EmptyDatasetError(ValueError):
     """Raised when an operation receives a dataset with no records."""
 
 
-class MeanOverflowError(FloatingPointError):
-    """Raised when a log-link mean exp(x.theta) would overflow."""
+class NumericalError(Exception):
+    """A numerical failure; str() is its code, which the CLI prints as ``error: <code>``, exit 3.
+
+    Each member also keeps a builtin base, so a caller that catches that base still does.
+    """
 
 
-class SolverDivergedError(RuntimeError):
-    """Inverse mean map failed to converge; carries the last iterate."""
+class MeanOverflowError(NumericalError, FloatingPointError):
+    """A log-link mean exp(x.theta) overflows, or a rate is past the Poisson sampler's limit."""
+
+
+class SolverDivergedError(NumericalError, RuntimeError):
+    """A failed solve: "solver_diverged", or "na_diverged" (noise-aware MLE); has last_iterate."""
 
     def __init__(self, message, last_iterate):
         super().__init__(message)
@@ -672,10 +682,11 @@ class PoissonModel(_RegressionModel):
         return Dataset(self._clip_features(data.x), data.y.clip(0.0, self.clip_bounds.B_Y))
 
     def _rates(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        eta = X @ np.asarray(theta, dtype=float)
-        if np.max(eta) > MAX_LOG_RATE:
+        with np.errstate(over="ignore"):  # an overflowed rate is inf, past the limit
+            lam = np.exp(X @ np.asarray(theta, dtype=float))
+        if np.max(lam) > POISSON_RATE_MAX:
             raise MeanOverflowError("mean_overflow")
-        return np.exp(eta)
+        return lam
 
     def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         eta = Theta @ self.design.T
@@ -748,7 +759,7 @@ def _read_design(path: Path) -> np.ndarray:
     parse.  Only the public design is cached, never private records.
     """
     raw = path.read_bytes()
-    if not raw or raw.isspace():  # checked here, as np.loadtxt only warns of an empty file
+    if not _DATA_LINE.search(raw):
         raise ValueError("design_csv must hold at least one row, all finite")
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
@@ -774,6 +785,11 @@ def _read_design(path: Path) -> np.ndarray:
     return design
 
 
+# a line, ended by \n, \r or both, whose first non-blank byte does not start a
+# comment; checked before parsing, as np.loadtxt only warns of a file without one
+_DATA_LINE = re.compile(rb"(?:^|[\r\n])[ \t\f\v]*[^#\s]")
+
+
 def _parse_csv(raw: bytes) -> np.ndarray:
     """The CSV file of bytes raw as np.loadtxt(path, delimiter=",", ndmin=2) parses it.
 
@@ -794,17 +810,16 @@ def _positive(obj: dict, key: str, default: float | None = None) -> float:
 def dataset_from_csv(path: str | Path, model: ExpFamModel) -> Dataset:
     """Read a dataset CSV: one column x (gaussian) or d features then y.
 
-    A file with no rows raises EmptyDatasetError.  A nan or inf entry, a
-    logistic label other than 0 or 1, or a negative Poisson count raises
-    ValueError: clipping would hide each of them.  The records are private,
-    so unlike the design they are parsed on every read and never cached.
+    A file with no data line (empty, blank or only # comments) raises
+    EmptyDatasetError.  A nan or inf entry, a logistic label other than 0
+    or 1, or a negative Poisson count raises ValueError: clipping would hide
+    each of them.  The records are private, so unlike the design they are
+    parsed on every read and never cached.
     """
     raw = Path(path).read_bytes()
-    if not raw or raw.isspace():  # checked here, as np.loadtxt only warns of an empty file
+    if not _DATA_LINE.search(raw):
         raise EmptyDatasetError("empty_dataset")
     arr = _parse_csv(raw)
-    if arr.size == 0:
-        raise EmptyDatasetError("empty_dataset")
     if not np.isfinite(arr).all():
         raise ValueError("data must be finite; found nan or inf")
     if model.model_id == "gaussian_mean":

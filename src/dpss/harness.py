@@ -34,7 +34,8 @@ import numpy as np
 import scipy
 
 from . import estimate, synthgen
-from .expfam import MODEL_IDS, Dataset, ExpFamModel, GaussianMeanModel, LogisticModel, PoissonModel
+from .expfam import (MODEL_IDS, POISSON_RATE_MAX, Dataset, ExpFamModel, GaussianMeanModel,
+                     LogisticModel, PoissonModel)
 from .privacy import PrivacyBudget, release
 from .rng import substream
 
@@ -54,8 +55,6 @@ POISSON_THETA0 = np.array([0.5])
 POISSON_B_X = 3.0
 POISSON_B_Y = 20.0
 POISSON_X_RANGE = (0.2, 1.5)  # positive exposure-like covariate
-# the largest rate numpy's Generator.poisson accepts (its POISSON_LAM_MAX)
-POISSON_RATE_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 DEFAULT_METHODS = ("nonprivate", "plugin_wald", "noise_aware_wald", "bootstrap", "naive_synth")
 POWER_METHODS = ("plugin_wald", "nonprivate", "naive_synth")

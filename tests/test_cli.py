@@ -13,8 +13,8 @@ from click.testing import CliRunner
 import dpss
 from dpss import estimate, harness, synthgen
 from dpss.cli import main
-from dpss.estimate import BootstrapUnstableError, FisherSingularError, NoiseAwareDivergedError
-from dpss.expfam import MeanOverflowError, SolverDivergedError
+from dpss.estimate import BootstrapUnstableError, FisherSingularError
+from dpss.expfam import MeanOverflowError, NumericalError, SolverDivergedError
 from dpss.privacy import PrivacyBudget, ReleasedStatistic, calibrate_agm
 
 runner = CliRunner()
@@ -325,7 +325,7 @@ def every_draw_failed(model, s_star, theta_hat, rel):
     (["estimate", "--method", "plugin"], estimate, "plugin_mle",
      raising(SolverDivergedError("solver_diverged", [0.0])), "solver_diverged"),
     (["estimate", "--method", "noise_aware"], estimate, "noise_aware_mle",
-     raising(NoiseAwareDivergedError("na_diverged", [0.0])), "na_diverged"),
+     raising(SolverDivergedError("na_diverged", [0.0])), "na_diverged"),
     (["estimate"], estimate, "dp_variance",
      raising(FisherSingularError("fisher_singular")), "fisher_singular"),
     (["bootstrap", "--b-boot", "20"], estimate, "_solve_draws",
@@ -351,7 +351,7 @@ def test_solver_failures_exit_3(workdir, monkeypatch, command, module, attr, rep
 
 
 @pytest.mark.parametrize("attr, exc, code", [
-    ("noise_aware_mle", NoiseAwareDivergedError("na_diverged", [0.0]), "na_diverged"),
+    ("noise_aware_mle", SolverDivergedError("na_diverged", [0.0]), "na_diverged"),
     ("parametric_bootstrap", BootstrapUnstableError("bootstrap_unstable"), "bootstrap_unstable"),
 ])
 def test_experiment_run_solver_failure_exits_3(workdir, monkeypatch, attr, exc, code):
@@ -365,6 +365,65 @@ def test_experiment_run_solver_failure_exits_3(workdir, monkeypatch, attr, exc, 
                  "--out", workdir / "out")
     assert res.exit_code == 3
     assert f"error: {code}" in res.output
+
+
+def numerical_error_classes(cls=NumericalError):
+    """Every class of the NumericalError family, found by walking its subclasses."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from numerical_error_classes(sub)
+
+
+# each command, with a call it makes: (module, attribute) the test makes raise
+COMMAND_CALLS = {
+    "estimate": (["estimate", "--release", "rel.json"], estimate, "dp_variance"),
+    "bootstrap": (["bootstrap", "--release", "rel.json", "--b-boot", "20"], estimate, "plugin_mle"),
+    "synth": (["synth", "--release", "rel.json", "--n-syn", "10", "--out", "out.csv"],
+              synthgen, "generate_synthetic"),
+    "analyze": (["analyze", "--data", "syn.csv"], synthgen, "nonprivate_mle"),
+    "experiment run": (["experiment", "run", "--config", "cfg.json", "--out", "out"],
+                       estimate, "plugin_mle"),
+}
+
+
+@pytest.mark.parametrize("cls", list(numerical_error_classes()), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("command", COMMAND_CALLS)
+def test_every_numerical_error_exits_3_from_every_command(workdir, monkeypatch, command, cls):
+    write_release(workdir)
+    (workdir / "syn.csv").write_text("0.1\n0.2\n")
+    (workdir / "cfg.json").write_text(json.dumps(
+        {"experiment_id": "coverage_sweep", "n_grid": [50], "epsilon_grid": [1.0],
+         "replications": 2, "methods": ["plugin_wald"]}))
+    monkeypatch.setenv("DPSS_THREADS", "1")  # the patch holds only in this process
+    args, module, attr = COMMAND_CALLS[command]
+    code = f"code_of_{cls.__name__}"
+    exc = cls(code, [0.0]) if issubclass(cls, SolverDivergedError) else cls(code)
+    monkeypatch.setattr(module, attr, raising(exc))
+    args = [workdir / a if a.endswith((".json", ".csv")) or a == "out" else a for a in args]
+    model = [] if command == "experiment run" else ["--model", workdir / "model.json"]
+    res = invoke(*args, *model)
+    assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert res.output == f"error: {code}\n"
+
+
+def test_synth_past_the_poisson_samplers_limit_exits_3(workdir):
+    # the plug-in is theta = 10, where rates exp(10 x) up to e^60 exceed what numpy samples
+    np.savetxt(workdir / "design.csv", np.linspace(5.0, 6.0, 40)[:, None])
+    (workdir / "poisson.json").write_text(json.dumps(
+        {"model_id": "poisson", "d": 1, "clip": {"B_X": 10.0, "B_Y": 1e30},
+         "design_csv": "design.csv"}))
+    model = dpss.load_model_config(workdir / "poisson.json")
+    s = model.grad_log_partition(np.array([10.0]))  # a noise-free release at theta = 10
+    rel = ReleasedStatistic(s, 0.0, 40, 1, model.clip_bounds.B, None, "poisson")
+    rel.save(workdir / "rel.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = invoke("synth", "--release", workdir / "rel.json", "--model", workdir / "poisson.json",
+                     "--n-syn", 100, "--out", workdir / "syn.csv")
+    assert res.exit_code == 3
+    assert res.output == "error: mean_overflow\n"
+    assert not (workdir / "syn.csv").exists() and not (workdir / "syn.csv.json").exists()
 
 
 @pytest.mark.parametrize("method", ["plugin", "noise_aware"])
@@ -589,6 +648,29 @@ def test_an_empty_csv_exits_3_without_a_warning(workdir, command, empty, message
         res = invoke(command, "--data", workdir / "data.csv", "--model", workdir / "m.json", *args)
     assert res.exit_code == 3
     assert f"error: {message}" in res.output
+
+
+@pytest.mark.parametrize("raw", [b"# a header line\n", b"# a\n# b\r\n", b"  # a\n\n", b"#a\r#b\r",
+                                 b" \n\n"])
+@pytest.mark.parametrize("command, empty, message", [
+    ("release", "design.csv",
+     "cannot load model config: design_csv must hold at least one row, all finite"),
+    ("release", "data.csv", "cannot read data: empty_dataset"),
+    ("analyze", "data.csv", "cannot read data: empty_dataset"),
+])
+def test_a_comment_only_csv_exits_3_with_nothing_else_on_stderr(workdir, command, empty, message,
+                                                                 raw):
+    (workdir / "m.json").write_text(json.dumps(LOGISTIC_CONFIG))
+    (workdir / "design.csv").write_text("1.0,0.0\n-0.5,0.5\n")
+    (workdir / "data.csv").write_text("1.0,0.0,1\n-0.5,0.5,0\n")
+    (workdir / empty).write_bytes(raw)
+    args = {"release": ["--epsilon", 1.0, "--out", workdir / "rel.json"],
+            "analyze": ["--mode", "naive"]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns of a file with no data
+        res = invoke(command, "--data", workdir / "data.csv", "--model", workdir / "m.json", *args)
+    assert res.exit_code == 3
+    assert res.output == f"error: {message}\n"
 
 
 def test_release_caches_the_design_but_never_the_data(workdir, design_cache_home):

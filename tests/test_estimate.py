@@ -11,7 +11,6 @@ from dpss.estimate import (
     BootstrapUnstableError,
     EstimateReport,
     InvalidVarianceError,
-    NoiseAwareDivergedError,
     dp_variance,
     noise_aware_mle,
     nonprivate_mle,
@@ -28,6 +27,7 @@ from dpss.expfam import (
     GaussianMeanModel,
     LogisticModel,
     MeanOverflowError,
+    NumericalError,
     PoissonModel,
     SolverDivergedError,
 )
@@ -388,10 +388,10 @@ def test_noise_aware_solve_capped_at_newton_max_iter_steps_raises_with_its_itera
 
     monkeypatch.setattr(estimate, "_gls_objective", short_steps)
     solver = {}
-    with pytest.raises(NoiseAwareDivergedError, match="na_diverged") as info:
+    with pytest.raises(SolverDivergedError, match="na_diverged") as info:
         noise_aware_mle(model, rel, theta_plug=start, _solver=solver)
     assert solver == {"nit": NEWTON_MAX_ITER, "nfev": NEWTON_MAX_ITER + 1, "status": 1}
-    assert np.abs(info.value.best_iterate - start).max() > 0
+    assert np.abs(info.value.last_iterate - start).max() > 0
 
 
 # ---------------------------------------------------------------- variance
@@ -440,6 +440,53 @@ def test_dp_variance_n_syn_term_is_added_before_the_cap():
     capped = dp_variance(GaussianMeanModel(1.0), np.zeros(1), make_release([0.0], 0.0, n=10),
                          n_syn=1e-6)
     assert capped[0, 0] == 1e6 / 10
+
+
+class FixedFisher:
+    """A stand-in model whose Fisher information is one fixed matrix."""
+
+    def __init__(self, fisher):
+        self.fisher = np.asarray(fisher, dtype=float)
+        self.d = len(self.fisher)
+
+    def fisher_info(self, theta):
+        return self.fisher
+
+
+def uncapped_variance(fisher, rel):
+    """dp_variance's matrix before its cap, computed as dp_variance computes it."""
+    iinv = np.linalg.inv(fisher + estimate._regularizer(rel.sigma) * np.eye(len(fisher)))
+    var = iinv / rel.n + rel.sigma**2 * (iinv @ iinv)
+    return 0.5 * (var + var.T)
+
+
+@pytest.mark.parametrize("fisher", [
+    np.full((2, 2), 0.25),  # two identical design columns: singular up to the regularizer
+    [[0.25, 0.25, 0.0], [0.25, 0.25, 0.0], [0.0, 0.0, 0.2]],  # and one uncorrelated column
+    [[0.25, 0.25 - 1e-9, 0.001], [0.25 - 1e-9, 0.25, 0.002], [0.001, 0.002, 0.2]],
+])
+def test_dp_variance_cap_keeps_a_covariance(fisher):
+    # capping the diagonal alone left an off-diagonal of -5.4e5 beside a variance of 2500
+    rel = make_release(np.zeros(len(fisher)), 0.01, n=400, model_id="logistic", B=3.0)
+    cap = estimate.VARIANCE_DIAG_CAP / rel.n
+    raw = uncapped_variance(np.asarray(fisher), rel)
+    assert np.diag(raw).max() > cap  # the cap binds
+    v = dp_variance(FixedFisher(fisher), np.zeros(len(fisher)), rel)
+    np.testing.assert_array_equal(np.diag(v), np.minimum(np.diag(raw), cap))
+    np.testing.assert_array_equal(v, v.T)
+    assert np.linalg.eigvalsh(v).min() >= -1e-12 * cap
+    sd = np.sqrt(np.diag(v))
+    assert np.abs(v / np.outer(sd, sd)).max() <= 1 + 1e-12
+    # the entries of rows and columns below the cap are untouched
+    free = np.diag(raw) <= cap
+    np.testing.assert_array_equal(v[np.ix_(free, free)], raw[np.ix_(free, free)])
+
+
+def test_dp_variance_below_the_cap_is_unchanged_bit_for_bit():
+    fisher = np.array([[0.3, 0.1], [0.1, 0.2]])
+    rel = make_release(np.zeros(2), 0.05, n=400, model_id="logistic", B=3.0)
+    np.testing.assert_array_equal(dp_variance(FixedFisher(fisher), np.zeros(2), rel),
+                                  uncapped_variance(fisher, rel))
 
 
 # ---------------------------------------------------------------- wald
@@ -803,14 +850,24 @@ def test_bootstrap_failed_draws_are_retried_projected_counted_and_replaced(monke
     np.testing.assert_allclose(np.array(retried), expected, rtol=1e-15)
 
 
-@pytest.mark.parametrize("exc", [NoiseAwareDivergedError("na_diverged", [0.5, -1.0]),
-                                 SolverDivergedError("solver_diverged", [2.0])])
+def numerical_error_classes(cls=NumericalError):
+    """Every class of the NumericalError family, found by walking its subclasses."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from numerical_error_classes(sub)
+
+
+@pytest.mark.parametrize("exc", [SolverDivergedError("na_diverged", [0.5, -1.0]),
+                                 SolverDivergedError("solver_diverged", [2.0])]
+                         + [cls("a_code") for cls in numerical_error_classes()
+                            if not issubclass(cls, SolverDivergedError)])
 def test_solver_errors_survive_pickling(exc):
     # a harness worker process sends the errors of its cells back pickled
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc) and str(back) == str(exc)
-    iterate = "best_iterate" if isinstance(exc, NoiseAwareDivergedError) else "last_iterate"
-    np.testing.assert_array_equal(getattr(back, iterate), getattr(exc, iterate))
+    assert isinstance(back, NumericalError)
+    if isinstance(exc, SolverDivergedError):
+        np.testing.assert_array_equal(back.last_iterate, exc.last_iterate)
 
 
 def test_bootstrap_unstable_at_ten_percent_failures(monkeypatch):

@@ -1028,6 +1028,42 @@ def test_an_empty_design_raises_without_a_warning(tmp_path, design_cache_home, t
     assert not (design_cache_home / "dpss").exists()
 
 
+# files in which np.loadtxt finds no row: comment lines, blank lines, or both,
+# ended by \n, \r\n or \r alone
+COMMENT_ONLY = [b"# a header line\n", b"# a\n# b\r\n", b"  # a\n\n", b"#a\r#b\r", b"\t# a\r\n \r\n"]
+
+
+@pytest.mark.parametrize("raw", COMMENT_ONLY)
+def test_a_comment_only_design_raises_without_a_warning(tmp_path, design_cache_home, raw):
+    config = write_design_config(tmp_path, "")
+    (tmp_path / "design.csv").write_bytes(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns of a file with no data
+        with pytest.raises(ValueError, match="design_csv must hold at least one row, all finite"):
+            load_model_config(config)
+    assert not (design_cache_home / "dpss").exists()
+
+
+@pytest.mark.parametrize("raw", COMMENT_ONLY)
+def test_a_comment_only_dataset_csv_raises_without_a_warning(tmp_path, raw):
+    (tmp_path / "d.csv").write_bytes(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyDatasetError, match="empty_dataset"):
+            dataset_from_csv(tmp_path / "d.csv", random_logistic(d=2, n=4))
+
+
+@pytest.mark.parametrize("raw", [b"# x\n1,2\n", b"# x\r1,2\r", b"\n# x\r\n 1,2\r\n", b"1,2"])
+def test_comments_before_a_row_are_skipped(tmp_path, design_cache_home, raw):
+    # the check for a data line must see a row after any line ending np.loadtxt accepts
+    config = write_design_config(tmp_path, "")
+    (tmp_path / "design.csv").write_bytes(raw)
+    np.testing.assert_array_equal(load_model_config(config).design, [[1.0, 2.0]])
+    (tmp_path / "d.csv").write_bytes(raw.replace(b"1,2", b"1,2,1"))
+    data = dataset_from_csv(tmp_path / "d.csv", random_logistic(d=2, n=4))
+    np.testing.assert_array_equal(data.x, [[1.0, 2.0]])
+
+
 CHUNK_TEMPORARY_CHURN = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])

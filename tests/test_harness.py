@@ -9,7 +9,7 @@ import pytest
 from scipy.special import expit
 
 from dpss import harness
-from dpss.expfam import Dataset, LogisticModel, PoissonModel
+from dpss.expfam import Dataset, LogisticModel, MeanOverflowError, PoissonModel
 from dpss.harness import (
     ExperimentConfig,
     MetricsTable,
@@ -74,7 +74,7 @@ def test_poisson_theta0_limit_is_the_samplers():
     # the largest accepted theta0 samples; the smallest rejected one is past the sampler
     rng = np.random.default_rng(14)
     make_model_and_data("poisson", np.array([29.0]), 2000, rng)
-    with pytest.raises(ValueError, match="lam value too large"):
+    with pytest.raises(MeanOverflowError, match="mean_overflow"):
         make_model_and_data("poisson", np.array([30.0]), 2000, rng)
 
 
