@@ -29,7 +29,7 @@ VARIANCE_DIAG_CAP = 1e6  # divided by n when applied
 
 
 class FisherSingularError(NumericalError, np.linalg.LinAlgError):
-    """"fisher_singular": the Fisher information is singular even after regularization."""
+    """"fisher_singular": a Fisher is singular after regularization, or to working precision."""
 
 
 class InvalidVarianceError(NumericalError, ValueError):
@@ -339,12 +339,21 @@ def nonprivate_mle(model: ExpFamModel, data: Dataset, alpha: float) -> EstimateR
     """Oracle baseline: the classical MLE of the raw records, with inverse-Fisher/n Wald intervals.
 
     Nothing is clipped: ``records_mle`` takes the records over their own rows.
+    A Fisher that is singular to working precision, with a 1-norm condition
+    number of at least 1/eps, raises FisherSingularError: rounding alone
+    would decide its inverse.
     """
     m, theta_hat = records_mle(model, data)
+    fisher = m.fisher_info(theta_hat)
     try:
-        variance = np.linalg.inv(m.fisher_info(theta_hat)) / data.n
+        inverse = np.linalg.inv(fisher)
     except np.linalg.LinAlgError as exc:
         raise FisherSingularError("fisher_singular") from exc
+    # a 1 x 1 Fisher is singular only at 0, where inv raises, so it skips the norms
+    if model.d > 1 and (np.linalg.norm(fisher, 1) * np.linalg.norm(inverse, 1)
+                        >= 1.0 / np.finfo(float).eps):
+        raise FisherSingularError("fisher_singular")
+    variance = inverse / data.n
     variance = 0.5 * (variance + variance.T)
     return EstimateReport.wald(theta_hat, variance, alpha, "nonprivate_mle", {"n": data.n})
 

@@ -19,16 +19,18 @@ it and Newton share one backtracking line search, ``_backtrack``.
 Every log-partition is A(theta) = mean_i a(x_i . theta) over a public
 design X, so the mean map, the Fisher information and their derivatives
 come from one per-record kernel over X.  It runs on blocks of
-NEWTON_CHUNK_ELEMS // N rows of parameters, so that its (rows, N)
-temporaries stay in cache however many rows a solver holds, and returns
-per-row contractions only: ``mean_and_fisher`` the mean and the Fisher
-block, ``mean_fisher_and_skew`` also the third-cumulant tensor contracted
-with one vector u per row, T[u] = X' diag(w3 * X u) X / N, the derivative of
-the Fisher block along u.  A ``direction(rows, mu, fisher)`` callback gives
-each block's u from that block's mean and Fisher block, so the solvers
-never build T itself.  The Gaussian mean is the one-row design x = 1 with
-a(eta) = sigma0^2 eta^2 / 2.  For the regressions only sum(y_i * x_i)
-carries private information; X is used after the release.
+NEWTON_CHUNK_ELEMS // N rows of parameters, so that its (rows, N) arrays
+stay in cache however many rows a solver holds.  Those arrays are views of
+a per-thread workspace, reused by every block and call on that thread and
+valid until its next kernel call, so no call allocates them.  The kernel
+returns per-row contractions only: ``mean_and_fisher`` the mean and the
+Fisher block, ``mean_fisher_and_skew`` also the third-cumulant tensor
+contracted with one vector u per row, T[u] = X' diag(w3 * X u) X / N, the
+derivative of the Fisher block along u.  A ``direction(rows, mu, fisher)``
+callback gives each block's u from that block's mean and Fisher block, so
+the solvers never build T itself.  The Gaussian mean is the one-row design
+x = 1 with a(eta) = sigma0^2 eta^2 / 2.  For the regressions only
+sum(y_i * x_i) carries private information; X is used after the release.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from __future__ import annotations
 import abc
 import contextlib
 import copy
-import ctypes
 import functools
 import hashlib
 import io
@@ -44,8 +45,8 @@ import json
 import math
 import os
 import re
-import sys
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,37 +56,25 @@ from scipy.special import expit
 PARAM_BOX = 10.0  # box constraint |theta_j| <= 10 for all solvers
 MAX_LOG_RATE = 700.0  # largest log-link eta whose exp is computed
 NEWTON_MAX_ITER = 100  # iterations of the inverse mean map's Newton loop and of minimize_in_box
-# rows x design rows per block of the per-record kernel, so that each
-# (rows, design rows) temporary stays within 0.5 MB
+# rows x design rows per block of the per-record kernel, so that each of its
+# (rows, design rows) arrays, a view of one slot of _workspace, stays within 0.5 MB
 NEWTON_CHUNK_ELEMS = 2**16
 # the largest rate numpy's Generator.poisson accepts (its POISSON_LAM_MAX)
 POISSON_RATE_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
+_WORKSPACE = threading.local()
 
-def _keep_solver_temporaries_on_the_heap() -> None:
-    """Fix glibc's mmap and trim thresholds above the batched solvers' temporaries.
 
-    glibc moves both thresholds at run time, to the size of the largest
-    mmapped block the process has freed so far, so whether each 0.5 MB
-    (rows, design rows) temporary of a solve comes from a fresh mmap, or is
-    trimmed off the heap top when freed, depends on what the process did
-    before.  Processes running the same low-eps bootstrap then fault in
-    about 4k or about 13k pages per pass, and their times differ by 15%.
-    With the thresholds fixed at 4 and 16 temporaries, those arrays stay in
-    the heap and a pass faults in a few pages.  Elsewhere than glibc this
-    does nothing.
+def _workspace(slot: int, rows: int, n: int) -> np.ndarray:
+    """A (rows, n) view of slot ``slot`` of this thread's kernel workspace.
+
+    One (4, max(NEWTON_CHUNK_ELEMS, rows * n)) array per thread, so every
+    kernel block writes the same pages instead of allocating fresh ones.
     """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    temporary = NEWTON_CHUNK_ELEMS * np.dtype(float).itemsize
-    mallopt(-3, 4 * temporary)  # M_MMAP_THRESHOLD
-    mallopt(-1, 16 * temporary)  # M_TRIM_THRESHOLD
-
-
-if sys.platform.startswith("linux"):
-    _keep_solver_temporaries_on_the_heap()
+    buf = getattr(_WORKSPACE, "buf", None)
+    if buf is None or buf.shape[1] < rows * n:
+        buf = _WORKSPACE.buf = np.empty((4, max(NEWTON_CHUNK_ELEMS, rows * n)))
+    return buf[slot, :rows * n].reshape(rows, n)
 
 
 class EmptyDatasetError(ValueError):
@@ -228,7 +217,9 @@ class ExpFamModel(abc.ABC):
         I along u (w3 = dW/d(eta)): the Fisher block's GEMM with the weights
         w3 * X u.  ``direction(rows, mu, fisher)`` is called once per block,
         with the block's slice of Theta's rows and their mu and I, and returns
-        their u, shape (rows, d).  A row whose mean overflowed may get any u,
+        their u, shape (rows, d).  The block's per-record arrays are views of
+        this thread's workspace that its T[u] still needs, so ``direction``
+        must not call the kernel.  A row whose mean overflowed may get any u,
         and its T[u] may be inf or nan; the mask marks it.
         """
         return self._blocked_moments(Theta, direction)
@@ -255,11 +246,9 @@ class ExpFamModel(abc.ABC):
                 if direction is not None:
                     U[rows] = direction(rows, mu[rows], fisher[rows])
                     with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf: an overflowed row
-                        W3u = U[rows] @ self.design.T
+                        W3u = np.matmul(U[rows], self.design.T, out=_workspace(3, len(P), n))
                         W3u *= self._third_cumulants(P, W)
                         skew[rows, i, j] = skew[rows, j, i] = W3u @ outer / n
-                    del W3u
-                del P, W  # so that the next block's kernel does not hold two blocks at once
         return (mu, fisher, finite) if direction is None else (mu, fisher, U, skew, finite)
 
     def _mean_and_fisher_at(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -650,16 +639,23 @@ class LogisticModel(_RegressionModel):
     def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # expit's formula 1 / (1 + exp(-eta)), in place on numpy's vectorised
         # exp, which is several times faster; an overflowing exp gives p = 0
-        P = np.negative(Theta @ self.design.T)
+        b, n = len(Theta), len(self.design)
+        P = np.matmul(Theta, self.design.T, out=_workspace(0, b, n))
+        np.negative(P, out=P)
         with np.errstate(over="ignore"):
             np.exp(P, out=P)
         P += 1.0
         np.reciprocal(P, out=P)
-        return P, P * (1.0 - P), np.ones(len(P), dtype=bool)
+        W = np.subtract(1.0, P, out=_workspace(1, b, n))
+        W *= P
+        return P, W, np.ones(b, dtype=bool)
 
     @staticmethod
     def _third_cumulants(P: np.ndarray, W: np.ndarray) -> np.ndarray:
-        return W * (1.0 - 2.0 * P)
+        w3 = np.multiply(P, 2.0, out=_workspace(2, *P.shape))
+        np.subtract(1.0, w3, out=w3)
+        w3 *= W
+        return w3
 
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
         X = self._design_for_sampling(n, rng)
@@ -689,10 +685,10 @@ class PoissonModel(_RegressionModel):
         return lam
 
     def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        eta = Theta @ self.design.T
+        eta = np.matmul(Theta, self.design.T, out=_workspace(0, len(Theta), len(self.design)))
         finite = eta.max(axis=1) <= MAX_LOG_RATE
         # rows past the cap are masked out; capping keeps their exp finite
-        lam = np.exp(np.minimum(eta, MAX_LOG_RATE))
+        lam = np.exp(np.minimum(eta, MAX_LOG_RATE, out=eta), out=eta)
         return lam, lam, finite
 
     @staticmethod
@@ -754,9 +750,10 @@ def _read_design(path: Path) -> np.ndarray:
     misses.  The bytes are read once, then hashed and, on a miss, parsed,
     so the file cannot change in between.  An entry is written to a
     unique temporary file and renamed into place, so a concurrent reader
-    never sees half of one.  An entry that cannot be read or is not a 2-D
-    float64 array, and a cache that cannot be written, fall back to the
-    parse.  Only the public design is cached, never private records.
+    never sees half of one; threads read entries one at a time.  An entry
+    that cannot be read or is not a 2-D float64 array, and a cache that
+    cannot be written, fall back to the parse.  Only the public design is
+    cached, never private records.
     """
     raw = path.read_bytes()
     if not _DATA_LINE.search(raw):
@@ -766,7 +763,8 @@ def _read_design(path: Path) -> np.ndarray:
         root = os.path.expanduser("~/.cache")
     entry = Path(root, "dpss", hashlib.sha256(raw).hexdigest() + ".npy")
     try:
-        design = np.load(entry, allow_pickle=False)
+        with _CACHE_READ:
+            design = np.load(entry, allow_pickle=False)
         if design.dtype == np.float64 and design.ndim == 2:
             return design
     except (OSError, ValueError, EOFError):
@@ -784,6 +782,10 @@ def _read_design(path: Path) -> np.ndarray:
                 os.unlink(tmp)
     return design
 
+
+# np.load parses a .npy header with ast.literal_eval, which on CPython 3.11 can
+# raise SystemError when threads run it at once
+_CACHE_READ = threading.Lock()
 
 # a line, ended by \n, \r or both, whose first non-blank byte does not start a
 # comment; checked before parsing, as np.loadtxt only warns of a file without one

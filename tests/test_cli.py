@@ -445,16 +445,32 @@ def test_estimate_of_a_statistic_past_1e154_exits_3(workdir, method):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
-def test_analyze_singular_fisher_exits_3(workdir):
-    # the second feature is zero on every record, so the classical Fisher
-    # information of the naive analysis cannot be inverted
-    (workdir / "design.csv").write_text("1.0,0.0\n-0.5,0.0\n")
+def identical_columns_csv():
+    """400 logistic records over the columns (x, x, z), one row per line."""
+    rng = np.random.default_rng(3)
+    x, z = rng.standard_normal((2, 400))
+    y = rng.random(400) < 0.5
+    return "".join(f"{a:.17g},{a:.17g},{c:.17g},{int(b)}\n" for a, c, b in zip(x, z, y))
+
+
+@pytest.mark.parametrize("d, syn", [
+    # the second feature is zero on every record: inv raises
+    (2, "1.0,0.0,1\n-0.5,0.0,0\n0.7,0.0,0\n-1.2,0.0,1\n"),
+    # two identical features: without the condition bound, rounding gives
+    # these records variances of 9.0e13 and exit 0
+    (3, identical_columns_csv()),
+], ids=["zero_column", "identical_columns"])
+def test_analyze_singular_fisher_exits_3(workdir, d, syn):
+    # the classical Fisher information of the naive analysis cannot be inverted
+    (workdir / "design.csv").write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                                for line in syn.splitlines()))
     (workdir / "logit.json").write_text(json.dumps(
-        {"model_id": "logistic", "d": 2, "clip": {"B_X": 3.0}, "design_csv": "design.csv"}))
-    (workdir / "syn.csv").write_text("1.0,0.0,1\n-0.5,0.0,0\n0.7,0.0,0\n-1.2,0.0,1\n")
-    res = invoke("analyze", "--data", workdir / "syn.csv", "--model", workdir / "logit.json")
+        {"model_id": "logistic", "d": d, "clip": {"B_X": 10.0}, "design_csv": "design.csv"}))
+    (workdir / "syn.csv").write_text(syn)
+    res = invoke("analyze", "--data", workdir / "syn.csv", "--model", workdir / "logit.json",
+                 "--mode", "naive")
     assert res.exit_code == 3
-    assert "error: fisher_singular" in res.output
+    assert res.output.strip().splitlines()[-1] == "error: fisher_singular"
 
 
 def test_synth_dimension_mismatch_exits_3(workdir):

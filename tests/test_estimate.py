@@ -1,5 +1,9 @@
 import pickle
+import subprocess
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from dpss.estimate import (
     BootstrapConfig,
     BootstrapUnstableError,
     EstimateReport,
+    FisherSingularError,
     InvalidVarianceError,
     dp_variance,
     noise_aware_mle,
@@ -813,6 +818,63 @@ def test_no_kernel_temporary_is_wider_than_a_block():
     assert max(widths) == NEWTON_CHUNK_ELEMS // 2**14
 
 
+# the low-eps batched inverse of test_batched_inverse_matches_row_by_row_solves_on_low_eps_draws
+# in a fresh interpreter: one warm-up solve, then the page faults of each of five more
+REPEATED_LOW_EPS_SOLVES = """
+import resource, sys
+sys.path[:0] = sys.argv[1:3]
+from test_estimate import low_eps_draws, simulated_release
+model, rel = simulated_release(sys.argv[3], int(sys.argv[4]), 0.1, seed=5)
+S = low_eps_draws(model, rel)
+assert model.inverse_mean_map_batch(S)[1] > 20  # many draws take the fallback
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.inverse_mean_map_batch(S)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.parametrize("model_id, n", [("logistic", 1000), ("poisson", 500)])
+def test_repeated_low_eps_solves_fault_in_no_fresh_kernel_arrays(model_id, n):
+    # every kernel block writes into this thread's workspace; a block that
+    # allocated its (rows, N) arrays afresh would fault in about 9k pages per
+    # logistic solve and 1.5k per Poisson solve
+    pytest.importorskip("resource")  # the script reads ru_minflt
+    paths = [str(Path(estimate.__file__).resolve().parent.parent), str(Path(__file__).parent)]
+    out = subprocess.run([sys.executable, "-c", REPEATED_LOW_EPS_SOLVES, *paths, model_id, str(n)],
+                         capture_output=True, text=True, check=True, timeout=120)
+    faults = [int(line) for line in out.stdout.split()]
+    assert len(faults) == 5 and max(faults) < 100, faults
+
+
+def test_threads_solving_on_two_models_at_once_match_solving_them_in_turn():
+    # each thread's kernel writes its own workspace, so solves interleaved
+    # across threads give the bits of the same solves run one after the other
+    problems = []
+    for model_id, n in (("logistic", 1000), ("poisson", 500)):
+        model, rel = simulated_release(model_id, n, 0.1, seed=5)
+        problems.append((model, low_eps_draws(model, rel)))
+    want = [model.inverse_mean_map_batch(S) for model, S in problems]
+
+    def solve(k):
+        model, S = problems[k % 2]
+        return [model.inverse_mean_map_batch(S) for _ in range(2)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(solve, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, runs in enumerate(results):
+        theta, fallbacks, diverged = want[k % 2]
+        for got in runs:
+            assert got[1] == fallbacks
+            np.testing.assert_array_equal(got[2], diverged)
+            np.testing.assert_array_equal(got[0].view(np.uint64), theta.view(np.uint64))
+
+
 def flaky_newton(model, fails):
     """Make the batched Newton report rows unconverged where ``fails(S)`` holds."""
     newton = model.newton_batch
@@ -927,6 +989,23 @@ def test_nonprivate_is_the_mle_of_the_raw_records():
     np.testing.assert_array_equal(report.theta_hat, theta)
     variance = np.linalg.inv(unbound.fisher_info(theta)) / raw.n
     np.testing.assert_array_equal(report.variance, 0.5 * (variance + variance.T))
+
+
+def collinear_logistic(seed):
+    """A logistic model over the columns (x, x, z), n = 400, B_X = 10, and records drawn from it."""
+    rng = np.random.default_rng(seed)
+    x, z = rng.standard_normal((2, 400))
+    model = LogisticModel(np.column_stack([x, x, z]), B_X=10.0)
+    return model, model.sample(np.array([0.5, 0.5, -0.5]), 400, rng)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nonprivate_with_two_identical_columns_raises_fisher_singular(seed):
+    # the Fisher is singular, so rounding alone decided whether inv raised or
+    # returned a negative or a huge variance; the condition bound gives one answer
+    model, data = collinear_logistic(seed)
+    with pytest.raises(FisherSingularError, match="fisher_singular"):
+        nonprivate_mle(model, data, 0.05)
 
 
 def test_sigma_zero_triple_equality():

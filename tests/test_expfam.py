@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import subprocess
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -1062,29 +1061,3 @@ def test_comments_before_a_row_are_skipped(tmp_path, design_cache_home, raw):
     (tmp_path / "d.csv").write_bytes(raw.replace(b"1,2", b"1,2,1"))
     data = dataset_from_csv(tmp_path / "d.csv", random_logistic(d=2, n=4))
     np.testing.assert_array_equal(data.x, [[1.0, 2.0]])
-
-
-CHUNK_TEMPORARY_CHURN = """
-import resource, sys
-sys.path.insert(0, sys.argv[1])
-import numpy as np
-import dpss.expfam
-rows = dpss.expfam.NEWTON_CHUNK_ELEMS
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(50):  # four chunk-sized temporaries, written and freed together
-    arrays = [np.empty(rows) for _ in range(4)]
-    for a in arrays:
-        a.fill(1.0)
-    del arrays, a
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")
-def test_chunk_sized_temporaries_are_not_faulted_in_again_on_every_iteration():
-    # with glibc's moving thresholds the freed temporaries are trimmed off
-    # the heap and each round faults in their 4 x 128 pages again
-    src = str(Path(dpss.expfam.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", CHUNK_TEMPORARY_CHURN, src],
-                         capture_output=True, text=True, check=True)
-    assert int(out.stdout) < 1000
