@@ -1,7 +1,8 @@
 """Command-line surface for the release-then-infer pipeline.
 
-Exit codes: 0 success, 2 usage/validation error, 3 data or I/O error or
-a numerical failure (an ``expfam.NumericalError``, reported as ``error: <code>``).
+Exit codes: 0 success, 2 usage/validation error, 3 data or I/O error, a
+numerical failure (an ``expfam.NumericalError``, reported as ``error: <code>``)
+or a size that cannot be allocated (``error: out_of_memory``).
 Only ``release`` reads raw data together with a privacy budget; every
 other subcommand operates on released artifacts.
 """
@@ -71,13 +72,19 @@ def _load_release(path, model):
 
 
 class _Main(click.Group):
-    """The command group: a numerical failure in any command exits 3 as ``error: <code>``."""
+    """The command group: a numerical failure in any command exits 3 as ``error: <code>``.
+
+    So does a size that cannot be allocated, such as ``--b-boot`` or
+    ``--n-syn`` past the address space, as ``error: out_of_memory``.
+    """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except NumericalError as exc:
             _data_error(str(exc))
+        except MemoryError:
+            _data_error("out_of_memory")
 
 
 @click.group(cls=_Main)

@@ -118,12 +118,12 @@ def _gls_objective(model: ExpFamModel, rel: ReleasedStatistic, plug: np.ndarray)
     and the positive-definite Gauss-Newton Hessian 2 I C^{-1} I + 0.2 sigma^2 1.
     """
     sigma, n, d = rel.sigma, rel.n, model.d
-    lam = _regularizer(sigma)
     s = rel.s_tilde
     eye = np.eye(d)
+    ridge, noise, anchor = _regularizer(sigma) * eye, sigma**2 * eye, 0.2 * sigma**2 * eye
 
     def covariance(fisher):
-        return (fisher + lam * eye) / n + sigma**2 * eye
+        return (fisher + ridge) / n + noise
 
     def direction(rows, mu, fisher):
         try:
@@ -139,16 +139,16 @@ def _gls_objective(model: ExpFamModel, rel: ReleasedStatistic, plug: np.ndarray)
         diff = Theta[0] - plug
         grad = -2.0 * (fisher[0] @ v) - skew_v[0] @ v / n + 0.2 * sigma**2 * diff
         f = float(r @ v) + 0.1 * sigma**2 * float(diff @ diff)
-        return np.full(1, f), grad[None], finite, fisher, skew_v
+        return np.array([f]), grad[None], finite, fisher, skew_v
 
     def hessians(rows, state):
         fisher, skew_v = (a[rows[0]] for a in state)
         # C^{-1} [I, T[v]]
-        solved = np.linalg.solve(covariance(fisher), np.hstack((fisher, skew_v)))
+        solved = np.linalg.solve(covariance(fisher), np.concatenate((fisher, skew_v), axis=1))
         m = fisher + skew_v / n
         full = 2.0 * m @ (solved[:, :d] + solved[:, d:] / n) - 2.0 * skew_v
         gauss_newton = 2.0 * fisher @ solved[:, :d]
-        return (full + 0.2 * sigma**2 * eye)[None], (gauss_newton + 0.2 * sigma**2 * eye)[None]
+        return (full + anchor)[None], (gauss_newton + anchor)[None]
 
     return evaluate, hessians
 
@@ -214,17 +214,17 @@ def dp_variance(
         iinv = np.linalg.inv(ihat)
     except np.linalg.LinAlgError as exc:
         raise FisherSingularError("fisher_singular") from exc
-    if not np.all(np.isfinite(iinv)):
+    if not np.isfinite(iinv).all():
         raise FisherSingularError("fisher_singular")
     var = iinv / rel.n + rel.sigma**2 * (iinv @ iinv)
     if n_syn is not None:
         var = var + iinv / n_syn
     var = 0.5 * (var + var.T)
     cap = VARIANCE_DIAG_CAP / rel.n
-    diag = np.diag(var)
+    diag = var.diagonal()
     scale = np.sqrt(cap / np.maximum(diag, cap))  # exactly 1 where the entry is not capped
-    var = var * np.outer(scale, scale)  # s_i s_j == s_j s_i, so var stays symmetric
-    np.fill_diagonal(var, np.minimum(diag, cap))
+    var = var * (scale[:, None] * scale)  # s_i s_j == s_j s_i, so var stays symmetric
+    var.flat[::model.d + 1] = np.minimum(diag, cap)
     return var
 
 

@@ -31,6 +31,17 @@ callback gives each block's u from that block's mean and Fisher block, so
 the solvers never build T itself.  The Gaussian mean is the one-row design
 x = 1 with a(eta) = sigma0^2 eta^2 / 2.  For the regressions only
 sum(y_i * x_i) carries private information; X is used after the release.
+
+A row's kernel results are bit-for-bit reproducible under two conditions,
+which every change to the kernel and its solvers must keep:
+
+- every BLAS operand keeps its memory layout: the products of
+  ``_design_outer`` are C-ordered, and each GEMM writes a C-contiguous
+  (rows, k) array, so the same BLAS routine sums in the same order;
+- a row's results depend on how many rows share its GEMM, so the rows that
+  go into each kernel call, and NEWTON_CHUNK_ELEMS, which splits them into
+  blocks, decide the bits.  A solver evaluates the same rows in the same
+  calls whatever its bookkeeping.
 """
 
 from __future__ import annotations
@@ -63,6 +74,20 @@ NEWTON_CHUNK_ELEMS = 2**16
 POISSON_RATE_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 _WORKSPACE = threading.local()
+
+
+@functools.cache
+def _triangle(d: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """The pairs (i, j), i <= j, of a d x d triangle in row order, and a gather index.
+
+    Entry r * d + c of the index is the position of the pair of (r, c), so
+    a row of triangle values, gathered through it, is the symmetric block.
+    """
+    pairs = tuple((i, j) for i in range(d) for j in range(i, d))
+    position = {pair: k for k, pair in enumerate(pairs)}
+    sym = np.array([position[min(r, c), max(r, c)] for r in range(d) for c in range(d)])
+    sym.flags.writeable = False  # shared by every model of dimension d
+    return pairs, sym
 
 
 def _workspace(slot: int, rows: int, n: int) -> np.ndarray:
@@ -175,21 +200,24 @@ class ExpFamModel(abc.ABC):
     # -- family structure ----------------------------------------------
 
     @functools.cached_property
-    def _design_outer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Upper-triangle indices (i, j) and the products x_i x_j of each design row.
+    def _design_outer(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_triangle``'s gather index and the products x_i x_j of each design row.
 
-        The products have shape (n, d(d+1)/2); W @ products / n holds the
-        upper triangles of the Fisher blocks X' diag(w) X / n.
+        The products have shape (n, d(d+1)/2), C-ordered; W @ products / n
+        holds the upper triangles of the Fisher blocks X' diag(w) X / n.
         """
-        i, j = np.triu_indices(self.d)
-        outer = np.empty((len(self.design), len(i)))
-        for k in range(len(i)):  # column by column, so no (n, d(d+1)/2) temporaries
-            np.multiply(self.design[:, i[k]], self.design[:, j[k]], out=outer[:, k])
-        return i, j, outer
+        pairs, sym = _triangle(self.d)
+        outer = np.empty((len(self.design), len(pairs)))
+        for k, (i, j) in enumerate(pairs):  # column by column, so no (n, d(d+1)/2) temporaries
+            np.multiply(self.design[:, i], self.design[:, j], out=outer[:, k])
+        return sym, outer
 
     @abc.abstractmethod
     def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The kernel's per-record means P and variances W, shape (b, n), and finite mask."""
+        """The kernel's per-record means P and variances W, shape (b, n), and finite mask.
+
+        Runs under the kernel's np.errstate, which ignores overflow.
+        """
 
     @staticmethod
     @abc.abstractmethod
@@ -225,30 +253,38 @@ class ExpFamModel(abc.ABC):
         return self._blocked_moments(Theta, direction)
 
     def _blocked_moments(self, Theta: np.ndarray, direction=None) -> tuple[np.ndarray, ...]:
-        """mu, I, with a ``direction`` also U and T[U], and the finite mask, in blocks."""
+        """mu, I, with a ``direction`` also U and T[U], and the finite mask, in blocks.
+
+        Each GEMM writes its own C-contiguous (rows, k) array, as a fresh
+        result would be; the symmetric blocks are gathered from its triangle.
+        """
         n, block, b, d = len(self.design), self._block_rows, len(Theta), self.d
-        i, j, outer = self._design_outer
+        sym, outer = self._design_outer
         mu, fisher, finite = np.empty((b, d)), np.empty((b, d, d)), np.empty(b, dtype=bool)
         if direction is not None:
             U, skew = np.empty((b, d)), np.empty((b, d, d))
         # weights near exp(MAX_LOG_RATE) can take a Fisher block past the float
-        # range: it is inf, and its row's mean is near 1e300
-        with np.errstate(over="ignore"):
+        # range: it is inf, and its row's mean is near 1e300; its T[u] is then
+        # inf * 0 or inf - inf, nan, and the mask marks the row
+        with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, b, block):
                 rows = slice(lo, lo + block)
                 P, W, finite[rows] = self._record_moments(Theta[rows])
-                mu[rows] = P @ self.design / n
-                F = W @ outer / n
-                fisher[rows, i, j] = fisher[rows, j, i] = F
+                mu_rows = np.matmul(P, self.design, out=mu[rows])
+                mu_rows /= n
+                F = W @ outer
+                F /= n
+                F.take(sym, axis=1, out=fisher[rows].reshape(-1, d * d), mode="clip")
                 # a Fisher block past the float range; the sum is finite only if every entry is
                 if not math.isfinite(F.sum()):
                     finite[rows] &= np.isfinite(F).all(axis=1)
                 if direction is not None:
-                    U[rows] = direction(rows, mu[rows], fisher[rows])
-                    with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf: an overflowed row
-                        W3u = np.matmul(U[rows], self.design.T, out=_workspace(3, len(P), n))
-                        W3u *= self._third_cumulants(P, W)
-                        skew[rows, i, j] = skew[rows, j, i] = W3u @ outer / n
+                    U[rows] = direction(rows, mu_rows, fisher[rows])
+                    W3u = np.matmul(U[rows], self.design.T, out=_workspace(3, len(P), n))
+                    W3u *= self._third_cumulants(P, W)
+                    T = W3u @ outer
+                    T /= n
+                    T.take(sym, axis=1, out=skew[rows].reshape(-1, d * d), mode="clip")
         return (mu, fisher, finite) if direction is None else (mu, fisher, U, skew, finite)
 
     def _mean_and_fisher_at(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,6 +343,11 @@ def _solve_blocks(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return x, solved
 
 
+def _norms(A: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(A, axis=1) of a 2-D array, in its arithmetic, without its Python overhead."""
+    return np.sqrt(np.add.reduce(A * A, axis=1))
+
+
 def _row_norms(A: np.ndarray) -> np.ndarray:
     """np.linalg.norm(A, axis=1), without overflow for finite rows with entries past 1e154.
 
@@ -314,11 +355,12 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
     entry, so every other norm is bit-identical to numpy's.
     """
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(A, axis=1)
-    big = np.isinf(norms) & np.isfinite(A).all(axis=1)
+        norms = _norms(A)
+    big = np.isinf(norms)
     if big.any():
+        big &= np.isfinite(A).all(axis=1)
         scale = np.abs(A[big]).max(axis=1)
-        norms[big] = scale * np.linalg.norm(A[big] / scale[:, None], axis=1)
+        norms[big] = scale * _norms(A[big] / scale[:, None])
     return norms
 
 
@@ -333,8 +375,8 @@ def projected_newton_step(theta, grad, hess, gauss_newton) -> tuple[np.ndarray, 
     semi-definite ``gauss_newton`` instead.  Returns the steps (b, d) and a
     mask of the rows whose free block could be solved.
     """
-    eps = np.minimum(1e-3, np.linalg.norm(theta - np.clip(theta - grad, -PARAM_BOX, PARAM_BOX),
-                                          axis=1))[:, None]
+    gap = theta - (theta - grad).clip(-PARAM_BOX, PARAM_BOX)
+    eps = np.minimum(1e-3, _norms(gap))[:, None]
     upper = (theta >= PARAM_BOX - eps) & (grad < 0)
     lower = (theta <= -PARAM_BOX + eps) & (grad > 0)
     fixed = upper | lower
@@ -355,28 +397,29 @@ def _backtrack(evaluate, rows, step, theta, stores) -> np.ndarray:
 
     The candidate of row ``rows[k]`` is theta + t step[k] clipped to the box;
     one ``evaluate(candidates, rows)`` call per halving round evaluates every
-    row still searching.  It returns per-row arrays, the value first and the
-    finite mask third: a finite candidate that lowers the value held in
-    ``stores[0]`` is accepted in place into theta and ``stores``, which hold
-    its other arrays in order.  Returns the rows that found none in 30 halvings.
+    row still searching, all of which have the same t.  It returns per-row
+    arrays, the value first and the finite mask third: a finite candidate
+    that lowers the value held in ``stores[0]`` is accepted in place into
+    theta and ``stores``, which hold its other arrays in order.  Returns the
+    rows that found none in 30 halvings.
     """
-    t = np.ones(len(rows))
-    searching = np.ones(len(rows), dtype=bool)
+    t = 1.0
     for _ in range(30):
-        j = np.flatnonzero(searching)
-        if j.size == 0:
+        if not rows.size:
             break
-        r = rows[j]
-        cand = (theta[r] + t[j, None] * step[j]).clip(-PARAM_BOX, PARAM_BOX)
-        value, second, finite, *rest = evaluate(cand, r)
-        ok = finite & (value < stores[0][r])
-        acc = r[ok]
-        theta[acc] = cand[ok]
+        # take, not fancy indexing: on a few rows it costs a third as much
+        cand = (theta.take(rows, axis=0) + t * step).clip(-PARAM_BOX, PARAM_BOX)
+        value, second, finite, *rest = evaluate(cand, rows)
+        ok = finite & (value < stores[0].take(rows))
+        k = ok.nonzero()[0]
+        acc = rows.take(k)
+        theta[acc] = cand.take(k, axis=0)
         for store, new in zip(stores, (value, second, *rest)):
-            store[acc] = new[ok]
-        searching[j[ok]] = False
-        t[j[~ok]] *= 0.5
-    return rows[searching]
+            store[acc] = new.take(k, axis=0)
+        k = (~ok).nonzero()[0]
+        rows, step = rows.take(k), step.take(k, axis=0)
+        t *= 0.5
+    return rows
 
 
 def minimize_in_box(evaluate, hessians, Theta0) -> tuple[np.ndarray, ...]:
@@ -411,13 +454,13 @@ def minimize_in_box(evaluate, hessians, Theta0) -> tuple[np.ndarray, ...]:
                          np.minimum(theta + PARAM_BOX, grad))
     active = finite & ~(np.abs(projected).max(axis=1) <= 1e-8)  # a nan is not stationary
     for _ in range(NEWTON_MAX_ITER):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
+        rows = active.nonzero()[0]
+        if not rows.size:
             break
         hess, gauss_newton = hessians(rows, state)
         step, solved = projected_newton_step(theta[rows], grad[rows], hess, gauss_newton)
         with np.errstate(over="ignore"):  # past 1e154 the product overflows: the row stops
-            decrease = -(grad[rows] * step).sum(axis=1)
+            decrease = -np.add.reduce(grad[rows] * step, axis=1)
         moving = solved & (decrease > 1e-15 * np.maximum(1.0, np.abs(f[rows])))
         status[rows[~solved]] = 2
         active[rows[~moving]] = False
@@ -545,34 +588,36 @@ class _RegressionModel(ExpFamModel):
 
         def evaluate(Theta, rows):
             mu, fisher, finite = self.mean_and_fisher(Theta)
-            resid = mu - S[rows]
-            with np.errstate(over="ignore"):  # an overflowing norm is inf
-                return np.linalg.norm(resid, axis=1), resid, finite, fisher
+            resid = mu - S.take(rows, axis=0)
+            return _norms(resid), resid, finite, fisher
 
         theta = np.zeros((b, d))
         tol = 1e-8 * np.maximum(1.0, _row_norms(S))
-        # every row starts at theta = 0, so one kernel row serves them all
-        rnorm, resid, _, fisher0 = evaluate(theta[:1], np.arange(b))
-        fishers = np.repeat(fisher0, b, axis=0)
-        active = rnorm > tol
         ridge = 1e-12 * np.eye(d)
-        for _ in range(NEWTON_MAX_ITER):
-            rows = np.flatnonzero(active)
-            if rows.size == 0:
-                break
-            fisher = fishers[rows] + ridge
-            step, moving = _solve_blocks(fisher, -resid[rows])
-            if np.abs(theta).max() >= PARAM_BOX:  # interior solves skip the check
-                # blocked: on a face of the box, with the step pointing further out
-                th = theta[rows]
-                blocked = ((th >= PARAM_BOX) & (step > 0)) | ((th <= -PARAM_BOX) & (step < 0))
-                slope = np.einsum("kij,kj,ki->k", fisher, np.where(blocked, 0.0, step), resid[rows])
-                moving &= ~blocked.any(axis=1) | (slope < 0)
-            active[rows[~moving]] = False
-            rows, step = rows[moving], step[moving]
-            stuck = _backtrack(evaluate, rows, step, theta, (rnorm, resid, fishers))
-            active[stuck] = False
-            active &= rnorm > tol
+        with np.errstate(over="ignore"):  # an overflowing norm is inf
+            # every row starts at theta = 0, so one kernel row serves them all
+            rnorm, resid, _, fisher0 = evaluate(theta[:1], np.arange(b))
+            fishers = np.repeat(fisher0, b, axis=0)
+            active = rnorm > tol
+            for _ in range(NEWTON_MAX_ITER):
+                rows = active.nonzero()[0]
+                if not rows.size:
+                    break
+                fisher = fishers.take(rows, axis=0) + ridge
+                step, moving = _solve_blocks(fisher, -resid.take(rows, axis=0))
+                if np.abs(theta).max() >= PARAM_BOX:  # interior solves skip the check
+                    # blocked: on a face of the box, with the step pointing further out
+                    th = theta[rows]
+                    blocked = ((th >= PARAM_BOX) & (step > 0)) | ((th <= -PARAM_BOX) & (step < 0))
+                    slope = np.einsum("kij,kj,ki->k", fisher, np.where(blocked, 0.0, step),
+                                      resid[rows])
+                    moving &= ~blocked.any(axis=1) | (slope < 0)
+                active[rows[~moving]] = False
+                moving = moving.nonzero()[0]
+                stuck = _backtrack(evaluate, rows.take(moving), step.take(moving, axis=0), theta,
+                                   (rnorm, resid, fishers))
+                active[stuck] = False
+                active &= rnorm > tol
         return theta, rnorm <= tol
 
     def inverse_mean_map_batch(self, S: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
@@ -584,7 +629,7 @@ class _RegressionModel(ExpFamModel):
         S = np.atleast_2d(np.asarray(S, dtype=float))
         theta, converged = self.newton_batch(S)
         diverged = np.zeros(len(S), dtype=bool)
-        rows = np.flatnonzero(~converged)
+        rows = (~converged).nonzero()[0]
         if rows.size:
             theta[rows], diverged[rows] = self._inverse_mean_map_fallback(S[rows], theta[rows])
         return theta, rows.size, diverged
@@ -642,8 +687,7 @@ class LogisticModel(_RegressionModel):
         b, n = len(Theta), len(self.design)
         P = np.matmul(Theta, self.design.T, out=_workspace(0, b, n))
         np.negative(P, out=P)
-        with np.errstate(over="ignore"):
-            np.exp(P, out=P)
+        np.exp(P, out=P)
         P += 1.0
         np.reciprocal(P, out=P)
         W = np.subtract(1.0, P, out=_workspace(1, b, n))

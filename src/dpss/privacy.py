@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,6 +77,8 @@ class ReleasedStatistic:
             raise ValueError("a release with noise needs a privacy budget")
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.n > sys.float_info.max:  # an int compares exactly, without a conversion
+            raise ValueError("n must be within the float range")
         if not (math.isfinite(self.B) and self.B > 0):
             raise ValueError("B must be finite and positive")
         if self.model_id not in MODEL_IDS:

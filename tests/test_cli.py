@@ -407,6 +407,38 @@ def test_every_numerical_error_exits_3_from_every_command(workdir, monkeypatch, 
     assert res.output == f"error: {code}\n"
 
 
+
+# 10**15 records or draws need petabytes, past the address space, so numpy
+# raises MemoryError before it touches any memory
+@pytest.mark.parametrize("command", ["bootstrap", "synth", "experiment run"])
+def test_a_size_that_cannot_be_allocated_exits_3_as_out_of_memory(workdir, monkeypatch, command):
+    write_release(workdir)
+    (workdir / "cfg.json").write_text(json.dumps(
+        {"experiment_id": "variance_validation", "model_id": "gaussian_mean", "n_grid": [10**15],
+         "epsilon_grid": [1.0], "replications": 2}))
+    monkeypatch.setenv("DPSS_THREADS", "1")
+    release = ["--release", workdir / "rel.json", "--model", workdir / "model.json"]
+    args = {"bootstrap": ["bootstrap", *release, "--b-boot", 10**15],
+            "synth": ["synth", *release, "--n-syn", 10**15, "--out", workdir / "syn.csv"],
+            "experiment run": ["experiment", "run", "--config", workdir / "cfg.json",
+                               "--out", workdir / "out"]}[command]
+    res = invoke(*args)
+    assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert res.output.splitlines()[-1] == "error: out_of_memory"
+    assert not (workdir / "syn.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+def test_a_release_whose_n_is_past_the_float_range_exits_3(workdir, command):
+    artifact = json.loads(write_release(workdir).to_json())
+    artifact["n"] = 10**400  # an int JSON allows; as a float it overflows
+    (workdir / "rel.json").write_text(json.dumps(artifact))
+    res = invoke(command, "--release", workdir / "rel.json", "--model", workdir / "model.json")
+    assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert res.output.startswith("error: cannot load release")
+
 def test_synth_past_the_poisson_samplers_limit_exits_3(workdir):
     # the plug-in is theta = 10, where rates exp(10 x) up to e^60 exceed what numpy samples
     np.savetxt(workdir / "design.csv", np.linspace(5.0, 6.0, 40)[:, None])

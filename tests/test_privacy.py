@@ -313,6 +313,7 @@ def test_valid_artifact_loads():
     {"epsilon": None},  # a budget is null only as a whole
     {"delta": None},
     {"epsilon": None, "delta": None},  # no budget, but sigma > 0
+    {"n": 10**400},  # past the float range; last, so the other cases keep their ids
 ])
 def test_malformed_artifact_rejected(changes):
     with pytest.raises(ValueError):
