@@ -265,25 +265,17 @@ def wald_test(
 
 
 def _solve_draws(
-    model: ExpFamModel, s_star: np.ndarray, theta_hat: np.ndarray, rel: ReleasedStatistic
+    model: ExpFamModel, s_star: np.ndarray, theta_hat: np.ndarray
 ) -> tuple[np.ndarray, int, int]:
     """Inverse mean map of every row of s_star: (draws, fallbacks, failures).
 
-    Rows are solved by ``model.inverse_mean_map_batch``.  A diverged row is
-    retried once on its statistic projected onto the ball of radius rel.B;
-    if that fails too, it counts as a failure and is replaced by theta_hat.
+    Rows are solved once, together, by ``model.inverse_mean_map_batch``;
+    a row whose solve diverged counts as a failure and is replaced by
+    theta_hat.
     """
     draws, fallbacks, diverged = model.inverse_mean_map_batch(s_star)
-    failures = 0
-    for b in np.flatnonzero(diverged):
-        norm = np.linalg.norm(s_star[b])
-        s_proj = s_star[b] * (rel.B / norm) if norm > rel.B else s_star[b]
-        try:
-            draws[b] = model.inverse_mean_map(s_proj)
-        except SolverDivergedError:
-            failures += 1
-            draws[b] = theta_hat
-    return draws, fallbacks, failures
+    draws[diverged] = theta_hat
+    return draws, fallbacks, int(diverged.sum())
 
 
 def parametric_bootstrap(
@@ -303,8 +295,9 @@ def parametric_bootstrap(
     and solved together by the model's batched inverse mean map;
     ``diagnostics["fallbacks"]`` counts the draws that Newton left to its
     projected-Newton fallback and ``diagnostics["failures"]`` the draws
-    replaced by theta_hat.  A caller that already holds ``plugin_mle(model, rel)`` passes
-    it as ``theta_hat`` to skip solving it again.
+    whose solve diverged, each replaced by theta_hat; failures in 10% of
+    the draws raise BootstrapUnstableError.  A caller that already holds
+    ``plugin_mle(model, rel)`` passes it as ``theta_hat`` to skip solving it again.
     """
     if theta_hat is None:
         theta_hat = plugin_mle(model, rel)
@@ -312,7 +305,7 @@ def parametric_bootstrap(
     cov = model.fisher_info(theta_hat) / rel.n + rel.sigma**2 * np.eye(model.d)
     chol = np.linalg.cholesky(cov + 1e-15 * np.eye(model.d))
     s_star = mu + rng.standard_normal((cfg.b_boot, model.d)) @ chol.T
-    draws, fallbacks, failures = _solve_draws(model, s_star, theta_hat, rel)
+    draws, fallbacks, failures = _solve_draws(model, s_star, theta_hat)
     if failures >= 0.1 * cfg.b_boot:
         raise BootstrapUnstableError("bootstrap_unstable")
     lo = np.quantile(draws, cfg.alpha / 2.0, axis=0)

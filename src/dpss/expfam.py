@@ -62,7 +62,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 PARAM_BOX = 10.0  # box constraint |theta_j| <= 10 for all solvers
 MAX_LOG_RATE = 700.0  # largest log-link eta whose exp is computed
@@ -703,7 +702,11 @@ class LogisticModel(_RegressionModel):
 
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
         X = self._design_for_sampling(n, rng)
-        p = expit(X @ np.asarray(theta, dtype=float))
+        p = np.negative(X @ np.asarray(theta, dtype=float))
+        with np.errstate(over="ignore"):  # the kernel's 1 / (1 + exp(-eta)); overflow gives p = 0
+            np.exp(p, out=p)
+        p += 1.0
+        np.reciprocal(p, out=p)
         y = (rng.random(n) < p).astype(float)
         return Dataset(X.copy(), y)
 

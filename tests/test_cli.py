@@ -146,6 +146,14 @@ def test_release_negative_seed_exits_2(workdir):
     assert not (workdir / "rel.json").exists()
 
 
+def test_release_delta_that_is_not_a_number_exits_2(workdir):
+    res = invoke("release", "--data", workdir / "data.csv", "--model", workdir / "model.json",
+                 "--epsilon", 1.0, "--delta", "abc", "--out", workdir / "rel.json")
+    assert res.exit_code == 2
+    assert "delta must be a number or 'auto'" in res.output
+    assert not (workdir / "rel.json").exists()
+
+
 def test_release_auto_delta_is_one_over_n_sq(workdir):
     rows = "\n".join(["0.1"] * 1000)
     (workdir / "big.csv").write_text(rows + "\n")
@@ -192,6 +200,18 @@ def test_release_schema_mismatch_exits_3(workdir):
     res = invoke("release", "--data", workdir / "bad.csv", "--model", workdir / "model.json",
                  "--epsilon", 1.0, "--out", workdir / "rel.json")
     assert res.exit_code == 3
+
+
+def test_release_data_of_the_wrong_width_exits_3(workdir):
+    np.savetxt(workdir / "design.csv", np.eye(5), delimiter=",")
+    (workdir / "m.json").write_text(json.dumps(
+        {"model_id": "logistic", "d": 5, "clip": {"B_X": 3.0}, "design_csv": "design.csv"}))
+    (workdir / "bad.csv").write_text("1.0,0.0,0.0,0.0,1\n0.0,1.0,0.0,0.0,0\n")  # 4 features plus y
+    res = invoke("release", "--data", workdir / "bad.csv", "--model", workdir / "m.json",
+                 "--epsilon", 1.0, "--out", workdir / "rel.json")
+    assert res.exit_code == 3
+    assert "error: cannot read data: expected 5 feature columns plus y" in res.output
+    assert not (workdir / "rel.json").exists()
 
 
 # a model config and a two-row data CSV with one {bad} entry, per model
@@ -317,7 +337,7 @@ def raising(exc):
     return fail
 
 
-def every_draw_failed(model, s_star, theta_hat, rel):
+def every_draw_failed(model, s_star, theta_hat):
     return s_star.copy(), len(s_star), len(s_star)
 
 

@@ -83,6 +83,18 @@ def test_plugin_consistency_sigma_zero_large_n(model_id):
     np.testing.assert_allclose(plugin_mle(model, rel), theta0, atol=0.01)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: plugin_mle(GaussianMeanModel(1.0), make_release([0.1, 0.2], 0.1)), "dimension"),
+    (lambda: estimate.estimate_report(GaussianMeanModel(1.0), make_release([0.3], 0.1), "x", 0.05),
+     "unknown method"),
+    (lambda: wald_ci([0.3], [[0.01]], 1.0), "alpha"),
+    (lambda: BootstrapConfig(1), "b_boot"),
+], ids=["plugin_other_d", "unknown_method", "wald_alpha_1", "b_boot_1"])
+def test_invalid_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ------------------------------------------------------------ noise-aware
 
 def test_noise_aware_equals_plugin_for_gaussian():
@@ -577,6 +589,7 @@ def test_bootstrap_wald_consilience_with_noise():
 def per_draw_bootstrap(model, rel, cfg, rng):
     """The per-draw loop the batched bootstrap solve replaced, kept as the reference.
 
+    Each draw is solved once; a diverged one is replaced by theta_hat.
     Returns the draws and the failure count.
     """
     theta_hat = plugin_mle(model, rel)
@@ -590,13 +603,8 @@ def per_draw_bootstrap(model, rel, cfg, rng):
         try:
             draws[b] = model.inverse_mean_map(s_star)
         except SolverDivergedError:
-            norm = np.linalg.norm(s_star)
-            s_proj = s_star * (rel.B / norm) if norm > rel.B else s_star
-            try:
-                draws[b] = model.inverse_mean_map(s_proj)
-            except SolverDivergedError:
-                failures += 1
-                draws[b] = theta_hat
+            failures += 1
+            draws[b] = theta_hat
     return draws, failures
 
 
@@ -731,7 +739,6 @@ def test_batched_bootstrap_rows_that_overflow_match_the_loop(monkeypatch):
     model = PoissonModel(X, B_X=100.0, B_Y=1e6)
     thetas = substream(7, "overflow").uniform(-0.05, 0.15, (30, 2))
     s_star = np.array([model.grad_log_partition(t) for t in thetas])
-    rel = make_release(s_star[0], 0.0, n=200, model_id="poisson", B=1e8)
     overflowed = []
     kernel = model.mean_and_fisher
 
@@ -741,7 +748,7 @@ def test_batched_bootstrap_rows_that_overflow_match_the_loop(monkeypatch):
         return mu, fisher, finite
 
     monkeypatch.setattr(model, "mean_and_fisher", spy)
-    draws, _, failures = estimate._solve_draws(model, s_star, thetas[0], rel)
+    draws, _, failures = estimate._solve_draws(model, s_star, thetas[0])
     monkeypatch.undo()
     assert any(overflowed)
     assert failures == 0
@@ -750,10 +757,9 @@ def test_batched_bootstrap_rows_that_overflow_match_the_loop(monkeypatch):
 
 
 def test_bootstrap_chunks_are_sized_by_the_design_not_the_release():
-    # the release says n = 100, but the public design has 2**14 rows, and it
-    # is the design that sets the width of the kernel's temporaries
+    # the public design has 2**14 rows, and it, not a release's n, sets the
+    # width of the kernel's temporaries
     model = LogisticModel(substream(11, "chunks").standard_normal((2**14, 2)))
-    rel = make_release([0.1, -0.1], 0.0, n=100, model_id="logistic", B=3.0)
     thetas = substream(12, "chunks").uniform(-0.5, 0.5, (10, 2))
     s_star = np.array([model.grad_log_partition(t) for t in thetas])
     widths, blocks = [], []
@@ -761,7 +767,7 @@ def test_bootstrap_chunks_are_sized_by_the_design_not_the_release():
     model.newton_batch = lambda S: widths.append(len(S)) or newton(S)
     model.mean_and_fisher = lambda Theta: blocks.append([]) or kernel(Theta)
     model._record_moments = lambda Theta: blocks[-1].append(len(Theta)) or moments(Theta)
-    draws, fallbacks, failures = estimate._solve_draws(model, s_star, thetas[0], rel)
+    draws, fallbacks, failures = estimate._solve_draws(model, s_star, thetas[0])
     assert widths == [10]  # one Newton loop over every draw
     # the start at theta = 0, then the first step of all 10 draws, in blocks of
     # NEWTON_CHUNK_ELEMS // 2**14 rows
@@ -886,30 +892,34 @@ def flaky_newton(model, fails):
     model.newton_batch = patched
 
 
-def test_bootstrap_failed_draws_are_retried_projected_counted_and_replaced(monkeypatch):
+def test_bootstrap_failed_draws_are_counted_and_replaced(monkeypatch):
     model = LogisticModel(substream(8, "fail").standard_normal((400, 2)))
-    # a small B puts every draw outside the ball, so each retry is projected
-    rel = make_release([0.2, -0.1], 0.01, n=400, model_id="logistic", B=0.05)
     s_star = np.tile([0.2, -0.1], (40, 1)) + 0.01 * substream(9, "fail").standard_normal((40, 2))
     bad = [3, 17, 31]
     s_star[bad] = [[0.15, 0.2], [0.1, 0.25], [0.05, 0.1]]  # the only rows with s_2 > 0
-    # projection keeps the direction, so these rows fail again when retried
     flaky_newton(model, lambda S: S[:, 1] > 0)
 
     def diverge(S, Theta0):
         return Theta0.copy(), np.ones(len(S), dtype=bool)
 
     monkeypatch.setattr(model, "_inverse_mean_map_fallback", diverge)
-    retried = []
-    inverse = model.inverse_mean_map
-    monkeypatch.setattr(model, "inverse_mean_map", lambda s: retried.append(s) or inverse(s))
+    solved, retried = [], []
+    batch = model.inverse_mean_map_batch
+
+    def batch_spy(S):
+        theta, fallbacks, diverged = batch(S)
+        solved.append(theta.copy())
+        return theta, fallbacks, diverged
+
+    monkeypatch.setattr(model, "inverse_mean_map_batch", batch_spy)
+    monkeypatch.setattr(model, "inverse_mean_map", retried.append)
     theta_hat = np.array([0.3, -0.3])
-    draws, fallbacks, failures = estimate._solve_draws(model, s_star, theta_hat, rel)
+    draws, fallbacks, failures = estimate._solve_draws(model, s_star, theta_hat)
     assert (fallbacks, failures) == (3, 3)
+    assert len(solved) == 1 and retried == []  # one batched solve; no row is solved again
     np.testing.assert_array_equal(draws[bad], np.tile(theta_hat, (3, 1)))
+    np.testing.assert_array_equal(np.delete(draws, bad, axis=0), np.delete(solved[0], bad, axis=0))
     assert not np.any(np.all(np.delete(draws, bad, axis=0) == theta_hat, axis=1))
-    expected = s_star[bad] * (rel.B / np.linalg.norm(s_star[bad], axis=1))[:, None]
-    np.testing.assert_allclose(np.array(retried), expected, rtol=1e-15)
 
 
 def numerical_error_classes(cls=NumericalError):
@@ -937,7 +947,7 @@ def test_bootstrap_unstable_at_ten_percent_failures(monkeypatch):
     rel = make_release([0.3], 0.1)
     for failures, unstable in [(1, False), (2, True)]:
         monkeypatch.setattr(estimate, "_solve_draws",
-                            lambda m, s, th, r, k=failures: (s.copy(), k, k))
+                            lambda m, s, th, k=failures: (s.copy(), k, k))
         if unstable:
             with pytest.raises(BootstrapUnstableError, match="bootstrap_unstable"):
                 parametric_bootstrap(model, rel, BootstrapConfig(20, 0.05), substream(1, "u"))

@@ -19,6 +19,7 @@ import dpss.expfam
 from dpss.expfam import (
     NEWTON_MAX_ITER,
     PARAM_BOX,
+    ClipBounds,
     Dataset,
     EmptyDatasetError,
     ExpFamModel,
@@ -106,6 +107,16 @@ def test_clip_passes_through_interior_records():
     model = GaussianMeanModel(1.0, B=5.0)
     x = np.array([0.1, -2.3, 4.9])
     np.testing.assert_array_equal(model.clip(Dataset(x)).x, x)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ClipBounds(B=0.0), "B must be positive"),
+    (lambda: Dataset(np.zeros((3, 2)), np.zeros(2)), "lengths disagree"),
+    (lambda: GaussianMeanModel(sigma0_sq=0.0), "sigma0_sq"),
+], ids=["clip_bound_0", "x_y_lengths", "sigma0_sq_0"])
+def test_invalid_arguments_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ----------------------------------------------------------- mean suff stat

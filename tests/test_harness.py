@@ -172,6 +172,11 @@ def test_substreams_are_disjoint_and_order_free():
     assert not np.allclose(a, b)
 
 
+def test_substream_rejects_a_negative_key():
+    with pytest.raises(ValueError, match="non-negative"):
+        substream(0, -1)
+
+
 def test_sweep_deterministic_across_runs():
     cfg = tiny_sweep_config()
     t1 = run_experiment(cfg)

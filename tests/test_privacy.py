@@ -50,6 +50,9 @@ def test_l2_sensitivity():
     assert l2_sensitivity(3.0, 1000) == 0.006
     assert l2_sensitivity(1.0, 2) == 1.0
     assert l2_sensitivity(60.0, 500) == pytest.approx(0.24)
+    for B, n in [(0.0, 10), (1.0, 0)]:
+        with pytest.raises(ValueError, match="B > 0 and n >= 1"):
+            l2_sensitivity(B, n)
 
 
 def test_budget_validation():
