@@ -296,7 +296,9 @@ def parametric_bootstrap(
     ``diagnostics["fallbacks"]`` counts the draws that Newton left to its
     projected-Newton fallback and ``diagnostics["failures"]`` the draws
     whose solve diverged, each replaced by theta_hat; failures in 10% of
-    the draws raise BootstrapUnstableError.  A caller that already holds
+    the draws raise BootstrapUnstableError.  ``diagnostics["draws_at_box"]``
+    counts the draws with a coordinate on a face of the box: intervals
+    built from many of them show the box, not the release.  A caller that already holds
     ``plugin_mle(model, rel)`` passes it as ``theta_hat`` to skip solving it again.
     """
     if theta_hat is None:
@@ -318,7 +320,8 @@ def parametric_bootstrap(
         cis=[(float(a), float(b)) for a, b in zip(lo, hi)],
         alpha=cfg.alpha,
         method="bootstrap",
-        diagnostics={"b_boot": cfg.b_boot, "failures": failures, "fallbacks": fallbacks},
+        diagnostics={"b_boot": cfg.b_boot, "failures": failures, "fallbacks": fallbacks,
+                     "draws_at_box": int((np.abs(draws) >= PARAM_BOX).any(axis=1).sum())},
     )
 
 

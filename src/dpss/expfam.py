@@ -10,7 +10,14 @@ and the inverse mean map used by the plug-in estimator.
 ``inverse_mean_map_batch`` inverts the mean map for many statistics at
 once: one damped-Newton loop over every row, then a fallback on the
 least-squares residual for the unconverged rows, each started from its last
-Newton iterate; a row whose fallback diverges is marked, not raised.
+Newton iterate; a row whose fallback diverges is marked, not raised.  Each
+Newton step is bounded in the linear predictor: it is scaled down so that its
+reach ||step|| max_i ||x_i|| is at most NEWTON_MAX_REACH, which by
+Cauchy-Schwarz bounds max_i |x_i . step|, the most it moves any record's
+x_i . theta (a trust region in eta; Nocedal and Wright, ch. 4).  The row-norm
+bound needs only the step's norms, and in the common case, where no row is
+near it, one dot product of the step with itself; the exact maximum would
+cost a (rows, N) product with the design on every iteration.
 ``inverse_mean_map`` is the one-row case, which raises.  The fallback is
 ``minimize_in_box``, Bertsekas' projected Newton method over the box for a
 batch of rows, which also solves the noise-aware likelihood in ``estimate``;
@@ -66,6 +73,9 @@ import numpy as np
 PARAM_BOX = 10.0  # box constraint |theta_j| <= 10 for all solvers
 MAX_LOG_RATE = 700.0  # largest log-link eta whose exp is computed
 NEWTON_MAX_ITER = 100  # iterations of the inverse mean map's Newton loop and of minimize_in_box
+# largest reach ||step|| * max_i ||x_i|| of a Newton step in newton_batch, a bound on
+# how far it moves any record's linear predictor x_i . theta
+NEWTON_MAX_REACH = 10.0
 # rows x design rows per block of the per-record kernel, so that each of its
 # (rows, design rows) arrays, a view of one slot of _workspace, stays within 0.5 MB
 NEWTON_CHUNK_ELEMS = 2**16
@@ -210,6 +220,16 @@ class ExpFamModel(abc.ABC):
         for k, (i, j) in enumerate(pairs):  # column by column, so no (n, d(d+1)/2) temporaries
             np.multiply(self.design[:, i], self.design[:, j], out=outer[:, k])
         return sym, outer
+
+    @functools.cached_property
+    def _max_row_norm(self) -> float:
+        """The largest L2 norm of a design row, max_i ||x_i||.
+
+        The squared norms come from one matrix-vector product: a reduction
+        along rows of d entries costs three times as much, and the harness
+        builds a design, and so a model, per replication.
+        """
+        return math.sqrt((np.square(self.design) @ np.ones(self.d)).max())
 
     @abc.abstractmethod
     def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -579,8 +599,14 @@ class _RegressionModel(ExpFamModel):
         slope (I r).d of 0.5 ||mu - s||^2 along the clipped step d (the step
         with those blocked coordinates set to zero) is not negative: short
         steps then cannot lower the residual (Bertsekas, SIAM J. Control
-        Optim. 1982).  Each iteration makes one ``mean_and_fisher`` call per
-        halving round over the rows still searching.
+        Optim. 1982).  A step whose reach ||step|| max_i ||x_i||, a bound on
+        max_i |x_i . step|, exceeds NEWTON_MAX_REACH is scaled down to it
+        before halving, so that no step moves a record's linear predictor by
+        more than 10: far from a solution the full step can be 1e10, and 30
+        halvings of it, clipped to the box, may all land where the mean
+        overflows.  A step within the bound is taken as it is, bit for bit.  Each
+        iteration makes one ``mean_and_fisher`` call per halving round over
+        the rows still searching.
         """
         S = np.atleast_2d(np.asarray(S, dtype=float))
         b, d = S.shape
@@ -593,6 +619,7 @@ class _RegressionModel(ExpFamModel):
         theta = np.zeros((b, d))
         tol = 1e-8 * np.maximum(1.0, _row_norms(S))
         ridge = 1e-12 * np.eye(d)
+        m = self._max_row_norm
         with np.errstate(over="ignore"):  # an overflowing norm is inf
             # every row starts at theta = 0, so one kernel row serves them all
             rnorm, resid, _, fisher0 = evaluate(theta[:1], np.arange(b))
@@ -611,6 +638,11 @@ class _RegressionModel(ExpFamModel):
                     slope = np.einsum("kij,kj,ki->k", fisher, np.where(blocked, 0.0, step),
                                       resid[rows])
                     moving &= ~blocked.any(axis=1) | (slope < 0)
+                # no row's reach passes the bound unless the sum of their squares does
+                if np.vdot(step, step) * (m * m) > NEWTON_MAX_REACH**2:
+                    reach = _row_norms(step) * m
+                    far = reach > NEWTON_MAX_REACH
+                    step[far] *= (NEWTON_MAX_REACH / reach[far])[:, None]
                 active[rows[~moving]] = False
                 moving = moving.nonzero()[0]
                 stuck = _backtrack(evaluate, rows.take(moving), step.take(moving, axis=0), theta,
@@ -656,6 +688,7 @@ class _RegressionModel(ExpFamModel):
         """A copy of this model over the rows ``design`` as given: rows past B_X stay unclipped."""
         model = copy.copy(self)
         model.__dict__.pop("_design_outer", None)  # cached products of the old rows
+        model.__dict__.pop("_max_row_norm", None)
         model.design = np.atleast_2d(np.asarray(design, dtype=float))
         return model
 

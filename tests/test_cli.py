@@ -302,6 +302,7 @@ def test_bootstrap_command(workdir):
     report = json.loads(res.output)
     assert report["method"] == "bootstrap"
     assert len(report["cis"]) == 1
+    assert report["diagnostics"]["draws_at_box"] == 0
 
 
 def test_bootstrap_negative_seed_exits_2(workdir):
@@ -523,6 +524,27 @@ def test_analyze_singular_fisher_exits_3(workdir, d, syn):
                  "--mode", "naive")
     assert res.exit_code == 3
     assert res.output.strip().splitlines()[-1] == "error: fisher_singular"
+
+
+def test_bootstrap_on_a_singular_fisher_reports_draws_at_box(workdir):
+    # the two identical columns leave the Fisher singular; the bootstrap passes its
+    # failure gate, and its intervals on those columns reach the box, which
+    # draws_at_box makes visible
+    syn = identical_columns_csv()
+    (workdir / "design.csv").write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                                for line in syn.splitlines()))
+    (workdir / "logit.json").write_text(json.dumps(
+        {"model_id": "logistic", "d": 3, "clip": {"B_X": 10.0}, "design_csv": "design.csv"}))
+    (workdir / "data.csv").write_text(syn)
+    model = ("--model", workdir / "logit.json")
+    assert invoke("release", "--data", workdir / "data.csv", *model, "--epsilon", 5,
+                  "--seed", 7, "--out", workdir / "rel.json").exit_code == 0
+    res = invoke("bootstrap", "--release", workdir / "rel.json", *model,
+                 "--b-boot", 200, "--seed", 7)
+    assert res.exit_code == 0
+    report = json.loads(res.output)
+    assert report["diagnostics"]["draws_at_box"] > 0
+    assert max(hi for _, hi in report["cis"][:2]) == 10.0
 
 
 def test_synth_dimension_mismatch_exits_3(workdir):

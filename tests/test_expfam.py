@@ -18,6 +18,7 @@ from scipy.special import expit
 import dpss.expfam
 from dpss.expfam import (
     NEWTON_MAX_ITER,
+    NEWTON_MAX_REACH,
     PARAM_BOX,
     ClipBounds,
     Dataset,
@@ -36,6 +37,7 @@ from dpss.expfam import (
     load_model_config,
     minimize_in_box,
 )
+from dpss.privacy import PrivacyBudget, calibrate_agm, l2_sensitivity
 
 RNG = np.random.default_rng(511)
 
@@ -279,19 +281,34 @@ def test_inverse_mean_map_out_of_range_hits_boundary():
     assert th[0] == pytest.approx(10.0)
 
 
-def scalar_newton(model, s):
-    """The one-statistic damped Newton that newton_batch replaced, kept as the reference."""
+def scalar_newton(model, s, face_stop=True):
+    """The one-statistic damped Newton that newton_batch replaced, kept as the reference.
+
+    Each step is shortened so that ||step|| max_i ||x_i|| is at most
+    NEWTON_MAX_REACH.  With ``face_stop``, a point on a face of the box whose
+    step points further out stops when the slope r' I d along the step d with
+    those coordinates set to zero is not negative; without it, such a step is
+    halved 30 times like any other.
+    """
     theta = np.zeros(model.d)
+    max_row_norm = np.linalg.norm(model.design, axis=1).max()
     tol = 1e-8 * max(1.0, float(np.linalg.norm(s)))
     resid = model.grad_log_partition(theta) - s
     for _ in range(NEWTON_MAX_ITER):
         rnorm = np.linalg.norm(resid)
         if rnorm <= tol:
             break
+        fisher = model.fisher_info(theta) + 1e-12 * np.eye(model.d)
         try:
-            step = np.linalg.solve(model.fisher_info(theta) + 1e-12 * np.eye(model.d), -resid)
+            step = np.linalg.solve(fisher, -resid)
         except np.linalg.LinAlgError:
             break
+        blocked = ((theta >= PARAM_BOX) & (step > 0)) | ((theta <= -PARAM_BOX) & (step < 0))
+        if face_stop and blocked.any() and resid @ fisher @ np.where(blocked, 0.0, step) >= 0:
+            break
+        reach = np.linalg.norm(step) * max_row_norm
+        if reach > NEWTON_MAX_REACH:
+            step *= NEWTON_MAX_REACH / reach
         t = 1.0
         for _ in range(30):
             cand = np.clip(theta + t * step, -PARAM_BOX, PARAM_BOX)
@@ -310,7 +327,7 @@ def scalar_newton(model, s):
 
 
 def overflowing_poisson():
-    """Poisson model whose full Newton steps from 0 overflow the log link."""
+    """Poisson model whose unbounded Newton steps from 0 would overflow the log link."""
     X = np.random.default_rng(1).uniform(20.0, 60.0, (200, 2))
     return PoissonModel(X, B_X=100.0, B_Y=1e6)
 
@@ -335,7 +352,10 @@ def test_newton_batch_matches_scalar_newton(maker, low, high):
     assert converged[:12].all() and not converged[12:].any()
 
 
-def test_newton_batch_reports_overflow_per_row():
+def test_newton_batch_candidates_stay_below_max_log_rate():
+    # the full Newton step from 0 takes x . theta past MAX_LOG_RATE on this design;
+    # a step moves no record's x . theta by more than NEWTON_MAX_REACH, so no
+    # candidate's rate overflows and no halving round is spent on one
     model = overflowing_poisson()
     calls = []
     kernel = model.mean_and_fisher
@@ -349,18 +369,28 @@ def test_newton_batch_reports_overflow_per_row():
     S = model.grad_log_partition(np.array([0.1, 0.1]))[None]
     _, converged = model.newton_batch(S)
     assert converged[0]
-    assert any(not finite.all() for finite in calls)
+    assert all(finite.all() for finite in calls)
+
+
+def test_the_kernel_masks_a_rate_past_max_log_rate_per_row():
+    # x . theta = 750 is capped at MAX_LOG_RATE, where the mean (1e306) and the
+    # Fisher block (1e308) are still finite: only the rate check marks that row
+    model = PoissonModel(np.array([[100.0]]), B_X=200.0, B_Y=1e6)
+    mu, fisher, finite = model.mean_and_fisher(np.array([[7.5], [0.1]]))
+    assert np.isfinite(mu).all() and np.isfinite(fisher).all()
+    assert finite.tolist() == [False, True]
+    np.testing.assert_array_equal(mu[1], model.grad_log_partition(np.array([0.1])))
 
 
 def test_newton_batch_stops_a_row_whose_clipped_step_cannot_descend():
-    # the first mean coordinate cannot reach 3, so one Newton step puts theta_0
-    # on the box face, and every later step points further out; along the
-    # clipped step the residual does not decrease, so the row stops at once
+    # the first mean coordinate cannot reach 3, so Newton walks theta_0 onto the
+    # box face, where every later step points further out; along the clipped
+    # step the residual does not decrease, so the row stops at once
     model = random_logistic(d=2)
     s = np.array([3.0, 0.0])
     calls = []
     kernel = model.mean_and_fisher
-    model.mean_and_fisher = lambda Theta: calls.append(len(Theta)) or kernel(Theta)
+    model.mean_and_fisher = lambda Theta: calls.append(Theta[0].copy()) or kernel(Theta)
     theta, converged = model.newton_batch(s[None])
     newton_calls = len(calls)
     assert not converged[0]
@@ -368,10 +398,18 @@ def test_newton_batch_stops_a_row_whose_clipped_step_cannot_descend():
     fisher = model.fisher_info(theta[0])
     step = np.linalg.solve(fisher + 1e-12 * np.eye(2), s - model.grad_log_partition(theta[0]))
     assert step[0] > 0  # blocked by the face
-    # the start and the step that reached the face; the loop used to add 30
-    # halving rounds, every one rejected, and end at the same iterate
-    assert newton_calls == 2
-    ref_theta, ref_converged = scalar_newton(random_logistic(d=2), s)
+    # a bounded step moves theta by at most NEWTON_MAX_REACH / max_i ||x_i||, so
+    # reaching theta_0 = 10 from 0 takes at least `steps` of them; here every one is
+    # bounded, all but the last are accepted whole, and the last, clipped onto the
+    # face, is accepted after one halving.  So: the start, `steps` steps and one
+    # halving round; the loop without the face stop would add 30 rejected rounds
+    max_row_norm = np.linalg.norm(model.design, axis=1).max()
+    steps = math.ceil(PARAM_BOX * max_row_norm / NEWTON_MAX_REACH)
+    assert steps == 3
+    assert newton_calls == 1 + steps + 1
+    np.testing.assert_allclose(np.linalg.norm(np.diff(calls[:steps], axis=0), axis=1),
+                               NEWTON_MAX_REACH / max_row_norm, rtol=1e-12)
+    ref_theta, ref_converged = scalar_newton(random_logistic(d=2), s, face_stop=False)
     assert not ref_converged
     np.testing.assert_array_equal(theta[0], ref_theta)
 
@@ -392,6 +430,55 @@ def test_inverse_of_a_statistic_past_1e154_raises():
     model = PoissonModel(np.linspace(50.0, 100.0, 40)[:, None], B_X=200.0, B_Y=1e6)
     with pytest.raises(SolverDivergedError):
         model.inverse_mean_map(np.array([1e290]))
+
+
+@pytest.mark.parametrize("t", [0.28, 0.3, 0.35])
+def test_a_reachable_large_rate_poisson_statistic_is_solved(t):
+    # the full Newton step from 0 is about 1e10: clipped to the box, its rates
+    # overflow, and 30 halvings never came back, so these raised solver_diverged
+    X = np.random.default_rng(0).uniform(50.0, 100.0, (40, 1))
+    model = PoissonModel(X, B_X=200.0, B_Y=1e6)
+    theta = model.inverse_mean_map(model.grad_log_partition(np.array([t])))
+    np.testing.assert_allclose(theta, [t], rtol=0.0, atol=1e-8)
+
+
+def test_the_reach_bound_leaves_interior_cli_draws_unchanged(monkeypatch):
+    # 200 bootstrap draws of a release of the bundled 10k records at eps = 1
+    # (B_X = 3): no Newton step reaches NEWTON_MAX_REACH, so the bound scales no
+    # row and the iterates are those of the unbounded loop, bit for bit
+    meta = json.loads(BUNDLED_CSV.with_suffix(".json").read_text())
+    model = LogisticModel(np.loadtxt(BUNDLED_CSV, delimiter=",")[:, :5], B_X=meta["B_X"])
+    theta0, n = np.array(meta["theta0"]), meta["n"]
+    sigma = calibrate_agm(l2_sensitivity(meta["B_X"], n), PrivacyBudget(1.0, 1.0 / n**2))
+    cov = model.fisher_info(theta0) / n + sigma**2 * np.eye(model.d)
+    z = np.random.default_rng(20).standard_normal((200, model.d))
+    S = model.grad_log_partition(theta0) + z @ np.linalg.cholesky(cov).T
+    reaches = []
+    solve = dpss.expfam._solve_blocks
+
+    def spy(A, rhs):
+        step, solved = solve(A, rhs)
+        reaches.append(np.linalg.norm(step, axis=1).max() * model._max_row_norm)
+        return step, solved
+
+    monkeypatch.setattr(dpss.expfam, "_solve_blocks", spy)
+    theta, converged = model.newton_batch(S)
+    assert converged.all() and reaches and max(reaches) <= NEWTON_MAX_REACH
+    monkeypatch.setattr(dpss.expfam, "NEWTON_MAX_REACH", np.inf)
+    unbounded, unbounded_converged = model.newton_batch(S)
+    np.testing.assert_array_equal(theta, unbounded)
+    np.testing.assert_array_equal(converged, unbounded_converged)
+
+
+def test_with_design_drops_the_caches_of_the_old_rows():
+    model = random_logistic(d=2)
+    model.fisher_info(np.zeros(2)), model._max_row_norm  # fill both caches
+    X = np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 2.0]])
+    other = model.with_design(X)
+    assert other._max_row_norm == 5.0
+    np.testing.assert_allclose(other.fisher_info(np.zeros(2)), 0.25 * X.T @ X / 3, rtol=1e-15)
+    assert model._max_row_norm == pytest.approx(np.linalg.norm(model.design, axis=1).max(),
+                                                rel=1e-15)
 
 
 def test_solve_blocks_marks_only_singular_rows():
