@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -67,21 +66,6 @@ class EstimateReport:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "EstimateReport":
-        obj = json.loads(text)
-        return cls(
-            theta_hat=np.array(obj["theta_hat"], dtype=float),
-            variance=np.array(obj["variance"], dtype=float),
-            cis=[(lo, hi) for lo, hi in obj["cis"]],
-            alpha=obj["alpha"],
-            method=obj["method"],
-            diagnostics=obj.get("diagnostics", {}),
-        )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
 
 @dataclass
 class BootstrapConfig:
@@ -91,6 +75,7 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.b_boot < 2:
             raise ValueError("b_boot must be at least 2")
+        _check_alpha(self.alpha)
 
 
 def _regularizer(sigma: float) -> float:
@@ -228,10 +213,14 @@ def dp_variance(
     return var
 
 
-def _wald(variance: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    """The variance diagonal and z_{1-alpha/2}; alpha must lie in (0, 1), the diagonal be >= 0."""
+def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
+
+
+def _wald(variance: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """The variance diagonal and z_{1-alpha/2}; alpha must lie in (0, 1), the diagonal be >= 0."""
+    _check_alpha(alpha)
     diag = np.diag(np.atleast_2d(variance))
     if np.any(diag < 0):
         raise InvalidVarianceError("invalid_variance")
@@ -290,9 +279,12 @@ def parametric_bootstrap(
     Draws S*_b ~ N(mu(theta_hat), I(theta_hat)/n + sigma^2 I) and re-estimates
     with the plug-in map; first-order equivalence makes the plug-in and
     noise-aware re-estimates interchangeable here, and the plug-in is far
-    cheaper over hundreds of draws.  All B draws are taken in one call
-    (the same values, in the same order, as B calls for d normals each)
-    and solved together by the model's batched inverse mean map;
+    cheaper over hundreds of draws.  The intervals are the alpha/2 and
+    1 - alpha/2 quantiles of the B draws; ``cfg`` holds B and alpha, and
+    raises ValueError when made with a B below 2 or an alpha outside
+    (0, 1).  All draws are taken in one call (the same values, in the same
+    order, as B calls for d normals each) and solved together by the
+    model's batched inverse mean map;
     ``diagnostics["fallbacks"]`` counts the draws that Newton left to its
     projected-Newton fallback and ``diagnostics["failures"]`` the draws
     whose solve diverged, each replaced by theta_hat; failures in 10% of

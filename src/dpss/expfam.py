@@ -478,7 +478,8 @@ def minimize_in_box(evaluate, hessians, Theta0) -> tuple[np.ndarray, ...]:
             break
         hess, gauss_newton = hessians(rows, state)
         step, solved = projected_newton_step(theta[rows], grad[rows], hess, gauss_newton)
-        with np.errstate(over="ignore"):  # past 1e154 the product overflows: the row stops
+        # past 1e154 the product overflows, and inf - inf is nan: either way the row stops
+        with np.errstate(over="ignore", invalid="ignore"):
             decrease = -np.add.reduce(grad[rows] * step, axis=1)
         moving = solved & (decrease > 1e-15 * np.maximum(1.0, np.abs(f[rows])))
         status[rows[~solved]] = 2
@@ -537,10 +538,6 @@ class GaussianMeanModel(ExpFamModel):
     def suff_stats(self, data: Dataset) -> np.ndarray:
         return data.x.reshape(-1, 1)
 
-    def log_partition(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float)
-        return 0.5 * self.sigma0_sq * float(theta[0] ** 2)
-
     def _record_moments(self, Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         P = self.sigma0_sq * (Theta @ self.design.T)
         return P, np.full_like(P, self.sigma0_sq), np.ones(len(P), dtype=bool)
@@ -579,7 +576,7 @@ class _RegressionModel(ExpFamModel):
 
     def _clip_features(self, X: np.ndarray) -> np.ndarray:
         B_X = self.clip_bounds.B_X
-        norms = np.linalg.norm(X, axis=1)
+        norms = _row_norms(X)  # a finite row whose squared norm overflows is still projected
         # the tolerance makes clipping exactly idempotent: rescaled rows
         # land within an ulp of the bound and must not be rescaled again
         scale = np.where(norms > B_X * (1.0 + 1e-14), B_X / np.maximum(norms, 1e-300), 1.0)

@@ -148,7 +148,6 @@ class ExperimentConfig:
 
 @dataclass
 class MetricsTable:
-    experiment: str
     rows: list[dict]
 
     def to_csv(self, path: str | Path) -> None:
@@ -218,7 +217,7 @@ def make_model_and_data(
 # The replication pipeline and the method registry
 # ------------------------------------------------------------------ #
 
-def _replications(cfg, idx, model_id, theta, n, eps, B=None):
+def _replications(cfg, idx, theta, n, eps, B=None):
     """Yield (model, raw, rel, rng) for each replication of cell ``idx``.
 
     ``rel`` is the release of the n unclipped records ``raw``.  ``eps=None``
@@ -229,7 +228,7 @@ def _replications(cfg, idx, model_id, theta, n, eps, B=None):
     budget = PrivacyBudget(eps, delta_for(n)) if eps is not None else None
     for r in range(cfg.replications):
         rng = substream(cfg.master_seed, cfg.experiment_id, idx, r)
-        model, raw = make_model_and_data(model_id, theta, n, rng, B=B)
+        model, raw = make_model_and_data(cfg.model_id, theta, n, rng, B=B)
         yield model, raw, release(raw, model, budget, rng), rng
 
 
@@ -278,8 +277,8 @@ def _theta0(cfg, default) -> np.ndarray:
     return np.asarray(cfg.theta0 if cfg.theta0 is not None else default, dtype=float)
 
 
-def _row(cfg, model_id, cols, se=None) -> dict:
-    row = {"experiment": cfg.experiment_id, "model": model_id, **cols}
+def _row(cfg, cols, se=None) -> dict:
+    row = {"experiment": cfg.experiment_id, "model": cfg.model_id, **cols}
     row["replications"] = cfg.replications
     if se is not None:
         row["mc_se"] = se
@@ -317,7 +316,7 @@ def _gaussian_estimates(cfg, idx, n, eps):
     """(theta0, plug-in estimate per replication, sigma) of one Gaussian cell."""
     theta0 = _theta0(cfg, GAUSS_THETA0)
     estimates = np.empty(cfg.replications)
-    for r, (model, _, rel, _) in enumerate(_replications(cfg, idx, cfg.model_id, theta0, n, eps)):
+    for r, (model, _, rel, _) in enumerate(_replications(cfg, idx, theta0, n, eps)):
         estimates[r] = estimate.plugin_mle(model, rel)[0]
     return theta0, estimates, rel.sigma
 
@@ -343,7 +342,7 @@ def _run_cells(cfg, cell_fn, *grids) -> tuple[MetricsTable, int]:
             results = list(pool.map(cell_fn, *args))
     else:
         results = list(map(cell_fn, *args))
-    return MetricsTable(cfg.experiment_id, [row for rows in results for row in rows]), threads
+    return MetricsTable([row for rows in results for row in rows]), threads
 
 
 # ------------------------------------------------------------------ #
@@ -364,7 +363,7 @@ def _variance_cell(cfg, idx, n, eps):
         "rel_error": abs(emp - theory) / theory,
     }
     # variance of a sample variance of (approx) gaussians: var ~ 2 v^2/(R-1)
-    return [_row(cfg, cfg.model_id, cols, float(theory * np.sqrt(2.0 / (cfg.replications - 1))))]
+    return [_row(cfg, cols, float(theory * np.sqrt(2.0 / (cfg.replications - 1))))]
 
 
 # ------------------------------------------------------------------ #
@@ -376,10 +375,10 @@ def _coverage_cell(cfg, idx, n, eps):
     methods = cfg.methods or DEFAULT_METHODS
     acc = _accuracy(theta0, (
         _run_methods(methods, *rep, cfg)
-        for rep in _replications(cfg, idx, cfg.model_id, theta0, n, eps)
+        for rep in _replications(cfg, idx, theta0, n, eps)
     ), cfg)
     return [
-        _row(cfg, cfg.model_id, {"method": m, "n": n, "epsilon": eps, **acc[m]},
+        _row(cfg, {"method": m, "n": n, "epsilon": eps, **acc[m]},
              mc_se(acc[m]["coverage"], cfg.replications))
         for m in methods
     ]
@@ -394,14 +393,14 @@ def _clipping_cell(cfg, idx, B):
     n, eps = cfg.n_grid[0], cfg.epsilon_grid[0]
     acc = _accuracy(theta0, (
         _run_methods(CLIPPING_METHODS.values(), *rep, cfg)
-        for rep in _replications(cfg, idx, cfg.model_id, theta0, n, eps, B)
+        for rep in _replications(cfg, idx, theta0, n, eps, B)
     ), cfg)
     rows = []
     for label, method in CLIPPING_METHODS.items():
         a = acc[method]
         cols = {"method": label, "n": n, "epsilon": eps, "B": B,
                 "bias_abs": a["bias_abs"], "mse": a["mse"], "coverage": a["coverage"]}
-        rows.append(_row(cfg, cfg.model_id, cols, mc_se(a["coverage"], cfg.replications)))
+        rows.append(_row(cfg, cols, mc_se(a["coverage"], cfg.replications)))
     return rows
 
 
@@ -423,7 +422,7 @@ def _scaling_cell(cfg, idx, n, eps):
         "privacy_var": privacy_var,
         "privacy_dominated": privacy_var > sampling_var,
     }
-    return [_row(cfg, cfg.model_id, cols)]
+    return [_row(cfg, cols)]
 
 
 def crossover_points(table: MetricsTable) -> dict:
@@ -464,7 +463,7 @@ def _power_cell(cfg, idx, eps, effect):
     n = cfg.n_grid[0]
     methods = cfg.methods or POWER_METHODS
     rejects = dict.fromkeys(methods, 0.0)
-    for rep in _replications(cfg, idx, cfg.model_id, theta0 + effect, n, eps):
+    for rep in _replications(cfg, idx, theta0 + effect, n, eps):
         for method, report in _run_methods(methods, *rep, cfg).items():
             tests = estimate.wald_test(report.theta_hat, report.variance, theta0, cfg.alpha)
             rejects[method] += np.mean([t["reject"] for t in tests])
@@ -473,7 +472,7 @@ def _power_cell(cfg, idx, eps, effect):
         rate = rejects[method] / cfg.replications
         cols = {"method": method, "n": n, "epsilon": eps, "delta_effect": effect,
                 "rejection_rate": rate, "is_type1": effect == 0.0}
-        rows.append(_row(cfg, cfg.model_id, cols, mc_se(rate, cfg.replications)))
+        rows.append(_row(cfg, cols, mc_se(rate, cfg.replications)))
     return rows
 
 
@@ -497,13 +496,13 @@ def _synth_cell(cfg, idx, ratio):
     n_syn = int(round(ratio * n))
     acc = _accuracy(theta0, (
         _synth_reports(*rep, cfg, n_syn)
-        for rep in _replications(cfg, idx, cfg.model_id, theta0, n, eps)
+        for rep in _replications(cfg, idx, theta0, n, eps)
     ), cfg)
     rows = []
     for mode, a in acc.items():
         cols = {"method": mode, "n": n, "epsilon": eps, "ratio": ratio, "n_syn": n_syn,
                 "coverage": a["coverage"]}
-        rows.append(_row(cfg, cfg.model_id, cols, mc_se(a["coverage"], cfg.replications)))
+        rows.append(_row(cfg, cols, mc_se(a["coverage"], cfg.replications)))
     return rows
 
 

@@ -498,6 +498,31 @@ def test_estimate_of_a_statistic_past_1e154_exits_3(workdir, method):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_estimate_whose_fallback_decrease_is_nan_exits_3_without_a_warning(workdir):
+    # a noise-free release of mu(2.72, 4.35), whose largest x.theta is 400: the
+    # solver's predicted decrease is nan on the way, and numpy printed a
+    # RuntimeWarning before error: solver_diverged; a fresh process shows it
+    design = np.random.default_rng(1).uniform(20.0, 60.0, (200, 2))
+    np.savetxt(workdir / "design.csv", design, delimiter=",")
+    (workdir / "poisson.json").write_text(json.dumps(
+        {"model_id": "poisson", "d": 2, "clip": {"B_X": 100.0, "B_Y": 1e300},
+         "design_csv": "design.csv"}))
+    model = dpss.load_model_config(workdir / "poisson.json")
+    s = model.grad_log_partition(np.array([2.72, 4.35]))
+    ReleasedStatistic(s, 0.0, 200, 2, model.clip_bounds.B, None, "poisson").save(
+        workdir / "rel.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(dpss.__file__).parent.parent))
+    env.pop("PYTHONWARNINGS", None)
+    res = subprocess.run(
+        [sys.executable, "-m", "dpss.cli", "estimate", "--release", str(workdir / "rel.json"),
+         "--model", str(workdir / "poisson.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 3
+    assert res.stderr.splitlines()[-1] == "error: solver_diverged"
+    assert "Warning" not in res.stderr
+
+
 def identical_columns_csv():
     """400 logistic records over the columns (x, x, z), one row per line."""
     rng = np.random.default_rng(3)

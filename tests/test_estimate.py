@@ -1,3 +1,4 @@
+import json
 import pickle
 import subprocess
 import sys
@@ -9,11 +10,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from dpss import estimate
+from dpss import estimate, synthgen
 from dpss.estimate import (
     BootstrapConfig,
     BootstrapUnstableError,
-    EstimateReport,
     FisherSingularError,
     InvalidVarianceError,
     dp_variance,
@@ -93,6 +93,26 @@ def test_plugin_consistency_sigma_zero_large_n(model_id):
 def test_invalid_arguments_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+@pytest.mark.parametrize("entry", [
+    lambda a: wald_ci([0.3], [[0.01]], a),
+    lambda a: wald_test([0.3], [[0.01]], [0.0], a),
+    lambda a: estimate.estimate_report(GaussianMeanModel(1.0), make_release([0.3], 0.1), "plugin",
+                                       a),
+    lambda a: nonprivate_mle(GaussianMeanModel(1.0), Dataset(np.array([-1.0, 1.0])), a),
+    lambda a: synthgen.naive_analysis(GaussianMeanModel(1.0), Dataset(np.array([-1.0, 1.0])), a),
+    lambda a: synthgen.noise_aware_synth_analysis(
+        GaussianMeanModel(1.0), Dataset(np.array([-1.0, 1.0])), make_release([0.3], 0.1), a),
+    # it used to return an interval with lo > hi at 1.5, and numpy's quantile error past 2
+    lambda a: parametric_bootstrap(GaussianMeanModel(1.0), make_release([0.3], 0.1),
+                                   BootstrapConfig(20, a), substream(0, "alpha")),
+], ids=["wald_ci", "wald_test", "estimate_report", "nonprivate_mle", "naive_analysis",
+        "noise_aware_synth_analysis", "parametric_bootstrap"])
+def test_every_entry_taking_alpha_rejects_one_outside_the_unit_interval(entry, alpha):
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+        entry(alpha)
 
 
 # ------------------------------------------------------------ noise-aware
@@ -1039,17 +1059,15 @@ def test_sigma_zero_triple_equality():
 
 # ---------------------------------------------------------------- reports
 
-def test_estimate_report_diagnostics_and_json(tmp_path):
+def test_estimate_report_diagnostics_and_json():
     model = GaussianMeanModel(1.0)
     rel = make_release([0.3], 0.1)
     report = estimate.estimate_report(model, rel, "plugin", 0.05)
     assert report.method == "plugin_wald"
     assert report.diagnostics["lambda"] == pytest.approx(max(1e-6, 0.01 * 0.1**2))
-    back = EstimateReport.from_json(report.to_json())
-    np.testing.assert_array_equal(back.theta_hat, report.theta_hat)
-    assert back.cis == report.cis
-    report.save(tmp_path / "r.json")
-    assert (tmp_path / "r.json").exists()
+    back = json.loads(report.to_json())
+    np.testing.assert_array_equal(back["theta_hat"], report.theta_hat)
+    assert [tuple(ci) for ci in back["cis"]] == report.cis
 
 
 def test_estimate_report_flags_box_hits():

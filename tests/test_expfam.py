@@ -37,7 +37,7 @@ from dpss.expfam import (
     load_model_config,
     minimize_in_box,
 )
-from dpss.privacy import PrivacyBudget, calibrate_agm, l2_sensitivity
+from dpss.privacy import PrivacyBudget, calibrate_agm, l2_sensitivity, release
 
 RNG = np.random.default_rng(511)
 
@@ -103,6 +103,32 @@ def test_clip_idempotent_and_bounded(maker):
         np.testing.assert_array_equal(once.y, twice.y)
     norms = np.linalg.norm(model.suff_stats(once), axis=1)
     assert norms.max() <= model.clip_bounds.B + 1e-12
+
+
+@pytest.mark.parametrize("model_id", ["logistic", "poisson"])
+def test_a_record_whose_squared_norm_overflows_is_projected(model_id):
+    # |(3e160, 4e160)| = 5e160, but its sum of squares overflows: np.linalg.norm
+    # gave inf, and the record was clipped to 0 instead of onto |x| = B_X
+    model = random_logistic(d=2) if model_id == "logistic" else random_poisson()
+    data = Dataset(np.array([[3e160, 4e160], [3.2, 2.4]]), np.array([1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clipped = model.clip(data)
+        rel = release(data, model, None, np.random.default_rng(0))
+    np.testing.assert_allclose(clipped.x, [[1.8, 2.4], [2.4, 1.8]], rtol=1e-15)
+    np.testing.assert_allclose(rel.s_tilde, [2.1, 2.1], rtol=1e-15)
+
+
+@pytest.mark.parametrize("model_id", ["logistic", "poisson"])
+def test_a_design_row_whose_squared_norm_overflows_is_projected(tmp_path, model_id):
+    (tmp_path / "design.csv").write_text("3e160,4e160\n3.2,2.4\n")
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"model_id": model_id, "d": 2, "clip": {"B_X": 3.0, "B_Y": 20.0},
+         "design_csv": "design.csv"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = load_model_config(tmp_path / "m.json")
+    np.testing.assert_allclose(model.design, [[1.8, 2.4], [2.4, 1.8]], rtol=1e-15)
 
 
 def test_clip_passes_through_interior_records():
@@ -226,14 +252,13 @@ def test_fisher_matches_finite_difference_of_mean_map(maker):
 def test_gaussian_fisher_matches_second_difference_of_log_partition():
     model = GaussianMeanModel(1.7)
     h = 1e-4
+
+    def log_partition(t):  # A(theta) = sigma0^2 theta^2 / 2
+        return 0.5 * model.sigma0_sq * t**2
+
     for t in np.linspace(-2, 2, 9):
-        theta = np.array([t])
-        dd = (
-            model.log_partition(theta + h)
-            - 2 * model.log_partition(theta)
-            + model.log_partition(theta - h)
-        ) / h**2
-        assert dd == pytest.approx(model.fisher_info(theta)[0, 0], rel=1e-5)
+        dd = (log_partition(t + h) - 2 * log_partition(t) + log_partition(t - h)) / h**2
+        assert dd == pytest.approx(model.fisher_info(np.array([t]))[0, 0], rel=1e-5)
 
 
 # ---------------------------------------------------------- inverse map
@@ -440,6 +465,19 @@ def test_a_reachable_large_rate_poisson_statistic_is_solved(t):
     model = PoissonModel(X, B_X=200.0, B_Y=1e6)
     theta = model.inverse_mean_map(model.grad_log_partition(np.array([t])))
     np.testing.assert_allclose(theta, [t], rtol=0.0, atol=1e-8)
+
+
+def test_a_fallback_decrease_that_is_nan_stops_the_row_without_a_warning():
+    # mu(2.72, 4.35) has a largest x.theta of 400; on the way, the predicted
+    # decrease -grad.step of minimize_in_box sums products past the float range
+    # of both signs to nan, which numpy warned of before solver_diverged
+    X = np.random.default_rng(1).uniform(20.0, 60.0, (200, 2))
+    model = PoissonModel(X, B_X=100.0, B_Y=1e300)
+    s = model.grad_log_partition(np.array([2.72, 4.35]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverDivergedError):
+            model.inverse_mean_map(s)
 
 
 def test_the_reach_bound_leaves_interior_cli_draws_unchanged(monkeypatch):

@@ -265,7 +265,7 @@ def test_crossover_and_slope_on_synthetic_rows():
             "sampling_var": 1.0 / n, "privacy_var": priv,
             "privacy_dominated": priv > 1.0 / n,
         })
-    table = MetricsTable("scaling_study", rows)
+    table = MetricsTable(rows)
     assert crossover_points(table) == {1.0: 10000}
     assert privacy_slope(table, 1.0) == pytest.approx(-2.0, abs=1e-9)
 
