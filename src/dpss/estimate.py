@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .expfam import (
+    NEWTON_MAX_REACH,
     PARAM_BOX,
     Dataset,
     ExpFamModel,
@@ -254,17 +255,33 @@ def wald_test(
 
 
 def _solve_draws(
-    model: ExpFamModel, s_star: np.ndarray, theta_hat: np.ndarray
-) -> tuple[np.ndarray, int, int]:
-    """Inverse mean map of every row of s_star: (draws, fallbacks, failures).
+    model: ExpFamModel, s_star: np.ndarray, theta_hat: np.ndarray, mu: np.ndarray,
+    fisher: np.ndarray,
+) -> tuple[np.ndarray, int, int, str]:
+    """Inverse mean map of every row of s_star: (draws, fallbacks, failures, start).
 
-    Rows are solved once, together, by ``model.inverse_mean_map_batch``;
-    a row whose solve diverged counts as a failure and is replaced by
-    theta_hat.
+    ``mu`` and ``fisher`` are the mean and the Fisher block at theta_hat.
+    Every row's Newton starts at theta_hat, and ``start`` is "theta_hat",
+    when each row's first step from there, (I + 1e-12 1)^{-1} (s - mu), has
+    a reach ||step|| max_i ||x_i|| within NEWTON_MAX_REACH and lands strictly
+    inside the box; otherwise every row starts at theta = 0 and ``start`` is
+    "zero".  A draw whose first step fails this lies far from mu(theta_hat),
+    often out of the mean range, where Newton from theta_hat costs more
+    than from 0; the rule holds for all rows or none, so that they share
+    one start, which one kernel row evaluates.  Rows are solved once, together, by
+    ``model.inverse_mean_map_batch``; a row whose solve diverged counts as
+    a failure and is replaced by theta_hat.
     """
-    draws, fallbacks, diverged = model.inverse_mean_map_batch(s_star)
+    try:
+        step = np.linalg.solve(fisher + 1e-12 * np.eye(model.d), (s_star - mu).T).T
+    except np.linalg.LinAlgError:  # a singular Fisher block: no first step to judge
+        step = np.full_like(s_star, np.nan)
+    # a step that lands inside the box is finite and short, so its norms cannot overflow
+    warm = ((np.abs(theta_hat + step) < PARAM_BOX).all()
+            and (np.linalg.norm(step, axis=1) * model._max_row_norm <= NEWTON_MAX_REACH).all())
+    draws, fallbacks, diverged = model.inverse_mean_map_batch(s_star, theta_hat if warm else None)
     draws[diverged] = theta_hat
-    return draws, fallbacks, int(diverged.sum())
+    return draws, fallbacks, int(diverged.sum()), "theta_hat" if warm else "zero"
 
 
 def parametric_bootstrap(
@@ -279,12 +296,19 @@ def parametric_bootstrap(
     Draws S*_b ~ N(mu(theta_hat), I(theta_hat)/n + sigma^2 I) and re-estimates
     with the plug-in map; first-order equivalence makes the plug-in and
     noise-aware re-estimates interchangeable here, and the plug-in is far
-    cheaper over hundreds of draws.  The intervals are the alpha/2 and
+    cheaper over hundreds of draws.  mu(theta_hat) and I(theta_hat) come
+    from one kernel call; a mean that overflows raises MeanOverflowError,
+    and a covariance that is not positive definite to working precision
+    raises FisherSingularError.  The intervals are the alpha/2 and
     1 - alpha/2 quantiles of the B draws; ``cfg`` holds B and alpha, and
     raises ValueError when made with a B below 2 or an alpha outside
     (0, 1).  All draws are taken in one call (the same values, in the same
     order, as B calls for d normals each) and solved together by the
-    model's batched inverse mean map;
+    model's batched inverse mean map, whose Newton starts every draw at
+    theta_hat when each draw's first step from there stays local, and at 0
+    otherwise (``_solve_draws``): a k-step bootstrap in the sense of
+    Andrews (Econometrica 2002), iterated to convergence.
+    ``diagnostics["start"]`` is that start, "theta_hat" or "zero";
     ``diagnostics["fallbacks"]`` counts the draws that Newton left to its
     projected-Newton fallback and ``diagnostics["failures"]`` the draws
     whose solve diverged, each replaced by theta_hat; failures in 10% of
@@ -295,11 +319,14 @@ def parametric_bootstrap(
     """
     if theta_hat is None:
         theta_hat = plugin_mle(model, rel)
-    mu = model.grad_log_partition(theta_hat)
-    cov = model.fisher_info(theta_hat) / rel.n + rel.sigma**2 * np.eye(model.d)
-    chol = np.linalg.cholesky(cov + 1e-15 * np.eye(model.d))
+    mu, fisher = model._mean_and_fisher_at(theta_hat)
+    cov = fisher / rel.n + rel.sigma**2 * np.eye(model.d)
+    try:
+        chol = np.linalg.cholesky(cov + 1e-15 * np.eye(model.d))
+    except np.linalg.LinAlgError as exc:
+        raise FisherSingularError("fisher_singular") from exc
     s_star = mu + rng.standard_normal((cfg.b_boot, model.d)) @ chol.T
-    draws, fallbacks, failures = _solve_draws(model, s_star, theta_hat)
+    draws, fallbacks, failures, start = _solve_draws(model, s_star, theta_hat, mu, fisher)
     if failures >= 0.1 * cfg.b_boot:
         raise BootstrapUnstableError("bootstrap_unstable")
     lo = np.quantile(draws, cfg.alpha / 2.0, axis=0)
@@ -313,7 +340,8 @@ def parametric_bootstrap(
         alpha=cfg.alpha,
         method="bootstrap",
         diagnostics={"b_boot": cfg.b_boot, "failures": failures, "fallbacks": fallbacks,
-                     "draws_at_box": int((np.abs(draws) >= PARAM_BOX).any(axis=1).sum())},
+                     "draws_at_box": int((np.abs(draws) >= PARAM_BOX).any(axis=1).sum()),
+                     "start": start},
     )
 
 

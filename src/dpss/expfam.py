@@ -8,10 +8,12 @@ a clipping rule that enforces the L2 bound on the per-record statistic,
 and the inverse mean map used by the plug-in estimator.
 
 ``inverse_mean_map_batch`` inverts the mean map for many statistics at
-once: one damped-Newton loop over every row, then a fallback on the
-least-squares residual for the unconverged rows, each started from its last
-Newton iterate; a row whose fallback diverges is marked, not raised.  Each
-Newton step is bounded in the linear predictor: it is scaled down so that its
+once: one damped-Newton loop over every row, all started at theta = 0 or at
+one start the caller gives, then a fallback on the least-squares residual
+for the unconverged rows, each started from its last Newton iterate; a row
+whose fallback diverges is marked, not raised.  The bootstrap passes its
+theta_hat as the start when every draw's first step from there stays local.
+Each Newton step is bounded in the linear predictor: it is scaled down so that its
 reach ||step|| max_i ||x_i|| is at most NEWTON_MAX_REACH, which by
 Cauchy-Schwarz bounds max_i |x_i . step|, the most it moves any record's
 x_i . theta (a trust region in eta; Nocedal and Wright, ch. 4).  The row-norm
@@ -331,12 +333,15 @@ class ExpFamModel(abc.ABC):
     # -- inverse mean map ----------------------------------------------
 
     @abc.abstractmethod
-    def inverse_mean_map_batch(self, S: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    def inverse_mean_map_batch(
+        self, S: np.ndarray, start: np.ndarray | None = None
+    ) -> tuple[np.ndarray, int, np.ndarray]:
         """Solve grad_log_partition(theta_b) = S[b] over the box [-10, 10]^d for each row of S.
 
-        Returns the solutions (b, d), the number of rows that needed the
-        fallback, and a mask of the rows whose fallback diverged, which
-        hold its last iterate.
+        ``start``, a point of the box with a finite mean, is where every
+        row's iteration starts; None starts them at theta = 0.  Returns the
+        solutions (b, d), the number of rows that needed the fallback, and a
+        mask of the rows whose fallback diverged, which hold its last iterate.
         """
 
     def inverse_mean_map(self, s: np.ndarray) -> np.ndarray:
@@ -558,7 +563,10 @@ class GaussianMeanModel(ExpFamModel):
         s = np.asarray(s, dtype=float)
         return (s / self.sigma0_sq).clip(-PARAM_BOX, PARAM_BOX)
 
-    def inverse_mean_map_batch(self, S: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    def inverse_mean_map_batch(
+        self, S: np.ndarray, start: np.ndarray | None = None
+    ) -> tuple[np.ndarray, int, np.ndarray]:
+        # closed form, so there is no iteration for a start to seed
         return self.inverse_mean_map(S), 0, np.zeros(len(S), dtype=bool)
 
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
@@ -585,8 +593,14 @@ class _RegressionModel(ExpFamModel):
     def suff_stats(self, data: Dataset) -> np.ndarray:
         return data.x * data.y[:, None]
 
-    def newton_batch(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Damped Newton for every row of S in one loop, each row started at theta = 0.
+    def newton_batch(
+        self, S: np.ndarray, start: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Damped Newton for every row of S in one loop, every row started at ``start``.
+
+        ``start``, a point of the box with a finite mean, is shared by all
+        rows, so one kernel row evaluates it for them all; None starts them
+        at theta = 0.
 
         A row converges when ||mu(theta) - s|| <= 1e-8 max(1, ||s||).  It
         stops unconverged when its Fisher block is singular, or when 30
@@ -614,11 +628,13 @@ class _RegressionModel(ExpFamModel):
             return _norms(resid), resid, finite, fisher
 
         theta = np.zeros((b, d))
+        if start is not None:
+            theta[:] = start
         tol = 1e-8 * np.maximum(1.0, _row_norms(S))
         ridge = 1e-12 * np.eye(d)
         m = self._max_row_norm
         with np.errstate(over="ignore"):  # an overflowing norm is inf
-            # every row starts at theta = 0, so one kernel row serves them all
+            # every row starts at the same point, so one kernel row serves them all
             rnorm, resid, _, fisher0 = evaluate(theta[:1], np.arange(b))
             fishers = np.repeat(fisher0, b, axis=0)
             active = rnorm > tol
@@ -648,14 +664,17 @@ class _RegressionModel(ExpFamModel):
                 active &= rnorm > tol
         return theta, rnorm <= tol
 
-    def inverse_mean_map_batch(self, S: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    def inverse_mean_map_batch(
+        self, S: np.ndarray, start: np.ndarray | None = None
+    ) -> tuple[np.ndarray, int, np.ndarray]:
         """One ``newton_batch`` over every row of S, then one fallback over its unconverged rows.
 
-        Each unconverged row starts the fallback at its last Newton iterate;
-        rows that Newton converges are not touched.
+        Newton starts every row at ``start`` (theta = 0 when None).  Each
+        unconverged row starts the fallback at its last Newton iterate; rows
+        that Newton converges are not touched.
         """
         S = np.atleast_2d(np.asarray(S, dtype=float))
-        theta, converged = self.newton_batch(S)
+        theta, converged = self.newton_batch(S, start)
         diverged = np.zeros(len(S), dtype=bool)
         rows = (~converged).nonzero()[0]
         if rows.size:

@@ -16,6 +16,7 @@ from dpss.cli import main
 from dpss.estimate import BootstrapUnstableError, FisherSingularError
 from dpss.expfam import MeanOverflowError, NumericalError, SolverDivergedError
 from dpss.privacy import PrivacyBudget, ReleasedStatistic, calibrate_agm
+from test_estimate import near_duplicate_design
 
 runner = CliRunner()
 
@@ -338,8 +339,8 @@ def raising(exc):
     return fail
 
 
-def every_draw_failed(model, s_star, theta_hat):
-    return s_star.copy(), len(s_star), len(s_star)
+def every_draw_failed(model, s_star, theta_hat, mu, fisher):
+    return s_star.copy(), len(s_star), len(s_star), "zero"
 
 
 @pytest.mark.parametrize("command, module, attr, replacement, code", [
@@ -521,6 +522,29 @@ def test_estimate_whose_fallback_decrease_is_nan_exits_3_without_a_warning(workd
     assert res.returncode == 3
     assert res.stderr.splitlines()[-1] == "error: solver_diverged"
     assert "Warning" not in res.stderr
+
+
+def test_bootstrap_whose_covariance_is_not_positive_definite_exits_3(workdir):
+    # two design columns equal to 8 digits: estimate exits 0, but the bootstrap's
+    # covariance is not positive definite to working precision, and its Cholesky
+    # raised a LinAlgError that left the CLI with a traceback and exit 1
+    np.savetxt(workdir / "design.csv", near_duplicate_design(), delimiter=",")
+    (workdir / "poisson.json").write_text(json.dumps(
+        {"model_id": "poisson", "d": 2, "clip": {"B_X": 100.0, "B_Y": 1e30},
+         "design_csv": "design.csv"}))
+    model = dpss.load_model_config(workdir / "poisson.json")
+    s = model.grad_log_partition(np.full(2, 3.0))
+    ReleasedStatistic(s, 0.0, 60, 2, model.clip_bounds.B, None, "poisson").save(
+        workdir / "rel.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(dpss.__file__).parent.parent))
+    args = ["--release", str(workdir / "rel.json"), "--model", str(workdir / "poisson.json")]
+    runs = [subprocess.run([sys.executable, "-m", "dpss.cli", command, *args], env=env,
+                           capture_output=True, text=True, timeout=120)
+            for command in ("estimate", "bootstrap")]
+    assert runs[0].returncode == 0
+    assert runs[1].returncode == 3
+    assert runs[1].stderr.splitlines()[-1] == "error: fisher_singular"
+    assert "Traceback" not in runs[1].stderr
 
 
 def identical_columns_csv():

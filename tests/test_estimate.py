@@ -27,6 +27,7 @@ from dpss.estimate import (
 from dpss.expfam import (
     NEWTON_CHUNK_ELEMS,
     NEWTON_MAX_ITER,
+    NEWTON_MAX_REACH,
     PARAM_BOX,
     Dataset,
     GaussianMeanModel,
@@ -35,6 +36,7 @@ from dpss.expfam import (
     NumericalError,
     PoissonModel,
     SolverDivergedError,
+    dataset_from_csv,
 )
 from dpss.harness import default_theta0, make_model_and_data
 from dpss.privacy import PrivacyBudget, ReleasedStatistic, release
@@ -606,10 +608,11 @@ def test_bootstrap_wald_consilience_with_noise():
     assert np.mean(widths_b) == pytest.approx(np.mean(widths_w), rel=0.10)
 
 
-def per_draw_bootstrap(model, rel, cfg, rng):
+def per_draw_bootstrap(model, rel, cfg, rng, start):
     """The per-draw loop the batched bootstrap solve replaced, kept as the reference.
 
-    Each draw is solved once; a diverged one is replaced by theta_hat.
+    Each draw is solved once, alone, from the batch's start: theta_hat for
+    "theta_hat", theta = 0 for "zero"; a diverged one is replaced by theta_hat.
     Returns the draws and the failure count.
     """
     theta_hat = plugin_mle(model, rel)
@@ -618,13 +621,12 @@ def per_draw_bootstrap(model, rel, cfg, rng):
     chol = np.linalg.cholesky(cov + 1e-15 * np.eye(model.d))
     draws = np.empty((cfg.b_boot, model.d))
     failures = 0
+    theta0 = theta_hat if start == "theta_hat" else None
     for b in range(cfg.b_boot):
         s_star = mu + chol @ rng.standard_normal(model.d)
-        try:
-            draws[b] = model.inverse_mean_map(s_star)
-        except SolverDivergedError:
-            failures += 1
-            draws[b] = theta_hat
+        theta, _, diverged = model.inverse_mean_map_batch(s_star[None], theta0)
+        failures += int(diverged[0])
+        draws[b] = theta_hat if diverged[0] else theta[0]
     return draws, failures
 
 
@@ -658,8 +660,9 @@ def test_batched_bootstrap_matches_per_draw_loop(monkeypatch, model_id, n, eps):
     seen = capture_solved_draws(monkeypatch)
     cfg = BootstrapConfig(200, 0.05)
     report = parametric_bootstrap(model, rel, cfg, substream(5, "draws"))
-    ref_draws, ref_failures = per_draw_bootstrap(model, rel, cfg, substream(5, "draws"))
-    (_, (draws, fallbacks, failures)), = seen
+    (_, (draws, fallbacks, failures, start)), = seen
+    assert start == report.diagnostics["start"]
+    ref_draws, ref_failures = per_draw_bootstrap(model, rel, cfg, substream(5, "draws"), start)
     np.testing.assert_allclose(draws, ref_draws, rtol=0.0, atol=1e-10)
     assert failures == ref_failures == report.diagnostics["failures"]
     assert report.diagnostics["fallbacks"] == fallbacks
@@ -682,13 +685,115 @@ def test_batched_bootstrap_logistic_low_eps_fallbacks_agree_to_solver_tolerance(
     cfg = BootstrapConfig(200, 0.05)
     report = parametric_bootstrap(model, rel, cfg, substream(5, "draws"))
     monkeypatch.undo()
-    ref_draws, ref_failures = per_draw_bootstrap(model, rel, cfg, substream(5, "draws"))
-    (s_star, (draws, fallbacks, failures)), = seen
+    (s_star, (draws, fallbacks, failures, start)), = seen
+    ref_draws, ref_failures = per_draw_bootstrap(model, rel, cfg, substream(5, "draws"), start)
     newton_rows = ~np.any(np.all(s_star[:, None] == np.array(fell_back)[None], axis=2), axis=1)
     assert fallbacks == (~newton_rows).sum() > 0
     np.testing.assert_allclose(draws[newton_rows], ref_draws[newton_rows], rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(draws, ref_draws, rtol=0.0, atol=1e-5)
     assert failures == ref_failures == report.diagnostics["failures"]
+
+
+def bundled_bootstrap_draws():
+    """500 bootstrap draws around theta_hat of an eps = 1 release of the bundled 10k records.
+
+    Returns the model over the records' design, the plug-in theta_hat and
+    the draws, made as ``parametric_bootstrap`` makes them.
+    """
+    csv = Path(estimate.__file__).parent / "data" / "logistic_10k.csv"
+    meta = json.loads(csv.with_suffix(".json").read_text())
+    model = LogisticModel(np.loadtxt(csv, delimiter=",")[:, :meta["d"]], B_X=meta["B_X"])
+    data = dataset_from_csv(csv, model)
+    rng = substream(0, "warm-start")
+    rel = release(data, model, PrivacyBudget(1.0, 1.0 / data.n**2), rng)
+    theta_hat = plugin_mle(model, rel)
+    mu, fisher = model._mean_and_fisher_at(theta_hat)
+    chol = np.linalg.cholesky(fisher / data.n + rel.sigma**2 * np.eye(model.d))
+    return model, theta_hat, mu + rng.standard_normal((500, model.d)) @ chol.T
+
+
+def counted_solve(model, S, start):
+    """``model.inverse_mean_map_batch(S, start)``'s end points and the rows of each kernel call."""
+    rows = []
+    kernel = model.mean_and_fisher
+    model.mean_and_fisher = lambda Theta: rows.append(len(Theta)) or kernel(Theta)
+    try:
+        theta, fallbacks, diverged = model.inverse_mean_map_batch(S, start)
+    finally:
+        del model.mean_and_fisher
+    assert fallbacks == 0 and not diverged.any()
+    return theta, rows
+
+
+def test_warm_start_agrees_with_the_cold_start_within_newtons_stop():
+    # each end point meets Newton's stop ||mu - s|| <= 1e-8 max(1, ||s||), so the
+    # two are within 2 tol of each other in the mean, and, through the smallest
+    # eigenvalue of I(theta_hat), within 2 tol / lambda_min in theta
+    model, theta_hat, S = bundled_bootstrap_draws()
+    cold, _ = counted_solve(model, S, None)
+    warm, _ = counted_solve(model, S, theta_hat)
+    tol = 1e-8 * np.maximum(1.0, np.linalg.norm(S, axis=1))
+    for theta in (cold, warm):
+        assert (np.linalg.norm(model.mean_and_fisher(theta)[0] - S, axis=1) <= tol).all()
+    lam = np.linalg.eigvalsh(model.fisher_info(theta_hat))[0]
+    assert (np.linalg.norm(warm - cold, axis=1) <= 2.0 * tol / lam).all()
+    assert not np.array_equal(warm, cold)  # the start did change the iterates
+
+
+def test_warm_start_evaluates_fewer_kernel_rows_than_the_cold_start():
+    # both evaluate the shared start as one kernel row; from theta_hat the draws
+    # then need one full-width round fewer (measured: 3 rounds of at most 500
+    # rows against 4 of 500)
+    model, theta_hat, S = bundled_bootstrap_draws()
+    _, cold = counted_solve(model, S, None)
+    _, warm = counted_solve(model, S, theta_hat)
+    assert cold[0] == warm[0] == 1 and max(cold + warm) == len(S)
+    assert len(warm) < len(cold) and sum(warm) < sum(cold)
+
+
+def test_bundled_bootstrap_starts_at_theta_hat_and_low_eps_logistic_at_zero():
+    # at eps = 1 on the bundled records every first step from theta_hat stays
+    # local; at eps = 0.1 most logistic draws lie out of the mean range, where
+    # a start at theta_hat costs twice the start at 0, so the rule keeps 0
+    model, theta_hat, S = bundled_bootstrap_draws()
+    mu, fisher = model._mean_and_fisher_at(theta_hat)
+    assert estimate._solve_draws(model, S, theta_hat, mu, fisher)[3] == "theta_hat"
+    model, rel = simulated_release("logistic", 1000, 0.1, seed=5)
+    report = parametric_bootstrap(model, rel, BootstrapConfig(200, 0.05), substream(5, "draws"))
+    assert report.diagnostics["start"] == "zero"
+
+
+def first_steps_start(model, theta_hat, steps):
+    """The start ``_solve_draws`` picks for draws with first Newton steps ``steps``."""
+    mu, fisher = model._mean_and_fisher_at(theta_hat)
+    starts = []
+    batch = model.inverse_mean_map_batch
+    model.inverse_mean_map_batch = lambda S, start=None: starts.append(start) or batch(S, start)
+    try:
+        label = estimate._solve_draws(model, mu + steps @ fisher, theta_hat, mu, fisher)[3]
+    finally:
+        del model.inverse_mean_map_batch
+    assert (starts[0] is None) == (label == "zero")  # the batch was given the start reported
+    return label
+
+
+def test_one_first_step_past_the_reach_bound_starts_every_draw_at_zero():
+    model, theta_hat, _ = bundled_bootstrap_draws()
+    unit = np.ones(model.d) / np.sqrt(model.d)
+    reach = NEWTON_MAX_REACH / model._max_row_norm  # the longest step the bound leaves unscaled
+    small = 0.1 * reach * np.eye(model.d)[:4]
+    inside, past = (np.vstack([small, k * reach * unit]) for k in (0.99, 1.01))
+    assert first_steps_start(model, theta_hat, inside) == "theta_hat"
+    assert first_steps_start(model, theta_hat, past) == "zero"
+
+
+def test_one_first_step_past_the_box_starts_every_draw_at_zero():
+    # rows of norm about 0.01 keep every step here far inside the reach bound
+    model = LogisticModel(0.01 * substream(17, "box-start").standard_normal((200, 2)))
+    theta_hat = np.array([9.0, -2.0])
+    small = np.array([[0.5, 0.5], [-0.5, 0.3], [0.2, -0.4]])
+    assert first_steps_start(model, theta_hat, np.vstack([small, [0.9, 0.0]])) == "theta_hat"
+    assert first_steps_start(model, theta_hat, np.vstack([small, [1.5, 0.0]])) == "zero"
 
 
 def lbfgsb_fallback(model, s, theta0):
@@ -761,6 +866,7 @@ def test_batched_bootstrap_large_rate_rows_match_the_loop(monkeypatch):
     model = PoissonModel(X, B_X=100.0, B_Y=1e6)
     thetas = substream(7, "overflow").uniform(-0.05, 0.15, (30, 2))
     s_star = np.array([model.grad_log_partition(t) for t in thetas])
+    mu, fisher = model._mean_and_fisher_at(thetas[0])
     overflowed = []
     kernel = model.mean_and_fisher
 
@@ -770,11 +876,12 @@ def test_batched_bootstrap_large_rate_rows_match_the_loop(monkeypatch):
         return mu, fisher, finite
 
     monkeypatch.setattr(model, "mean_and_fisher", spy)
-    draws, _, failures = estimate._solve_draws(model, s_star, thetas[0])
+    draws, _, failures, start = estimate._solve_draws(model, s_star, thetas[0], mu, fisher)
     monkeypatch.undo()
     assert overflowed and not any(overflowed)
     assert failures == 0
-    ref = np.array([model.inverse_mean_map(s) for s in s_star])
+    theta0 = thetas[0] if start == "theta_hat" else None
+    ref = np.vstack([model.inverse_mean_map_batch(s[None], theta0)[0] for s in s_star])
     np.testing.assert_allclose(draws, ref, rtol=0.0, atol=1e-10)
 
 
@@ -784,16 +891,19 @@ def test_bootstrap_chunks_are_sized_by_the_design_not_the_release():
     model = LogisticModel(substream(11, "chunks").standard_normal((2**14, 2)))
     thetas = substream(12, "chunks").uniform(-0.5, 0.5, (10, 2))
     s_star = np.array([model.grad_log_partition(t) for t in thetas])
+    mu, fisher = model._mean_and_fisher_at(thetas[0])
     widths, blocks = [], []
     newton, kernel, moments = model.newton_batch, model.mean_and_fisher, model._record_moments
-    model.newton_batch = lambda S: widths.append(len(S)) or newton(S)
+    model.newton_batch = lambda S, start=None: widths.append(len(S)) or newton(S, start)
     model.mean_and_fisher = lambda Theta: blocks.append([]) or kernel(Theta)
     model._record_moments = lambda Theta: blocks[-1].append(len(Theta)) or moments(Theta)
-    draws, fallbacks, failures = estimate._solve_draws(model, s_star, thetas[0])
+    draws, fallbacks, failures, start = estimate._solve_draws(model, s_star, thetas[0], mu, fisher)
     assert widths == [10]  # one Newton loop over every draw
-    # the start at theta = 0, then the first step of all 10 draws, in blocks of
+    # the shared start theta_hat, then the first step of the 9 draws other than
+    # the one whose statistic is theta_hat's own mean, in blocks of
     # NEWTON_CHUNK_ELEMS // 2**14 rows
-    assert blocks[:2] == [[1], [4, 4, 2]]
+    assert start == "theta_hat"
+    assert blocks[:2] == [[1], [4, 4, 1]]
     assert max(max(b) for b in blocks) <= 4
     assert (fallbacks, failures) == (0, 0)
     np.testing.assert_allclose(draws, thetas, atol=1e-8)
@@ -907,8 +1017,8 @@ def flaky_newton(model, fails):
     """Make the batched Newton report rows unconverged where ``fails(S)`` holds."""
     newton = model.newton_batch
 
-    def patched(S):
-        theta, converged = newton(S)
+    def patched(S, start=None):
+        theta, converged = newton(S, start)
         return theta, converged & ~fails(np.atleast_2d(S))
 
     model.newton_batch = patched
@@ -928,15 +1038,16 @@ def test_bootstrap_failed_draws_are_counted_and_replaced(monkeypatch):
     solved, retried = [], []
     batch = model.inverse_mean_map_batch
 
-    def batch_spy(S):
-        theta, fallbacks, diverged = batch(S)
+    def batch_spy(S, start=None):
+        theta, fallbacks, diverged = batch(S, start)
         solved.append(theta.copy())
         return theta, fallbacks, diverged
 
     monkeypatch.setattr(model, "inverse_mean_map_batch", batch_spy)
     monkeypatch.setattr(model, "inverse_mean_map", retried.append)
     theta_hat = np.array([0.3, -0.3])
-    draws, fallbacks, failures = estimate._solve_draws(model, s_star, theta_hat)
+    draws, fallbacks, failures, _ = estimate._solve_draws(
+        model, s_star, theta_hat, *model._mean_and_fisher_at(theta_hat))
     assert (fallbacks, failures) == (3, 3)
     assert len(solved) == 1 and retried == []  # one batched solve; no row is solved again
     np.testing.assert_array_equal(draws[bad], np.tile(theta_hat, (3, 1)))
@@ -969,7 +1080,7 @@ def test_bootstrap_unstable_at_ten_percent_failures(monkeypatch):
     rel = make_release([0.3], 0.1)
     for failures, unstable in [(1, False), (2, True)]:
         monkeypatch.setattr(estimate, "_solve_draws",
-                            lambda m, s, th, k=failures: (s.copy(), k, k))
+                            lambda m, s, th, mu, fisher, k=failures: (s.copy(), k, k, "zero"))
         if unstable:
             with pytest.raises(BootstrapUnstableError, match="bootstrap_unstable"):
                 parametric_bootstrap(model, rel, BootstrapConfig(20, 0.05), substream(1, "u"))
@@ -991,6 +1102,30 @@ def test_bootstrap_unstable_when_every_draw_diverges(monkeypatch):
     monkeypatch.setattr(estimate, "plugin_mle", lambda m, r: theta_hat)
     with pytest.raises(BootstrapUnstableError):
         parametric_bootstrap(model, rel, BootstrapConfig(50, 0.05), substream(2, "u"))
+
+
+def near_duplicate_design():
+    """60 Poisson design rows (x, x (1 + 1e-8 z)), x ~ U(1, 2): two columns equal to 8 digits.
+
+    The z follow three earlier draws of 60 from the same generator.
+    """
+    rng = np.random.default_rng(9)
+    x = rng.uniform(1.0, 2.0, 60)
+    z = rng.standard_normal((4, 60))[3]
+    return np.column_stack([x, x * (1.0 + 1e-8 * z)])
+
+
+def test_bootstrap_of_a_covariance_not_positive_definite_raises_fisher_singular():
+    # a noise-free release of mu(3, 3): the plug-in solves, but rounding leaves
+    # I(theta_hat) with a negative eigenvalue, and numpy's Cholesky raised a bare
+    # LinAlgError, which the CLI printed as a traceback and exit 1
+    model = PoissonModel(near_duplicate_design(), B_X=100.0, B_Y=1e30)
+    rel = ReleasedStatistic(model.grad_log_partition(np.full(2, 3.0)), 0.0, 60, 2,
+                            model.clip_bounds.B, None, "poisson")
+    theta_hat = plugin_mle(model, rel)
+    assert np.linalg.eigvalsh(model.fisher_info(theta_hat))[0] < 0
+    with pytest.raises(FisherSingularError, match="fisher_singular"):
+        parametric_bootstrap(model, rel, BootstrapConfig(20, 0.05), substream(3, "singular"))
 
 
 # ------------------------------------------------------------- nonprivate

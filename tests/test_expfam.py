@@ -800,7 +800,7 @@ def test_fallback_raises_at_an_overflowing_end_point(monkeypatch):
     np.testing.assert_allclose(theta[1], [np.log(0.05) / 100.0], rtol=1e-8)
     # the one-row solve raises with that end point
     monkeypatch.setattr(model, "newton_batch",
-                        lambda S: (np.full((1, 1), PARAM_BOX), np.array([False])))
+                        lambda S, start=None: (np.full((1, 1), PARAM_BOX), np.array([False])))
     with pytest.raises(SolverDivergedError) as exc:
         model.inverse_mean_map(np.array([5.0]))
     np.testing.assert_array_equal(exc.value.last_iterate, [PARAM_BOX])
