@@ -180,7 +180,7 @@ def synth(release_path, model_path, n_syn, seed, out_path):
     """Generate parametric synthetic data from the plug-in estimate."""
     model = _load_model(model_path)
     rel = _load_release(release_path, model)
-    theta = estimate.plugin_mle(model, rel)
+    theta, _ = estimate.plugin_mle(model, rel)
     data = synthgen.generate_synthetic(model, theta, n_syn, substream(seed, "synth"))
     sidecar = {
         "source_theta": [float(t) for t in theta],

@@ -15,6 +15,7 @@ from scipy.special import ndtr, ndtri
 
 from .expfam import (
     NEWTON_MAX_REACH,
+    NEWTON_RIDGE,
     PARAM_BOX,
     Dataset,
     ExpFamModel,
@@ -83,10 +84,14 @@ def _regularizer(sigma: float) -> float:
     return max(1e-6, 0.01 * sigma**2)
 
 
-def plugin_mle(model: ExpFamModel, rel: ReleasedStatistic) -> np.ndarray:
-    """Invert the mean map at the noisy statistic as if it were clean."""
+def _check_dimension(model: ExpFamModel, rel: ReleasedStatistic) -> None:
     if rel.d != model.d:
         raise ValueError("release dimension disagrees with model")
+
+
+def plugin_mle(model: ExpFamModel, rel: ReleasedStatistic) -> tuple[np.ndarray, np.ndarray]:
+    """theta_hat and I(theta_hat): the mean map inverted at the noisy statistic as if clean."""
+    _check_dimension(model, rel)
     return model.inverse_mean_map(rel.s_tilde)
 
 
@@ -144,8 +149,7 @@ def noise_aware_mle(
     rel: ReleasedStatistic,
     *,
     theta_plug: np.ndarray | None = None,
-    _solver: dict | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, dict]:
     """GLS estimator weighting the residual by sampling + privacy covariance.
 
     Minimizes
@@ -161,41 +165,39 @@ def noise_aware_mle(
     so most solves stop after one evaluation.  A start whose mean overflows
     raises MeanOverflowError; a solve that reaches the minimiser's step cap
     (status 1) raises SolverDivergedError("na_diverged") with its last
-    iterate.  A caller that already holds ``plugin_mle(model, rel)`` passes
-    it as ``theta_plug`` to skip solving it again.
+    iterate.  A caller that already holds ``plugin_mle(model, rel)``'s
+    theta passes it as ``theta_plug`` to skip solving it again.
 
-    ``estimate_report`` passes a dict as ``_solver``, which receives the
-    accepted steps, the objective evaluations and the exit status as
-    "nit", "nfev" and "status".
+    Returns theta_hat, I(theta_hat) from the solve's last accepted
+    evaluation, and the solve's accepted steps, objective evaluations and
+    exit status as {"nit", "nfev", "status"}.
     """
-    plug = plugin_mle(model, rel) if theta_plug is None else theta_plug
-    evaluate, hessians = _gls_objective(model, rel, plug)
-    theta, finite, _, status, nit, nfev = minimize_in_box(evaluate, hessians, np.asarray(plug)[None])
+    _check_dimension(model, rel)
+    plug = plugin_mle(model, rel)[0] if theta_plug is None else theta_plug
+    theta, finite, _, (fisher, _), status, nit, nfev = minimize_in_box(
+        *_gls_objective(model, rel, plug), np.asarray(plug)[None])
     if not finite[0]:
         raise MeanOverflowError("mean_overflow")
-    if _solver is not None:
-        _solver.update(nit=int(nit[0]), nfev=int(nfev[0]), status=int(status[0]))
     if status[0] == 1:
         raise SolverDivergedError("na_diverged", theta[0])
-    return theta[0]
+    return theta[0], fisher[0], {"nit": int(nit[0]), "nfev": int(nfev[0]), "status": int(status[0])}
 
 
 def dp_variance(
-    model: ExpFamModel,
-    theta_hat: np.ndarray,
+    fisher: np.ndarray,
     rel: ReleasedStatistic,
     n_syn: int | None = None,
 ) -> np.ndarray:
     """Variance of the DP estimator: inverse-Fisher/n plus the privacy inflation.
 
+    ``fisher`` is I(theta_hat), the block the estimate's solve ended on.
     Uses I_hat = I(theta_hat) + lam I, returns I_hat^{-1}/n + sigma^2 I_hat^{-2},
     with diagonal entries capped at 1e6/n.  A capped entry's row and column
     are scaled by sqrt(cap / v_ii), so the result stays a covariance with
     the same correlations.  An estimate made from n_syn synthetic records
     adds their Monte Carlo error I_hat^{-1}/n_syn.
     """
-    lam = _regularizer(rel.sigma)
-    ihat = model.fisher_info(theta_hat) + lam * np.eye(model.d)
+    ihat = fisher + _regularizer(rel.sigma) * np.eye(rel.d)
     try:
         iinv = np.linalg.inv(ihat)
     except np.linalg.LinAlgError as exc:
@@ -210,7 +212,7 @@ def dp_variance(
     diag = var.diagonal()
     scale = np.sqrt(cap / np.maximum(diag, cap))  # exactly 1 where the entry is not capped
     var = var * (scale[:, None] * scale)  # s_i s_j == s_j s_i, so var stays symmetric
-    var.flat[::model.d + 1] = np.minimum(diag, cap)
+    var.flat[::rel.d + 1] = np.minimum(diag, cap)
     return var
 
 
@@ -262,7 +264,7 @@ def _solve_draws(
 
     ``mu`` and ``fisher`` are the mean and the Fisher block at theta_hat.
     Every row's Newton starts at theta_hat, and ``start`` is "theta_hat",
-    when each row's first step from there, (I + 1e-12 1)^{-1} (s - mu), has
+    when each row's first step from there, (I + NEWTON_RIDGE 1)^{-1} (s - mu), has
     a reach ||step|| max_i ||x_i|| within NEWTON_MAX_REACH and lands strictly
     inside the box; otherwise every row starts at theta = 0 and ``start`` is
     "zero".  A draw whose first step fails this lies far from mu(theta_hat),
@@ -273,13 +275,13 @@ def _solve_draws(
     a failure and is replaced by theta_hat.
     """
     try:
-        step = np.linalg.solve(fisher + 1e-12 * np.eye(model.d), (s_star - mu).T).T
+        step = np.linalg.solve(fisher + NEWTON_RIDGE * np.eye(model.d), (s_star - mu).T).T
     except np.linalg.LinAlgError:  # a singular Fisher block: no first step to judge
         step = np.full_like(s_star, np.nan)
     # a step that lands inside the box is finite and short, so its norms cannot overflow
     warm = ((np.abs(theta_hat + step) < PARAM_BOX).all()
             and (np.linalg.norm(step, axis=1) * model._max_row_norm <= NEWTON_MAX_REACH).all())
-    draws, fallbacks, diverged = model.inverse_mean_map_batch(s_star, theta_hat if warm else None)
+    draws, _, fallbacks, diverged = model.inverse_mean_map_batch(s_star, theta_hat if warm else None)
     draws[diverged] = theta_hat
     return draws, fallbacks, int(diverged.sum()), "theta_hat" if warm else "zero"
 
@@ -315,10 +317,10 @@ def parametric_bootstrap(
     the draws raise BootstrapUnstableError.  ``diagnostics["draws_at_box"]``
     counts the draws with a coordinate on a face of the box: intervals
     built from many of them show the box, not the release.  A caller that already holds
-    ``plugin_mle(model, rel)`` passes it as ``theta_hat`` to skip solving it again.
+    ``plugin_mle(model, rel)``'s theta passes it as ``theta_hat`` to skip solving it again.
     """
-    if theta_hat is None:
-        theta_hat = plugin_mle(model, rel)
+    _check_dimension(model, rel)
+    theta_hat = plugin_mle(model, rel)[0] if theta_hat is None else theta_hat
     mu, fisher = model._mean_and_fisher_at(theta_hat)
     cov = fisher / rel.n + rel.sigma**2 * np.eye(model.d)
     try:
@@ -345,10 +347,10 @@ def parametric_bootstrap(
     )
 
 
-def records_mle(model: ExpFamModel, data: Dataset) -> tuple[ExpFamModel, np.ndarray]:
-    """``model`` over the records' own rows as given, and the MLE of their mean statistic."""
+def records_mle(model: ExpFamModel, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The MLE of the records' mean statistic over their own rows as given, and I there."""
     m = model.with_design(data.x)
-    return m, m.inverse_mean_map(m.mean_suff_stat(data))
+    return m.inverse_mean_map(m.mean_suff_stat(data))
 
 
 def nonprivate_mle(model: ExpFamModel, data: Dataset, alpha: float) -> EstimateReport:
@@ -359,8 +361,7 @@ def nonprivate_mle(model: ExpFamModel, data: Dataset, alpha: float) -> EstimateR
     number of at least 1/eps, raises FisherSingularError: rounding alone
     would decide its inverse.
     """
-    m, theta_hat = records_mle(model, data)
-    fisher = m.fisher_info(theta_hat)
+    theta_hat, fisher = records_mle(model, data)
     try:
         inverse = np.linalg.inv(fisher)
     except np.linalg.LinAlgError as exc:
@@ -383,19 +384,16 @@ def estimate_report(
 ) -> EstimateReport:
     """Run the chosen DP estimator with its Wald interval in one call.
 
-    ``theta_plug``, when given, is ``plugin_mle(model, rel)``, already solved.
+    ``theta_plug``, the plug-in theta when already solved, seeds the noise-aware solve.
     """
-    solver: dict = {}  # the noise-aware solve's nit, nfev and status
     if method == "plugin":
-        theta_hat = plugin_mle(model, rel) if theta_plug is None else theta_plug
-        tag = "plugin_wald"
+        (theta_hat, fisher), solver = plugin_mle(model, rel), {}
     elif method == "noise_aware":
-        theta_hat = noise_aware_mle(model, rel, theta_plug=theta_plug, _solver=solver)
-        tag = "noise_aware_wald"
+        theta_hat, fisher, solver = noise_aware_mle(model, rel, theta_plug=theta_plug)
     else:
         raise ValueError(f"unknown method {method!r}")
-    variance = dp_variance(model, theta_hat, rel)
-    return EstimateReport.wald(theta_hat, variance, alpha, tag, {
+    variance = dp_variance(fisher, rel)
+    return EstimateReport.wald(theta_hat, variance, alpha, f"{method}_wald", {
         "lambda": _regularizer(rel.sigma),
         "sigma": rel.sigma,
         # the estimate sits on a face of the |theta_j| <= PARAM_BOX box

@@ -13,6 +13,8 @@ one start the caller gives, then a fallback on the least-squares residual
 for the unconverged rows, each started from its last Newton iterate; a row
 whose fallback diverges is marked, not raised.  The bootstrap passes its
 theta_hat as the start when every draw's first step from there stays local.
+Each solver also returns I at its end point from its last accepted evaluation, so no
+caller calls the kernel there again; for one row it equals ``fisher_info`` bit for bit.
 Each Newton step is bounded in the linear predictor: it is scaled down so that its
 reach ||step|| max_i ||x_i|| is at most NEWTON_MAX_REACH, which by
 Cauchy-Schwarz bounds max_i |x_i . step|, the most it moves any record's
@@ -78,6 +80,7 @@ NEWTON_MAX_ITER = 100  # iterations of the inverse mean map's Newton loop and of
 # largest reach ||step|| * max_i ||x_i|| of a Newton step in newton_batch, a bound on
 # how far it moves any record's linear predictor x_i . theta
 NEWTON_MAX_REACH = 10.0
+NEWTON_RIDGE = 1e-12  # added to the diagonal of each Fisher block a Newton step solves
 # rows x design rows per block of the per-record kernel, so that each of its
 # (rows, design rows) arrays, a view of one slot of _workspace, stays within 0.5 MB
 NEWTON_CHUNK_ELEMS = 2**16
@@ -335,21 +338,22 @@ class ExpFamModel(abc.ABC):
     @abc.abstractmethod
     def inverse_mean_map_batch(
         self, S: np.ndarray, start: np.ndarray | None = None
-    ) -> tuple[np.ndarray, int, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
         """Solve grad_log_partition(theta_b) = S[b] over the box [-10, 10]^d for each row of S.
 
         ``start``, a point of the box with a finite mean, is where every
         row's iteration starts; None starts them at theta = 0.  Returns the
-        solutions (b, d), the number of rows that needed the fallback, and a
-        mask of the rows whose fallback diverged, which hold its last iterate.
+        solutions (b, d), their Fisher blocks (b, d, d), the number of rows
+        that needed the fallback, and a mask of the rows whose fallback
+        diverged, which hold its last iterate.
         """
 
-    def inverse_mean_map(self, s: np.ndarray) -> np.ndarray:
-        """The one-row ``inverse_mean_map_batch``; a diverged row raises SolverDivergedError."""
-        theta, _, diverged = self.inverse_mean_map_batch(np.asarray(s, dtype=float)[None])
+    def inverse_mean_map(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The one-row ``inverse_mean_map_batch``: theta and I(theta), or SolverDivergedError."""
+        theta, fisher, _, diverged = self.inverse_mean_map_batch(np.asarray(s, dtype=float)[None])
         if diverged[0]:
             raise SolverDivergedError("solver_diverged", theta[0])
-        return theta[0]
+        return theta[0], fisher[0]
 
 
 def _solve_blocks(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,8 +466,8 @@ def minimize_in_box(evaluate, hessians, Theta0) -> tuple[np.ndarray, ...]:
     start is not finite, its step cannot be solved or 30 halvings find no
     decrease; with status 1 after NEWTON_MAX_ITER accepted steps.
 
-    Returns the end points, the start's finite mask, the end gradients, and
-    per row the status, the accepted steps (nit) and the evaluations (nfev).
+    Returns the end points, the start's finite mask, the end gradients and
+    state (as evaluated there), and per row the status, nit and nfev.
     """
     theta = np.asarray(Theta0, dtype=float).clip(-PARAM_BOX, PARAM_BOX)
     nit, nfev = np.zeros((2, len(theta)), dtype=int)
@@ -494,7 +498,7 @@ def minimize_in_box(evaluate, hessians, Theta0) -> tuple[np.ndarray, ...]:
         active[stuck] = False
         nit += active  # the rows still active accepted a step
     status[active] = 1
-    return theta, finite, grad, status, nit, nfev
+    return theta, finite, grad, state, status, nit, nfev
 
 
 def _least_squares_objective(model, S):
@@ -551,23 +555,17 @@ class GaussianMeanModel(ExpFamModel):
     def _third_cumulants(P: np.ndarray, W: np.ndarray) -> np.ndarray:
         return np.zeros_like(W)
 
-    # the kernel's results in closed form, bit for bit and several times faster
-    def grad_log_partition(self, theta: np.ndarray) -> np.ndarray:
-        return self.sigma0_sq * np.asarray(theta, dtype=float)
-
-    def fisher_info(self, theta: np.ndarray) -> np.ndarray:
-        return np.array([[self.sigma0_sq]])
-
-    def inverse_mean_map(self, s: np.ndarray) -> np.ndarray:
-        # the mean map is linear, so the box-constrained solution is closed form
-        s = np.asarray(s, dtype=float)
-        return (s / self.sigma0_sq).clip(-PARAM_BOX, PARAM_BOX)
+    # the mean map is linear: the box-constrained solution is closed form, with no iteration
+    # for a start to seed, and every Fisher block is sigma0^2, the kernel's bit for bit
+    def inverse_mean_map(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta = (np.asarray(s, dtype=float) / self.sigma0_sq).clip(-PARAM_BOX, PARAM_BOX)
+        return theta, np.array([[self.sigma0_sq]])
 
     def inverse_mean_map_batch(
         self, S: np.ndarray, start: np.ndarray | None = None
-    ) -> tuple[np.ndarray, int, np.ndarray]:
-        # closed form, so there is no iteration for a start to seed
-        return self.inverse_mean_map(S), 0, np.zeros(len(S), dtype=bool)
+    ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+        theta = (np.asarray(S, dtype=float) / self.sigma0_sq).clip(-PARAM_BOX, PARAM_BOX)
+        return theta, np.full((len(S), 1, 1), self.sigma0_sq), 0, np.zeros(len(S), dtype=bool)
 
     def sample(self, theta: np.ndarray, n: int, rng: np.random.Generator) -> Dataset:
         mu = self.sigma0_sq * float(np.asarray(theta, dtype=float)[0])
@@ -595,12 +593,13 @@ class _RegressionModel(ExpFamModel):
 
     def newton_batch(
         self, S: np.ndarray, start: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Damped Newton for every row of S in one loop, every row started at ``start``.
 
         ``start``, a point of the box with a finite mean, is shared by all
         rows, so one kernel row evaluates it for them all; None starts them
-        at theta = 0.
+        at theta = 0.  Returns the last iterates, their Fisher blocks and a
+        mask of the converged rows.
 
         A row converges when ||mu(theta) - s|| <= 1e-8 max(1, ||s||).  It
         stops unconverged when its Fisher block is singular, or when 30
@@ -631,7 +630,7 @@ class _RegressionModel(ExpFamModel):
         if start is not None:
             theta[:] = start
         tol = 1e-8 * np.maximum(1.0, _row_norms(S))
-        ridge = 1e-12 * np.eye(d)
+        ridge = NEWTON_RIDGE * np.eye(d)
         m = self._max_row_norm
         with np.errstate(over="ignore"):  # an overflowing norm is inf
             # every row starts at the same point, so one kernel row serves them all
@@ -662,11 +661,11 @@ class _RegressionModel(ExpFamModel):
                                    (rnorm, resid, fishers))
                 active[stuck] = False
                 active &= rnorm > tol
-        return theta, rnorm <= tol
+        return theta, fishers, rnorm <= tol
 
     def inverse_mean_map_batch(
         self, S: np.ndarray, start: np.ndarray | None = None
-    ) -> tuple[np.ndarray, int, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
         """One ``newton_batch`` over every row of S, then one fallback over its unconverged rows.
 
         Newton starts every row at ``start`` (theta = 0 when None).  Each
@@ -674,31 +673,33 @@ class _RegressionModel(ExpFamModel):
         that Newton converges are not touched.
         """
         S = np.atleast_2d(np.asarray(S, dtype=float))
-        theta, converged = self.newton_batch(S, start)
+        theta, fisher, converged = self.newton_batch(S, start)
         diverged = np.zeros(len(S), dtype=bool)
         rows = (~converged).nonzero()[0]
         if rows.size:
-            theta[rows], diverged[rows] = self._inverse_mean_map_fallback(S[rows], theta[rows])
-        return theta, rows.size, diverged
+            theta[rows], fisher[rows], diverged[rows] = self._inverse_mean_map_fallback(
+                S[rows], theta[rows])
+        return theta, fisher, rows.size, diverged
 
     def _inverse_mean_map_fallback(
         self, S: np.ndarray, Theta0: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``minimize_in_box`` on 0.5 ||mu(theta) - s||^2 for every row of S, started at Theta0.
 
-        Returns the end points (b, d) and a mask of the rows that diverged:
-        those whose mean overflows, or whose projected gradient exceeds
-        1e-5 max(1, ||s||).
+        Returns the end points (b, d), their Fisher blocks (b, d, d) and a
+        mask of the rows that diverged: those whose mean overflows, or whose
+        projected gradient exceeds 1e-5 max(1, ||s||).
         """
         S = np.atleast_2d(np.asarray(S, dtype=float))
-        theta, finite, proj, *_ = minimize_in_box(*_least_squares_objective(self, S), Theta0)
+        theta, finite, proj, (fisher, _), *_ = minimize_in_box(
+            *_least_squares_objective(self, S), Theta0)
         # at a box optimum the projected gradient vanishes even though the residual
         # may not; a large one fails, and so does an end point whose mean overflows
         proj[((theta >= PARAM_BOX - 1e-12) & (proj < 0))
              | ((theta <= -PARAM_BOX + 1e-12) & (proj > 0))] = 0.0
         tol = 1e-5 * np.maximum(1.0, _row_norms(S))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row is nan: diverged
-            return theta, ~(finite & (np.linalg.norm(proj, axis=1) <= tol))
+            return theta, fisher, ~(finite & (np.linalg.norm(proj, axis=1) <= tol))
 
     def with_design(self, design: np.ndarray) -> "_RegressionModel":
         """A copy of this model over the rows ``design`` as given: rows past B_X stay unclipped."""

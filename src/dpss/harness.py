@@ -235,7 +235,7 @@ def _replications(cfg, idx, theta, n, eps, B=None):
 def _plugin_theta(model, rel, earlier) -> np.ndarray:
     """The plug-in estimate, reusing plugin_wald's if it ran on this replication."""
     plugin = earlier.get("plugin_wald")
-    return plugin.theta_hat if plugin is not None else estimate.plugin_mle(model, rel)
+    return plugin.theta_hat if plugin is not None else estimate.plugin_mle(model, rel)[0]
 
 
 def _naive_synth(model, raw, rel, rng, cfg, earlier):
@@ -317,7 +317,7 @@ def _gaussian_estimates(cfg, idx, n, eps):
     theta0 = _theta0(cfg, GAUSS_THETA0)
     estimates = np.empty(cfg.replications)
     for r, (model, _, rel, _) in enumerate(_replications(cfg, idx, theta0, n, eps)):
-        estimates[r] = estimate.plugin_mle(model, rel)[0]
+        estimates[r] = estimate.plugin_mle(model, rel)[0][0]
     return theta0, estimates, rel.sigma
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimate import EstimateReport, dp_variance, nonprivate_mle, records_mle
+from .estimate import EstimateReport, _check_dimension, dp_variance, nonprivate_mle, records_mle
 from .expfam import Dataset, ExpFamModel
 from .privacy import ReleasedStatistic
 
@@ -55,8 +55,9 @@ def noise_aware_synth_analysis(
     n_syn -> infinity the third term vanishes and this collapses to the
     direct DP variance.
     """
+    _check_dimension(model, rel)
     clipped = model.clip(d_syn)
-    m, theta_hat = records_mle(model, clipped)
-    var = dp_variance(m, theta_hat, rel, n_syn=clipped.n)
+    theta_hat, fisher = records_mle(model, clipped)
+    var = dp_variance(fisher, rel, n_syn=clipped.n)
     return EstimateReport.wald(theta_hat, var, alpha, "noise_aware_synth",
                                {"n_syn": clipped.n, "n": rel.n, "sigma": rel.sigma})

@@ -30,6 +30,7 @@ from dpss.expfam import (
     NEWTON_MAX_REACH,
     PARAM_BOX,
     Dataset,
+    ExpFamModel,
     GaussianMeanModel,
     LogisticModel,
     MeanOverflowError,
@@ -59,13 +60,13 @@ def make_release(s_tilde, sigma, n=1000, model_id="gaussian_mean", B=5.0, eps=1.
 
 def test_plugin_gaussian_identity():
     model = GaussianMeanModel(1.0)
-    assert plugin_mle(model, make_release([0.3], 0.1))[0] == pytest.approx(0.3)
+    assert plugin_mle(model, make_release([0.3], 0.1))[0][0] == pytest.approx(0.3)
 
 
 def test_plugin_logistic_at_half():
     model = LogisticModel(np.ones((5, 1)))
     rel = make_release([0.5], 0.05, model_id="logistic", B=3.0)
-    assert plugin_mle(model, rel)[0] == pytest.approx(0.0, abs=1e-8)
+    assert plugin_mle(model, rel)[0][0] == pytest.approx(0.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("model_id", ["gaussian_mean", "logistic", "poisson"])
@@ -82,7 +83,7 @@ def test_plugin_consistency_sigma_zero_large_n(model_id):
         model = PoissonModel(rng.uniform(0.2, 1.5, (2000, 1)), B_X=3.0, B_Y=50.0)
         theta0 = np.array([0.5])
     rel = release(model.sample(theta0, n, rng), model, None, rng)
-    np.testing.assert_allclose(plugin_mle(model, rel), theta0, atol=0.01)
+    np.testing.assert_allclose(plugin_mle(model, rel)[0], theta0, atol=0.01)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -95,6 +96,26 @@ def test_plugin_consistency_sigma_zero_large_n(model_id):
 def test_invalid_arguments_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def other_dimension_release():
+    """A logistic model with d = 2 and a release of a statistic with d = 3."""
+    model = LogisticModel(np.random.default_rng(0).standard_normal((200, 2)))
+    return model, make_release(np.zeros(3), 0.1, n=200, model_id="logistic", B=3.0)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m, rel: noise_aware_mle(m, rel, theta_plug=np.zeros(2)),
+    lambda m, rel: estimate.estimate_report(m, rel, "noise_aware", 0.05, theta_plug=np.zeros(2)),
+    lambda m, rel: parametric_bootstrap(m, rel, BootstrapConfig(20, 0.05), substream(0, "dim"),
+                                        theta_hat=np.zeros(2)),
+    lambda m, rel: synthgen.noise_aware_synth_analysis(
+        m, m.sample(np.zeros(2), 200, substream(1, "dim")), rel, 0.05),
+], ids=["noise_aware_mle", "estimate_report", "parametric_bootstrap", "noise_aware_synth_analysis"])
+def test_every_entry_taking_a_release_checks_its_dimension(entry):
+    # none of these calls runs plugin_mle, so each entry checks the release itself
+    with pytest.raises(ValueError, match="^release dimension disagrees with model$"):
+        entry(*other_dimension_release())
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
@@ -124,7 +145,7 @@ def test_noise_aware_equals_plugin_for_gaussian():
     for sigma in (0.0, 0.05, 0.5):
         rel = make_release([0.4], sigma)
         np.testing.assert_allclose(
-            noise_aware_mle(model, rel), plugin_mle(model, rel), atol=1e-6
+            noise_aware_mle(model, rel)[0], plugin_mle(model, rel)[0], atol=1e-6
         )
 
 
@@ -132,7 +153,7 @@ def test_noise_aware_equals_plugin_at_sigma_zero_interior():
     model = LogisticModel(np.random.default_rng(1).standard_normal((200, 3)))
     theta = np.array([0.4, -0.2, 0.6])
     rel = make_release(model.grad_log_partition(theta), 0.0, model_id="logistic", B=3.0)
-    np.testing.assert_allclose(noise_aware_mle(model, rel), plugin_mle(model, rel), atol=1e-6)
+    np.testing.assert_allclose(noise_aware_mle(model, rel)[0], plugin_mle(model, rel)[0], atol=1e-6)
 
 
 def test_noise_aware_first_order_equivalence_monte_carlo():
@@ -148,7 +169,7 @@ def test_noise_aware_first_order_equivalence_monte_carlo():
         model = LogisticModel(X, B_X=3.0)
         y = (rng.random(n) < 1 / (1 + np.exp(-(X @ theta0)))).astype(float)
         rel = release(Dataset(X, y), model, budget, rng)
-        gap = np.linalg.norm(noise_aware_mle(model, rel) - plugin_mle(model, rel))
+        gap = np.linalg.norm(noise_aware_mle(model, rel)[0] - plugin_mle(model, rel)[0])
         if gap <= 0.5 * (n**-0.5 + rel.sigma):
             ok += 1
     assert ok >= 190
@@ -156,7 +177,7 @@ def test_noise_aware_first_order_equivalence_monte_carlo():
 
 def finite_difference_noise_aware(model, rel):
     """The noise-aware solve with L-BFGS-B's finite-difference gradient: the reference."""
-    plug = plugin_mle(model, rel)
+    plug = plugin_mle(model, rel)[0]
     sigma, n, d = rel.sigma, rel.n, model.d
     lam = max(1e-6, 0.01 * sigma**2)
     s = rel.s_tilde
@@ -211,7 +232,7 @@ def noise_aware_release(model_id, eps, seed):
 def test_noise_aware_gradient_matches_central_differences(monkeypatch, model_id, on_box):
     model, rel = noise_aware_release(model_id, 0.3, seed=11)
     fun, hessians = gls_objective(monkeypatch, model, rel)
-    theta = plugin_mle(model, rel) + substream(11, "gradient-point").uniform(-0.3, 0.3, model.d)
+    theta = plugin_mle(model, rel)[0] + substream(11, "gradient-point").uniform(-0.3, 0.3, model.d)
     if on_box:
         theta[0] = PARAM_BOX
     gauss_newton = hessians(theta)[1]
@@ -230,8 +251,8 @@ def test_noise_aware_evaluation_makes_one_one_row_kernel_call(monkeypatch, model
     model, rel = noise_aware_release(model_id, 0.1, seed=0)
     fun, _ = gls_objective(monkeypatch, model, rel)
     # a start off the minimiser, so that the solve iterates
-    plug = np.clip(plugin_mle(model, rel) - 0.2, -PARAM_BOX, PARAM_BOX)
-    monkeypatch.setattr(estimate, "plugin_mle", lambda model, rel: plug)
+    plug = np.clip(plugin_mle(model, rel)[0] - 0.2, -PARAM_BOX, PARAM_BOX)
+    monkeypatch.setattr(estimate, "plugin_mle", lambda model, rel: (plug, None))
     rows = []
     kernel = model._record_moments
     monkeypatch.setattr(model, "_record_moments",
@@ -242,8 +263,7 @@ def test_noise_aware_evaluation_makes_one_one_row_kernel_call(monkeypatch, model
         fun(plug + 0.1 * k)
         assert rows == [1] * (k + 1)
     rows.clear()
-    solver = {}
-    noise_aware_mle(model, rel, _solver=solver)
+    _, _, solver = noise_aware_mle(model, rel)
     assert solver["nfev"] > 1 and rows == [1] * solver["nfev"]
 
 
@@ -253,7 +273,7 @@ def test_noise_aware_agrees_with_the_finite_difference_solve(model_id, eps):
     for seed in range(4):
         model, rel = noise_aware_release(model_id, eps, seed)
         ref = finite_difference_noise_aware(model, rel)
-        theta = noise_aware_mle(model, rel)
+        theta = noise_aware_mle(model, rel)[0]
         # both Gaussian solves end at the plug-in point: the exact one after
         # one evaluation, the finite-difference one in a failed line search
         if model_id == "gaussian_mean":
@@ -311,8 +331,7 @@ def test_noise_aware_step_to_an_overflowing_mean_is_halved(monkeypatch):
         return moments
 
     monkeypatch.setattr(model, "_record_moments", spy)
-    solver = {}
-    theta = noise_aware_mle(model, rel, theta_plug=np.array([-0.5, -0.5]), _solver=solver)
+    theta, _, solver = noise_aware_mle(model, rel, theta_plug=np.array([-0.5, -0.5]))
     assert finite_masks[0].all() and not finite_masks[1].any()
     assert solver["status"] == 0 and solver["nfev"] > solver["nit"] + 1
     np.testing.assert_allclose(theta, [0.05, 0.05], rtol=1e-3)
@@ -322,8 +341,8 @@ def test_noise_aware_report_counts_solver_work():
     model, rel = noise_aware_release("logistic", 0.1, seed=0)
     plugin = estimate.estimate_report(model, rel, "plugin", 0.05)
     report = estimate.estimate_report(model, rel, "noise_aware", 0.05)
-    solver = {}
-    np.testing.assert_array_equal(noise_aware_mle(model, rel, _solver=solver), report.theta_hat)
+    theta, _, solver = noise_aware_mle(model, rel)
+    np.testing.assert_array_equal(theta, report.theta_hat)
     assert solver["nit"] > 0 and solver["nfev"] > solver["nit"]
     assert {k: report.diagnostics[k] for k in solver} == solver
     assert list(report.diagnostics) == ["lambda", "sigma", "at_box", "nit", "nfev", "status"]
@@ -335,7 +354,7 @@ def test_gaussian_noise_aware_solve_stops_at_the_plug_in_point(s_tilde, at_box):
     model = GaussianMeanModel(2.0, B=50.0)
     rel = make_release([s_tilde], 0.3, B=50.0)
     report = estimate.estimate_report(model, rel, "noise_aware", 0.05)
-    np.testing.assert_array_equal(report.theta_hat, plugin_mle(model, rel))
+    np.testing.assert_array_equal(report.theta_hat, plugin_mle(model, rel)[0])
     assert report.diagnostics["at_box"] is at_box
     assert report.diagnostics["nfev"] == 1 and report.diagnostics["status"] == 0
 
@@ -345,7 +364,7 @@ def lbfgsb_noise_aware(model, rel):
 
     Returns the end point and scipy's result.
     """
-    plug = plugin_mle(model, rel)
+    plug = plugin_mle(model, rel)[0]
     sigma, n, d = rel.sigma, rel.n, model.d
     lam = max(1e-6, 0.01 * sigma**2)
     eye = np.eye(d)
@@ -373,8 +392,7 @@ def test_noise_aware_agrees_with_the_exact_gradient_lbfgsb_solve(model_id, eps):
     for seed in range(8):
         model, rel = noise_aware_release(model_id, eps, seed)
         ref, res = lbfgsb_noise_aware(model, rel)
-        solver = {}
-        theta = noise_aware_mle(model, rel, _solver=solver)
+        theta, _, solver = noise_aware_mle(model, rel)
         assert solver["status"] == 0 and res.status == 0
         # Newton steps with the T term: Gauss-Newton steps alone zig-zag on box-bound
         # logistic solves at eps = 0.1, for up to 130 evaluations
@@ -390,7 +408,7 @@ def test_noise_aware_agrees_with_the_exact_gradient_lbfgsb_solve(model_id, eps):
 @pytest.mark.parametrize("model_id", ["gaussian_mean", "logistic", "poisson"])
 def test_noise_aware_hessian_is_exact_but_for_the_fourth_cumulant(model_id):
     model, rel = noise_aware_release(model_id, 0.3, seed=11)
-    plug = plugin_mle(model, rel)
+    plug = plugin_mle(model, rel)[0]
     fun, hessians = gls_callbacks(*estimate._gls_objective(model, rel, plug))
     theta = plug + substream(11, "hessian-point").uniform(-0.3, 0.3, model.d)
     full, gauss_newton = hessians(theta)
@@ -417,19 +435,26 @@ def test_noise_aware_hessian_is_exact_but_for_the_fourth_cumulant(model_id):
 
 def test_noise_aware_solve_capped_at_newton_max_iter_steps_raises_with_its_iterate(monkeypatch):
     model, rel = noise_aware_release("logistic", 0.1, seed=0)
-    start = np.clip(plugin_mle(model, rel) - 0.2, -PARAM_BOX, PARAM_BOX)
+    start = np.clip(plugin_mle(model, rel)[0] - 0.2, -PARAM_BOX, PARAM_BOX)
     real = estimate._gls_objective
+
+    calls = {"evaluate": 0, "hessians": 0}
 
     def short_steps(*args):
         # Hessians 1e4 times too large: every step is accepted and too short to converge
         evaluate, hessians = real(*args)
-        return evaluate, lambda rows, state: tuple(1e4 * h for h in hessians(rows, state))
+
+        def counted(name, fn):
+            return lambda *a: calls.update({name: calls[name] + 1}) or fn(*a)
+
+        return counted("evaluate", evaluate), counted(
+            "hessians", lambda rows, state: tuple(1e4 * h for h in hessians(rows, state)))
 
     monkeypatch.setattr(estimate, "_gls_objective", short_steps)
-    solver = {}
     with pytest.raises(SolverDivergedError, match="na_diverged") as info:
-        noise_aware_mle(model, rel, theta_plug=start, _solver=solver)
-    assert solver == {"nit": NEWTON_MAX_ITER, "nfev": NEWTON_MAX_ITER + 1, "status": 1}
+        noise_aware_mle(model, rel, theta_plug=start)
+    # NEWTON_MAX_ITER accepted steps, each at its first trial, after the start's evaluation
+    assert calls == {"evaluate": NEWTON_MAX_ITER + 1, "hessians": NEWTON_MAX_ITER}
     assert np.abs(info.value.last_iterate - start).max() > 0
 
 
@@ -437,7 +462,7 @@ def test_noise_aware_solve_capped_at_newton_max_iter_steps_raises_with_its_itera
 
 def test_dp_variance_gaussian_arithmetic():
     model = GaussianMeanModel(1.0)
-    v = dp_variance(model, np.array([0.3]), make_release([0.3], 0.1, n=1000))
+    v = dp_variance(model.fisher_info(np.array([0.3])), make_release([0.3], 0.1, n=1000))
     # 1/1000 + 0.01, up to the small Fisher regularizer
     assert v[0, 0] == pytest.approx(0.011, abs=1e-5)
 
@@ -445,8 +470,8 @@ def test_dp_variance_gaussian_arithmetic():
 def test_dp_variance_sigma_zero_is_classical():
     model = LogisticModel(np.random.default_rng(8).standard_normal((300, 3)))
     th = np.array([0.2, -0.4, 0.1])
-    v = dp_variance(model, th, make_release(model.grad_log_partition(th), 0.0,
-                                            model_id="logistic", B=3.0))
+    v = dp_variance(model.fisher_info(th), make_release(model.grad_log_partition(th), 0.0,
+                                                        model_id="logistic", B=3.0))
     classical = np.linalg.inv(model.fisher_info(th)) / 1000
     np.testing.assert_allclose(v, classical, rtol=1e-5)
 
@@ -455,7 +480,7 @@ def test_dp_variance_diagonal_cap():
     # nearly flat family: the privacy term blows past the cap and is clipped
     model = GaussianMeanModel(1e-6)
     rel = make_release([0.0], 0.1, n=10)
-    v = dp_variance(model, np.zeros(1), rel)
+    v = dp_variance(model.fisher_info(np.zeros(1)), rel)
     assert v[0, 0] <= 1e6 / 10 + 1e-12
     assert v[0, 0] == pytest.approx(1e5)
 
@@ -463,7 +488,8 @@ def test_dp_variance_diagonal_cap():
 def test_dp_variance_symmetric_psd():
     model = LogisticModel(np.random.default_rng(3).standard_normal((100, 4)))
     th = np.array([0.5, -0.1, 0.0, 0.3])
-    v = dp_variance(model, th, make_release(np.zeros(4), 0.2, model_id="logistic", B=3.0))
+    v = dp_variance(model.fisher_info(th), make_release(np.zeros(4), 0.2, model_id="logistic",
+                                                        B=3.0))
     np.testing.assert_allclose(v, v.T)
     assert np.linalg.eigvalsh(v).min() >= -1e-12
 
@@ -474,22 +500,10 @@ def test_dp_variance_n_syn_term_is_added_before_the_cap():
     rel = make_release(np.zeros(3), 0.05, n=500, model_id="logistic", B=3.0)
     iinv = np.linalg.inv(model.fisher_info(th) + estimate._regularizer(rel.sigma) * np.eye(3))
     want = iinv / 500 + 0.05**2 * (iinv @ iinv) + iinv / 40
-    np.testing.assert_array_equal(dp_variance(model, th, rel, n_syn=40), 0.5 * (want + want.T))
+    np.testing.assert_array_equal(dp_variance(model.fisher_info(th), rel, n_syn=40), 0.5 * (want + want.T))
     # a term that pushes the diagonal past the cap is capped with the rest
-    capped = dp_variance(GaussianMeanModel(1.0), np.zeros(1), make_release([0.0], 0.0, n=10),
-                         n_syn=1e-6)
+    capped = dp_variance(np.ones((1, 1)), make_release([0.0], 0.0, n=10), n_syn=1e-6)
     assert capped[0, 0] == 1e6 / 10
-
-
-class FixedFisher:
-    """A stand-in model whose Fisher information is one fixed matrix."""
-
-    def __init__(self, fisher):
-        self.fisher = np.asarray(fisher, dtype=float)
-        self.d = len(self.fisher)
-
-    def fisher_info(self, theta):
-        return self.fisher
 
 
 def uncapped_variance(fisher, rel):
@@ -510,7 +524,7 @@ def test_dp_variance_cap_keeps_a_covariance(fisher):
     cap = estimate.VARIANCE_DIAG_CAP / rel.n
     raw = uncapped_variance(np.asarray(fisher), rel)
     assert np.diag(raw).max() > cap  # the cap binds
-    v = dp_variance(FixedFisher(fisher), np.zeros(len(fisher)), rel)
+    v = dp_variance(np.asarray(fisher, dtype=float), rel)
     np.testing.assert_array_equal(np.diag(v), np.minimum(np.diag(raw), cap))
     np.testing.assert_array_equal(v, v.T)
     assert np.linalg.eigvalsh(v).min() >= -1e-12 * cap
@@ -524,8 +538,7 @@ def test_dp_variance_cap_keeps_a_covariance(fisher):
 def test_dp_variance_below_the_cap_is_unchanged_bit_for_bit():
     fisher = np.array([[0.3, 0.1], [0.1, 0.2]])
     rel = make_release(np.zeros(2), 0.05, n=400, model_id="logistic", B=3.0)
-    np.testing.assert_array_equal(dp_variance(FixedFisher(fisher), np.zeros(2), rel),
-                                  uncapped_variance(fisher, rel))
+    np.testing.assert_array_equal(dp_variance(fisher, rel), uncapped_variance(fisher, rel))
 
 
 # ---------------------------------------------------------------- wald
@@ -586,8 +599,8 @@ def test_bootstrap_matches_wald_width_sigma_zero():
     n = 10**6
     rel = release(model.sample(np.array([0.4]), n, rng), model, None, rng)
     boot = parametric_bootstrap(model, rel, BootstrapConfig(2000, 0.05), rng)
-    th = plugin_mle(model, rel)
-    (lo, hi), = wald_ci(th, dp_variance(model, th, rel), 0.05)
+    th, fisher = plugin_mle(model, rel)
+    (lo, hi), = wald_ci(th, dp_variance(fisher, rel), 0.05)
     bw = boot.cis[0][1] - boot.cis[0][0]
     assert bw == pytest.approx(hi - lo, rel=0.10)
 
@@ -601,8 +614,8 @@ def test_bootstrap_wald_consilience_with_noise():
     for _ in range(30):
         rel = release(model.sample(np.array([1.0]), n, rng), model, budget, rng)
         boot = parametric_bootstrap(model, rel, BootstrapConfig(300, 0.05), rng)
-        th = plugin_mle(model, rel)
-        (lo, hi), = wald_ci(th, dp_variance(model, th, rel), 0.05)
+        th, fisher = plugin_mle(model, rel)
+        (lo, hi), = wald_ci(th, dp_variance(fisher, rel), 0.05)
         widths_b.append(boot.cis[0][1] - boot.cis[0][0])
         widths_w.append(hi - lo)
     assert np.mean(widths_b) == pytest.approx(np.mean(widths_w), rel=0.10)
@@ -615,7 +628,7 @@ def per_draw_bootstrap(model, rel, cfg, rng, start):
     "theta_hat", theta = 0 for "zero"; a diverged one is replaced by theta_hat.
     Returns the draws and the failure count.
     """
-    theta_hat = plugin_mle(model, rel)
+    theta_hat = plugin_mle(model, rel)[0]
     mu = model.grad_log_partition(theta_hat)
     cov = model.fisher_info(theta_hat) / rel.n + rel.sigma**2 * np.eye(model.d)
     chol = np.linalg.cholesky(cov + 1e-15 * np.eye(model.d))
@@ -624,7 +637,7 @@ def per_draw_bootstrap(model, rel, cfg, rng, start):
     theta0 = theta_hat if start == "theta_hat" else None
     for b in range(cfg.b_boot):
         s_star = mu + chol @ rng.standard_normal(model.d)
-        theta, _, diverged = model.inverse_mean_map_batch(s_star[None], theta0)
+        theta, _, _, diverged = model.inverse_mean_map_batch(s_star[None], theta0)
         failures += int(diverged[0])
         draws[b] = theta_hat if diverged[0] else theta[0]
     return draws, failures
@@ -706,7 +719,7 @@ def bundled_bootstrap_draws():
     data = dataset_from_csv(csv, model)
     rng = substream(0, "warm-start")
     rel = release(data, model, PrivacyBudget(1.0, 1.0 / data.n**2), rng)
-    theta_hat = plugin_mle(model, rel)
+    theta_hat = plugin_mle(model, rel)[0]
     mu, fisher = model._mean_and_fisher_at(theta_hat)
     chol = np.linalg.cholesky(fisher / data.n + rel.sigma**2 * np.eye(model.d))
     return model, theta_hat, mu + rng.standard_normal((500, model.d)) @ chol.T
@@ -718,7 +731,7 @@ def counted_solve(model, S, start):
     kernel = model.mean_and_fisher
     model.mean_and_fisher = lambda Theta: rows.append(len(Theta)) or kernel(Theta)
     try:
-        theta, fallbacks, diverged = model.inverse_mean_map_batch(S, start)
+        theta, _, fallbacks, diverged = model.inverse_mean_map_batch(S, start)
     finally:
         del model.mean_and_fisher
     assert fallbacks == 0 and not diverged.any()
@@ -824,7 +837,7 @@ def lbfgsb_fallback(model, s, theta0):
 
 def low_eps_draws(model, rel):
     """200 bootstrap draws of the statistic around the plug-in estimate of ``rel``."""
-    theta_hat = plugin_mle(model, rel)
+    theta_hat = plugin_mle(model, rel)[0]
     cov = model.fisher_info(theta_hat) / rel.n + rel.sigma**2 * np.eye(model.d)
     z = substream(5, "draws").standard_normal((200, model.d))
     return model.grad_log_partition(theta_hat) + z @ np.linalg.cholesky(cov).T
@@ -834,10 +847,10 @@ def low_eps_draws(model, rel):
 def test_batched_fallback_agrees_with_per_row_lbfgsb_on_low_eps_draws(model_id, n):
     model, rel = simulated_release(model_id, n, 0.1, seed=5)
     s_star = low_eps_draws(model, rel)
-    Theta0, converged = model.newton_batch(s_star)
+    Theta0, _, converged = model.newton_batch(s_star)
     S, Theta0 = s_star[~converged], Theta0[~converged]
     assert len(S) > 20  # at eps = 0.1 many draws fall back
-    theta, diverged = model._inverse_mean_map_fallback(S, Theta0)
+    theta, _, diverged = model._inverse_mean_map_fallback(S, Theta0)
     ref = [lbfgsb_fallback(model, s, t0) for s, t0 in zip(S, Theta0)]
     assert diverged.tolist() == [d for _, d in ref]
     ref_theta = np.array([t for t, _ in ref])
@@ -853,7 +866,7 @@ def test_newton_hands_box_blocked_low_eps_draws_on_without_halving_rounds():
     rows = []
     kernel = model.mean_and_fisher
     model.mean_and_fisher = lambda Theta: rows.append(len(Theta)) or kernel(Theta)
-    _, converged = model.newton_batch(s_star)
+    _, _, converged = model.newton_batch(s_star)
     assert (~converged).sum() == 182  # as many rows as before are left to the fallback
     assert len(rows) <= 100 and sum(rows) <= 2000
 
@@ -915,11 +928,11 @@ def test_batched_inverse_matches_row_by_row_solves_on_low_eps_draws(model_id, n)
     # that row alone does (the one-row batch is inverse_mean_map, without the raise)
     model, rel = simulated_release(model_id, n, 0.1, seed=5)
     s_star = low_eps_draws(model, rel)
-    theta, fallbacks, diverged = model.inverse_mean_map_batch(s_star)
+    theta, _, fallbacks, diverged = model.inverse_mean_map_batch(s_star)
     alone = [model.inverse_mean_map_batch(s[None]) for s in s_star]
-    assert fallbacks == sum(f for _, f, _ in alone) > 20
-    assert diverged.tolist() == [bool(d[0]) for _, _, d in alone]
-    np.testing.assert_allclose(theta, np.vstack([t for t, _, _ in alone]), rtol=0.0, atol=1e-12)
+    assert fallbacks == sum(f for _, _, f, _ in alone) > 20
+    assert diverged.tolist() == [bool(d[0]) for *_, d in alone]
+    np.testing.assert_allclose(theta, np.vstack([t for t, *_ in alone]), rtol=0.0, atol=1e-12)
 
 
 def test_one_newton_loop_makes_no_more_kernel_calls_than_its_slowest_draw():
@@ -931,7 +944,7 @@ def test_one_newton_loop_makes_no_more_kernel_calls_than_its_slowest_draw():
     calls = []
     kernel = model.mean_and_fisher
     model.mean_and_fisher = lambda Theta: calls.append(len(Theta)) or kernel(Theta)
-    _, fallbacks, _ = model.inverse_mean_map_batch(s_star)
+    _, _, fallbacks, _ = model.inverse_mean_map_batch(s_star)
     assert fallbacks == 0 and calls[:2] == [1, 500]
     batched = len(calls)
     alone = []
@@ -950,7 +963,7 @@ def test_no_kernel_temporary_is_wider_than_a_block():
     moments, fallback = model._record_moments, model._inverse_mean_map_fallback
     model._record_moments = lambda Theta: widths.append(len(Theta)) or moments(Theta)
     model._inverse_mean_map_fallback = lambda S, Theta0: handed.append(len(S)) or fallback(S, Theta0)
-    _, fallbacks, diverged = model.inverse_mean_map_batch(s_star)
+    _, _, fallbacks, diverged = model.inverse_mean_map_batch(s_star)
     assert fallbacks == 10 and not diverged.any()
     assert handed == [10]  # one fallback call, which the kernel blocks
     assert max(widths) == NEWTON_CHUNK_ELEMS // 2**14
@@ -964,7 +977,7 @@ sys.path[:0] = sys.argv[1:3]
 from test_estimate import low_eps_draws, simulated_release
 model, rel = simulated_release(sys.argv[3], int(sys.argv[4]), 0.1, seed=5)
 S = low_eps_draws(model, rel)
-assert model.inverse_mean_map_batch(S)[1] > 20  # many draws take the fallback
+assert model.inverse_mean_map_batch(S)[2] > 20  # many draws take the fallback
 for _ in range(5):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     model.inverse_mean_map_batch(S)
@@ -1006,11 +1019,12 @@ def test_threads_solving_on_two_models_at_once_match_solving_them_in_turn():
     finally:
         sys.setswitchinterval(interval)
     for k, runs in enumerate(results):
-        theta, fallbacks, diverged = want[k % 2]
+        theta, fisher, fallbacks, diverged = want[k % 2]
         for got in runs:
-            assert got[1] == fallbacks
-            np.testing.assert_array_equal(got[2], diverged)
+            assert got[2] == fallbacks
+            np.testing.assert_array_equal(got[3], diverged)
             np.testing.assert_array_equal(got[0].view(np.uint64), theta.view(np.uint64))
+            np.testing.assert_array_equal(got[1].view(np.uint64), fisher.view(np.uint64))
 
 
 def flaky_newton(model, fails):
@@ -1018,8 +1032,8 @@ def flaky_newton(model, fails):
     newton = model.newton_batch
 
     def patched(S, start=None):
-        theta, converged = newton(S, start)
-        return theta, converged & ~fails(np.atleast_2d(S))
+        theta, fisher, converged = newton(S, start)
+        return theta, fisher, converged & ~fails(np.atleast_2d(S))
 
     model.newton_batch = patched
 
@@ -1032,16 +1046,16 @@ def test_bootstrap_failed_draws_are_counted_and_replaced(monkeypatch):
     flaky_newton(model, lambda S: S[:, 1] > 0)
 
     def diverge(S, Theta0):
-        return Theta0.copy(), np.ones(len(S), dtype=bool)
+        return Theta0.copy(), np.zeros((len(S), 2, 2)), np.ones(len(S), dtype=bool)
 
     monkeypatch.setattr(model, "_inverse_mean_map_fallback", diverge)
     solved, retried = [], []
     batch = model.inverse_mean_map_batch
 
     def batch_spy(S, start=None):
-        theta, fallbacks, diverged = batch(S, start)
+        theta, fisher, fallbacks, diverged = batch(S, start)
         solved.append(theta.copy())
-        return theta, fallbacks, diverged
+        return theta, fisher, fallbacks, diverged
 
     monkeypatch.setattr(model, "inverse_mean_map_batch", batch_spy)
     monkeypatch.setattr(model, "inverse_mean_map", retried.append)
@@ -1092,14 +1106,14 @@ def test_bootstrap_unstable_at_ten_percent_failures(monkeypatch):
 def test_bootstrap_unstable_when_every_draw_diverges(monkeypatch):
     model = LogisticModel(substream(10, "unstable").standard_normal((300, 2)))
     rel = make_release([0.3, -0.2], 0.05, n=300, model_id="logistic", B=3.0)
-    theta_hat = plugin_mle(model, rel)
+    theta_hat = plugin_mle(model, rel)[0]
     flaky_newton(model, lambda S: np.ones(len(S), dtype=bool))
 
     def diverge(S, Theta0):
-        return Theta0.copy(), np.ones(len(S), dtype=bool)
+        return Theta0.copy(), np.zeros((len(S), 2, 2)), np.ones(len(S), dtype=bool)
 
     monkeypatch.setattr(model, "_inverse_mean_map_fallback", diverge)
-    monkeypatch.setattr(estimate, "plugin_mle", lambda m, r: theta_hat)
+    monkeypatch.setattr(estimate, "plugin_mle", lambda m, r: (theta_hat, None))
     with pytest.raises(BootstrapUnstableError):
         parametric_bootstrap(model, rel, BootstrapConfig(50, 0.05), substream(2, "u"))
 
@@ -1122,7 +1136,7 @@ def test_bootstrap_of_a_covariance_not_positive_definite_raises_fisher_singular(
     model = PoissonModel(near_duplicate_design(), B_X=100.0, B_Y=1e30)
     rel = ReleasedStatistic(model.grad_log_partition(np.full(2, 3.0)), 0.0, 60, 2,
                             model.clip_bounds.B, None, "poisson")
-    theta_hat = plugin_mle(model, rel)
+    theta_hat = plugin_mle(model, rel)[0]
     assert np.linalg.eigvalsh(model.fisher_info(theta_hat))[0] < 0
     with pytest.raises(FisherSingularError, match="fisher_singular"):
         parametric_bootstrap(model, rel, BootstrapConfig(20, 0.05), substream(3, "singular"))
@@ -1152,7 +1166,7 @@ def test_nonprivate_is_the_mle_of_the_raw_records():
     assert (np.linalg.norm(raw.x, axis=1) > model.clip_bounds.B_X).any()
     report = nonprivate_mle(model, raw, 0.05)
     unbound = LogisticModel(raw.x, B_X=1e9)
-    theta = unbound.inverse_mean_map(unbound.mean_suff_stat(raw))
+    theta, _ = unbound.inverse_mean_map(unbound.mean_suff_stat(raw))
     np.testing.assert_array_equal(report.theta_hat, theta)
     variance = np.linalg.inv(unbound.fisher_info(theta)) / raw.n
     np.testing.assert_array_equal(report.variance, 0.5 * (variance + variance.T))
@@ -1185,8 +1199,8 @@ def test_sigma_zero_triple_equality():
     ]:
         data = model.clip(model.sample(theta0, 500, rng))
         rel = release(data, model, None, rng)
-        plug = plugin_mle(model, rel)
-        na = noise_aware_mle(model, rel)
+        plug = plugin_mle(model, rel)[0]
+        na = noise_aware_mle(model, rel)[0]
         clean = nonprivate_mle(model, data, 0.05).theta_hat
         np.testing.assert_allclose(plug, na, atol=1e-6)
         np.testing.assert_allclose(plug, clean, atol=1e-6)
@@ -1222,3 +1236,68 @@ def test_regularizer_engages_only_for_meaningful_noise():
     loud = estimate.estimate_report(model, make_release([0.1], 0.02), "plugin", 0.05)
     assert quiet.diagnostics["lambda"] == 1e-6
     assert loud.diagnostics["lambda"] > 1e-6
+
+
+# ------------------------------------------------ Fisher blocks handed forward
+
+def fallback_release():
+    """A logistic release whose first mean coordinate no theta reaches: Newton hands it on."""
+    model = LogisticModel(substream(3, "fallback").standard_normal((300, 3)))
+    s = model.grad_log_partition(np.full(3, 0.2)) + [2.0, 0.0, 0.0]
+    return model, make_release(s, 0.1, n=300, model_id="logistic", B=3.0)
+
+
+def off_plugin_noise_aware(model, rel):
+    """The noise-aware solve started 0.2 below the plug-in point, so that it iterates."""
+    start = np.clip(plugin_mle(model, rel)[0] - 0.2, -PARAM_BOX, PARAM_BOX)
+    return noise_aware_mle(model, rel, theta_plug=start)
+
+
+# path -> (the model and release, the estimator)
+HANDED_FORWARD = {
+    "newton_logistic": (lambda: noise_aware_release("logistic", 1.0, 0), plugin_mle),
+    "newton_poisson": (lambda: noise_aware_release("poisson", 1.0, 0), plugin_mle),
+    "fallback": (fallback_release, plugin_mle),
+    "gaussian_closed_form": (lambda: noise_aware_release("gaussian_mean", 1.0, 0), plugin_mle),
+    "noise_aware_interior": (lambda: noise_aware_release("logistic", 0.3, 0), noise_aware_mle),
+    "noise_aware_off_plugin": (lambda: noise_aware_release("logistic", 1.0, 0),
+                               off_plugin_noise_aware),
+    "noise_aware_at_box": (lambda: noise_aware_release("logistic", 0.1, 0), noise_aware_mle),
+}
+
+
+@pytest.mark.parametrize("path", list(HANDED_FORWARD))
+def test_the_handed_forward_fisher_block_is_the_kernels_at_theta_hat(path):
+    # a one-row solve's last accepted evaluation is a one-row kernel call at theta_hat
+    make, estimator = HANDED_FORWARD[path]
+    model, rel = make()
+    theta, fisher, *solver = estimator(model, rel)
+    np.testing.assert_array_equal(fisher, model.fisher_info(theta))
+    if estimator is plugin_mle:
+        assert model.inverse_mean_map_batch(rel.s_tilde[None])[2] == (path == "fallback")
+    else:
+        assert (np.abs(theta).max() >= PARAM_BOX) == (path == "noise_aware_at_box")
+        assert solver[0]["nit"] > 0  # the block is from an evaluation after the start's
+
+
+@pytest.mark.parametrize("model_id", ["gaussian_mean", "logistic", "poisson"])
+def test_no_report_evaluates_the_kernel_again_at_its_estimate(monkeypatch, model_id):
+    # every Wald report reads the Fisher block its solve handed forward, so with
+    # both one-point evaluations raising, the reports come out the same
+    model, rel = noise_aware_release(model_id, 1.0, seed=0)
+    theta = estimate.estimate_report(model, rel, "plugin", 0.05).theta_hat
+    syn = synthgen.generate_synthetic(model, theta, rel.n, substream(0, "handed-forward"))
+
+    def reports():
+        return [report.to_json() for report in (
+            estimate.estimate_report(model, rel, "plugin", 0.05),
+            estimate.estimate_report(model, rel, "noise_aware", 0.05),
+            nonprivate_mle(model, syn, 0.05),
+            synthgen.naive_analysis(model, syn, 0.05),
+            synthgen.noise_aware_synth_analysis(model, syn, rel, 0.05),
+        )]
+
+    want = reports()
+    for name in ("fisher_info", "_mean_and_fisher_at"):
+        monkeypatch.setattr(ExpFamModel, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+    assert reports() == want

@@ -23,7 +23,6 @@ from dpss.expfam import (
     ClipBounds,
     Dataset,
     EmptyDatasetError,
-    ExpFamModel,
     GaussianMeanModel,
     LogisticModel,
     MeanOverflowError,
@@ -265,14 +264,14 @@ def test_gaussian_fisher_matches_second_difference_of_log_partition():
 
 def test_inverse_mean_map_examples():
     g = GaussianMeanModel(1.0)
-    assert g.inverse_mean_map(np.array([0.5]))[0] == pytest.approx(0.5)
+    assert g.inverse_mean_map(np.array([0.5]))[0][0] == pytest.approx(0.5)
 
     lg = LogisticModel(np.ones((3, 1)))
-    assert lg.inverse_mean_map(np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-8)
+    assert lg.inverse_mean_map(np.array([0.5]))[0][0] == pytest.approx(0.0, abs=1e-8)
     # sigmoid(1) evaluated independently: 1/(1+exp(-1))
     s1 = 1.0 / (1.0 + np.exp(-1.0))
     assert s1 == pytest.approx(0.731058578, abs=1e-9)
-    assert lg.inverse_mean_map(np.array([0.731058578]))[0] == pytest.approx(1.0, abs=1e-6)
+    assert lg.inverse_mean_map(np.array([0.731058578]))[0][0] == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("maker", [
@@ -286,14 +285,14 @@ def test_inverse_mean_map_round_trip(maker):
     for _ in range(25):
         theta = rng.uniform(-2.0, 2.0, model.d)
         s = model.grad_log_partition(theta)
-        np.testing.assert_allclose(model.inverse_mean_map(s), theta, atol=1e-6)
+        np.testing.assert_allclose(model.inverse_mean_map(s)[0], theta, atol=1e-6)
 
 
 def test_inverse_mean_map_residual_bound_for_interior_s():
     model = random_logistic(d=3)
     theta = np.array([0.7, -0.4, 1.1])
     s = model.grad_log_partition(theta)
-    th = model.inverse_mean_map(s)
+    th, _ = model.inverse_mean_map(s)
     resid = np.linalg.norm(model.grad_log_partition(th) - s)
     assert resid <= 1e-8 * max(1.0, np.linalg.norm(s))
 
@@ -302,7 +301,7 @@ def test_inverse_mean_map_out_of_range_hits_boundary():
     # a one-dimensional logistic mean can never exceed 1; the solver must
     # return the box-boundary minimizer rather than raise
     model = LogisticModel(np.ones((3, 1)))
-    th = model.inverse_mean_map(np.array([1.5]))
+    th, _ = model.inverse_mean_map(np.array([1.5]))
     assert th[0] == pytest.approx(10.0)
 
 
@@ -368,7 +367,7 @@ def test_newton_batch_matches_scalar_newton(maker, low, high):
     S = np.array([model.grad_log_partition(rng.uniform(low, high, model.d)) for _ in range(12)])
     # statistics the mean map cannot reach leave their rows unconverged
     S = np.vstack([S, -np.abs(S[:3]) - 1.0])
-    theta, converged = model.newton_batch(S)
+    theta, _, converged = model.newton_batch(S)
     for k, s in enumerate(S):
         with np.errstate(over="ignore"):
             ref_theta, ref_converged = scalar_newton(model, s)
@@ -392,7 +391,7 @@ def test_newton_batch_candidates_stay_below_max_log_rate():
 
     model.mean_and_fisher = spy
     S = model.grad_log_partition(np.array([0.1, 0.1]))[None]
-    _, converged = model.newton_batch(S)
+    _, _, converged = model.newton_batch(S)
     assert converged[0]
     assert all(finite.all() for finite in calls)
 
@@ -416,7 +415,7 @@ def test_newton_batch_stops_a_row_whose_clipped_step_cannot_descend():
     calls = []
     kernel = model.mean_and_fisher
     model.mean_and_fisher = lambda Theta: calls.append(Theta[0].copy()) or kernel(Theta)
-    theta, converged = model.newton_batch(s[None])
+    theta, _, converged = model.newton_batch(s[None])
     newton_calls = len(calls)
     assert not converged[0]
     assert theta[0, 0] == PARAM_BOX and abs(theta[0, 1]) < PARAM_BOX
@@ -463,7 +462,7 @@ def test_a_reachable_large_rate_poisson_statistic_is_solved(t):
     # overflow, and 30 halvings never came back, so these raised solver_diverged
     X = np.random.default_rng(0).uniform(50.0, 100.0, (40, 1))
     model = PoissonModel(X, B_X=200.0, B_Y=1e6)
-    theta = model.inverse_mean_map(model.grad_log_partition(np.array([t])))
+    theta, _ = model.inverse_mean_map(model.grad_log_partition(np.array([t])))
     np.testing.assert_allclose(theta, [t], rtol=0.0, atol=1e-8)
 
 
@@ -500,10 +499,10 @@ def test_the_reach_bound_leaves_interior_cli_draws_unchanged(monkeypatch):
         return step, solved
 
     monkeypatch.setattr(dpss.expfam, "_solve_blocks", spy)
-    theta, converged = model.newton_batch(S)
+    theta, _, converged = model.newton_batch(S)
     assert converged.all() and reaches and max(reaches) <= NEWTON_MAX_REACH
     monkeypatch.setattr(dpss.expfam, "NEWTON_MAX_REACH", np.inf)
-    unbounded, unbounded_converged = model.newton_batch(S)
+    unbounded, _, unbounded_converged = model.newton_batch(S)
     np.testing.assert_array_equal(theta, unbounded)
     np.testing.assert_array_equal(converged, unbounded_converged)
 
@@ -546,9 +545,9 @@ def test_minimize_in_box_on_a_separable_quadratic():
     # is not finite; and a start whose projected gradient is below 1e-8 on a flat objective,
     # though a Newton step from it would predict a decrease of 2.5e-11
     Theta0 = np.array([[1.0, -2.0], [0.0, 0.0], [0.0, 7.0], [5.0, 0.0]])
-    theta, finite, grad, status, nit, nfev = minimize_in_box(evaluate, hessians, Theta0)
+    theta, finite, grad, state, status, nit, nfev = minimize_in_box(evaluate, hessians, Theta0)
     np.testing.assert_array_equal(theta, [[1.0, -2.0], [PARAM_BOX, -3.0], [0.0, 7.0], [5.0, 0.0]])
-    assert finite.tolist() == [True, True, False, True]
+    assert finite.tolist() == [True, True, False, True] and state == []
     np.testing.assert_array_equal(grad[:2], [[0.0, 0.0], [2.0 * (PARAM_BOX - 15.0), 0.0]])
     assert status.tolist() == [0, 0, 2, 0]
     assert nit.tolist() == [0, 1, 0, 0] and nfev.tolist() == [1, 2, 1, 1]
@@ -567,7 +566,7 @@ def test_minimize_in_box_never_accepts_a_point_that_is_not_finite():
     def hessians(rows, state):
         return (np.tile(np.eye(2), (len(rows), 1, 1)),) * 2
 
-    theta, finite, _, status, nit, nfev = minimize_in_box(evaluate, hessians, np.zeros((1, 2)))
+    theta, finite, _, _, status, nit, nfev = minimize_in_box(evaluate, hessians, np.zeros((1, 2)))
     assert finite[0] and status[0] == 2 and nfev[0] > nit[0] > 1
     assert theta[0, 0] == 0.0 and -5.0 < theta[0, 1] < -5.0 + 1e-8
 
@@ -579,7 +578,7 @@ def test_minimize_in_box_stops_a_row_whose_step_cannot_be_solved():
     def hessians(rows, state):  # singular Hessians: no Newton step exists
         return (np.zeros((len(rows), 2, 2)),) * 2
 
-    theta, _, _, status, nit, nfev = minimize_in_box(evaluate, hessians, np.ones((1, 2)))
+    theta, _, _, _, status, nit, nfev = minimize_in_box(evaluate, hessians, np.ones((1, 2)))
     np.testing.assert_array_equal(theta, np.ones((1, 2)))
     assert (status[0], nit[0], nfev[0]) == (2, 0, 1)
 
@@ -590,7 +589,7 @@ def test_newton_batch_singular_fisher_leaves_row_unconverged():
     z = np.random.default_rng(2).standard_normal(40)
     model = LogisticModel(300.0 * np.column_stack([z, z]), B_X=1e4)
     mu0 = model.grad_log_partition(np.zeros(2))
-    theta, converged = model.newton_batch(np.vstack([mu0, mu0 + [1.0, -1.0]]))
+    theta, _, converged = model.newton_batch(np.vstack([mu0, mu0 + [1.0, -1.0]]))
     assert converged.tolist() == [True, False]
     np.testing.assert_array_equal(theta, 0.0)
 
@@ -665,19 +664,22 @@ def test_skew_tensor_is_the_direct_third_cumulant_contraction(maker, n):
 
 @pytest.mark.parametrize("sigma0_sq", [1.0, 2.3, 0.3, 1e-6])
 def test_gaussian_closed_forms_equal_the_design_kernel(sigma0_sq):
+    # the kernel over the one-row design x = 1 is mu = sigma0^2 theta and I = [[sigma0^2]],
+    # bit for bit, so the closed-form inverse may hand [[sigma0^2]] on as theta's Fisher block
     model = GaussianMeanModel(sigma0_sq)
-    for t in np.random.default_rng(4).uniform(-PARAM_BOX, PARAM_BOX, 50):
-        theta = np.array([t])
-        np.testing.assert_array_equal(model.grad_log_partition(theta),
-                                      ExpFamModel.grad_log_partition(model, theta))
-        np.testing.assert_array_equal(model.fisher_info(theta),
-                                      ExpFamModel.fisher_info(model, theta))
+    Theta = np.random.default_rng(4).uniform(-PARAM_BOX, PARAM_BOX, (50, 1))
+    for rows in (Theta, *Theta[:, None]):  # one call over every row, and one call per row
+        mu, fisher, finite = model.mean_and_fisher(rows)
+        np.testing.assert_array_equal(mu, sigma0_sq * rows)
+        np.testing.assert_array_equal(fisher, np.full((len(rows), 1, 1), sigma0_sq))
+        assert finite.all()
 
 
 def test_gaussian_inverse_mean_map_batch_is_closed_form():
     model = GaussianMeanModel(2.0)
-    theta, fallbacks, diverged = model.inverse_mean_map_batch(np.array([[1.0], [-40.0]]))
+    theta, fisher, fallbacks, diverged = model.inverse_mean_map_batch(np.array([[1.0], [-40.0]]))
     np.testing.assert_array_equal(theta[:, 0], [0.5, -PARAM_BOX])
+    np.testing.assert_array_equal(fisher, np.full((2, 1, 1), 2.0))
     assert fallbacks == 0 and not diverged.any()
 
 
@@ -727,7 +729,7 @@ def test_fallback_runs_the_kernel_once_per_objective_call(monkeypatch):
     kernel_rows = spy_kernel(monkeypatch, model)
     # statistics no mean can reach end on the box, after many rounds
     S = np.array([[-1.0, -1.0], [-2.0, 0.5], [-0.5, -3.0]])
-    theta, diverged = model._inverse_mean_map_fallback(S, np.zeros((3, 2)))
+    theta, _, diverged = model._inverse_mean_map_fallback(S, np.zeros((3, 2)))
     assert not diverged.any()
     np.testing.assert_array_equal(np.abs(theta).max(axis=1), PARAM_BOX)
     # one call for the start of every row, then one per halving round of the rows searching
@@ -741,7 +743,7 @@ def test_fallback_started_at_a_solution_makes_one_kernel_call(monkeypatch, maker
     Theta0 = np.random.default_rng(22).uniform(-1.0, 1.0, (4, model.d))
     S = np.array([model.grad_log_partition(t) for t in Theta0])
     kernel_rows = spy_kernel(monkeypatch, model)
-    theta, diverged = model._inverse_mean_map_fallback(S, Theta0)
+    theta, _, diverged = model._inverse_mean_map_fallback(S, Theta0)
     assert kernel_rows == [4]
     np.testing.assert_array_equal(theta, Theta0)
     assert not diverged.any()
@@ -761,8 +763,8 @@ def test_fallback_solves_copies_of_a_statistic_with_the_kernel_calls_of_one(make
         model._record_moments = lambda Theta: calls.append(Theta) or moments(Theta)
         return model.inverse_mean_map_batch(np.tile(s, (b, 1))), len(calls)
 
-    (one, one_fallbacks, _), one_calls = solve_counting_kernel_calls(1)
-    (many, many_fallbacks, diverged), many_calls = solve_counting_kernel_calls(40)
+    (one, _, one_fallbacks, _), one_calls = solve_counting_kernel_calls(1)
+    (many, _, many_fallbacks, diverged), many_calls = solve_counting_kernel_calls(40)
     assert (one_fallbacks, many_fallbacks) == (1, 40) and not diverged.any()
     assert many_calls == one_calls
     np.testing.assert_allclose(many, np.tile(one, (40, 1)), rtol=0.0, atol=1e-12)
@@ -779,11 +781,11 @@ def test_fallback_over_three_blocks_of_copies_makes_the_kernel_calls_of_one(monk
     model = maker()
     s = model.grad_log_partition(np.full(model.d, 0.2)) + shift
     kernel_rows = spy_kernel(monkeypatch, model)
-    one, _ = model._inverse_mean_map_fallback(s[None], np.zeros((1, model.d)))
+    one, _, _ = model._inverse_mean_map_fallback(s[None], np.zeros((1, model.d)))
     one_calls = len(kernel_rows)
     kernel_rows.clear()
     b = 3 * model._block_rows
-    many, diverged = model._inverse_mean_map_fallback(np.tile(s, (b, 1)), np.zeros((b, model.d)))
+    many, _, diverged = model._inverse_mean_map_fallback(np.tile(s, (b, 1)), np.zeros((b, model.d)))
     assert len(kernel_rows) == one_calls > 1 and kernel_rows[0] == b
     assert not diverged.any()
     np.testing.assert_allclose(many, np.tile(one, (b, 1)), rtol=0.0, atol=1e-12)
@@ -793,14 +795,15 @@ def test_fallback_raises_at_an_overflowing_end_point(monkeypatch):
     # features of 100 put exp(x . theta) past the log-link cap on the box face,
     # so a row started there cannot move and is marked; the other row is solved
     model = PoissonModel(np.full((5, 1), 100.0), B_X=1e3, B_Y=1e6)
-    theta, diverged = model._inverse_mean_map_fallback(np.array([[5.0], [5.0]]),
-                                                       np.array([[PARAM_BOX], [0.0]]))
+    theta, _, diverged = model._inverse_mean_map_fallback(np.array([[5.0], [5.0]]),
+                                                          np.array([[PARAM_BOX], [0.0]]))
     assert diverged.tolist() == [True, False]
     np.testing.assert_array_equal(theta[0], [PARAM_BOX])
     np.testing.assert_allclose(theta[1], [np.log(0.05) / 100.0], rtol=1e-8)
     # the one-row solve raises with that end point
     monkeypatch.setattr(model, "newton_batch",
-                        lambda S, start=None: (np.full((1, 1), PARAM_BOX), np.array([False])))
+                        lambda S, start=None: (np.full((1, 1), PARAM_BOX), np.ones((1, 1, 1)),
+                                               np.array([False])))
     with pytest.raises(SolverDivergedError) as exc:
         model.inverse_mean_map(np.array([5.0]))
     np.testing.assert_array_equal(exc.value.last_iterate, [PARAM_BOX])
@@ -815,10 +818,10 @@ def test_diverged_fallback_marks_its_row_and_the_single_solve_raises(monkeypatch
 
     def diverge(S, Theta0):
         handed.append((S.copy(), Theta0.copy()))
-        return np.tile(stuck, (len(S), 1)), np.ones(len(S), dtype=bool)
+        return np.tile(stuck, (len(S), 1)), np.zeros((len(S), 2, 2)), np.ones(len(S), dtype=bool)
 
     monkeypatch.setattr(model, "_inverse_mean_map_fallback", diverge)
-    theta, fallbacks, diverged = model.inverse_mean_map_batch(S)
+    theta, _, fallbacks, diverged = model.inverse_mean_map_batch(S)
     assert fallbacks == 1
     assert diverged.tolist() == [False, True, False]
     np.testing.assert_array_equal(theta[1], stuck)

@@ -59,7 +59,7 @@ def test_noise_aware_variance_is_three_term_sum():
     syn = generate_synthetic(model, theta, 800, rng)
     report = noise_aware_synth_analysis(model, syn, rel, 0.05)
     th_syn = np.asarray(report.theta_hat)
-    base = dp_variance(model, th_syn, rel)
+    base = dp_variance(model.fisher_info(th_syn), rel)
     lam = max(1e-6, 0.01 * rel.sigma**2)
     extra = np.linalg.inv(model.fisher_info(th_syn) + lam * np.eye(3)) / syn.n
     np.testing.assert_allclose(np.asarray(report.variance), base + extra, rtol=1e-10)
@@ -73,7 +73,7 @@ def test_noise_aware_variance_collapses_for_huge_n_syn():
     rng = substream(7, "collapse")
     syn = generate_synthetic(model, np.array([0.3]), 200_000, rng)
     report = noise_aware_synth_analysis(model, syn, rel, 0.05)
-    direct = dp_variance(model, np.asarray(report.theta_hat), rel)
+    direct = dp_variance(model.fisher_info(np.asarray(report.theta_hat)), rel)
     np.testing.assert_allclose(np.asarray(report.variance), direct, rtol=1e-2)
     # and the gap is exactly the classical-variance term
     gap = np.asarray(report.variance) - direct
